@@ -27,7 +27,7 @@ from . import dynamics as dyn
 from .cute import CavityParams, assemble_truncated
 from .errors import DimensionGuardError
 from .fockspace import enumerate_basis
-from .oracle import build_full_H, symmetrizer
+from .oracle import build_full_H, oracle_survival, symmetrize
 from .perturbation import radiative_pumping_rate, write_rate_json
 from .vibronic import MolecularModel, VibrationalMode, build_vibronic
 
@@ -92,6 +92,9 @@ def parse_config(path, task: str | None = None) -> RunConfig:
     def need(section, key, conv=float):
         if section not in cp or key not in cp[section]:
             raise ConfigError(f"missing required key '{key}' in section [{section}]")
+        return convert(section, key, conv)
+
+    def convert(section, key, conv):
         try:
             return conv(cp[section][key])
         except ValueError as exc:
@@ -132,12 +135,12 @@ def parse_config(path, task: str | None = None) -> RunConfig:
     if "run" in cp:
         for key in ("omega_min", "omega_max"):
             if key in cp["run"]:
-                options[key] = float(cp["run"][key])
+                options[key] = convert("run", key, float)
         if "window" in cp["run"]:
             w = cp["run"]["window"].strip()
             options["window"] = None if w.lower() == "none" else w
         if "dark_index" in cp["run"]:
-            options["dark_index"] = int(cp["run"]["dark_index"])
+            options["dark_index"] = convert("run", "dark_index", int)
         if "eigenstate" in cp["run"]:
             options["eigenstate"] = cp["run"]["eigenstate"].strip()
 
@@ -176,9 +179,12 @@ def _parse_method(method: str, N) -> tuple[str, int | None]:
         return "cuteq", int(N)
     if method.startswith("cuteq:"):
         try:
-            return "cuteq", int(method.split(":", 1)[1])
+            q = int(method.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad cuteq order in method '{method}'") from exc
+        if q < 0:
+            raise ConfigError(f"cuteq order must be >= 0 in method '{method}'")
+        return "cuteq", q
     raise ConfigError(
         f"unknown method '{method}' (expected infinite, cute0, cute1, cuteq:<q>, exactN, oracle)"
     )
@@ -233,20 +239,16 @@ def _survival_for_method(cfg: RunConfig):
     elif kind == "cuteq":
         q = min(q, int(cav.n_molecules))
         bh = assemble_truncated(vs, cav, q_max=q)
-        H = bh.full_matrix()
         psi0 = np.zeros(bh.dim, dtype=complex)
         psi0[0] = 1.0
-        traj = dyn.propagate(H, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
+        traj = dyn.propagate(bh.matrix, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
         dim = bh.dim
     else:  # oracle
-        H, basis = build_full_H(vs, cav, int(cav.n_molecules), 1)
-        sym = enumerate_basis(int(cav.n_molecules), 1, vs.m, q_max=int(cav.n_molecules))
-        T = symmetrizer(basis, sym)
-        psi_sym = np.zeros(sym.dim, dtype=complex)
+        N = int(cav.n_molecules)
+        psi_sym = np.zeros(enumerate_basis(N, 1, vs.m, q_max=N).dim, dtype=complex)
         psi_sym[0] = 1.0
-        psi0 = T @ psi_sym
-        traj = dyn.propagate(H, psi0, cfg.grid, kappa=cav.kappa, n_ph=basis.photon_numbers())
-        dim = basis.dim
+        traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid, kappa=cav.kappa)
+        dim = traj.params["dim"]
     return traj, {"derived.dim": dim}
 
 
@@ -342,19 +344,14 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
     cav = cfg.cavity
     N = int(cav.n_molecules)
     bh = assemble_truncated(vs, cav, q_max=N)
-    H_full, basis_t = build_full_H(vs, cav, N, 1)
-    sym = bh.basis
-    T = symmetrizer(basis_t, sym)
-    H_sym = (T.conj().T @ (H_full @ T)).toarray()
-    dev_H = float(np.max(np.abs(H_sym - bh.full_matrix())))
+    _, H_sym = symmetrize(*build_full_H(vs, cav, N, 1), bh.basis)
+    dev_H = float(abs(H_sym - bh.matrix).max())
 
-    psi_sym = np.zeros(sym.dim, dtype=complex)
+    psi_sym = np.zeros(bh.dim, dtype=complex)
     psi_sym[0] = 1.0
-    traj_oracle = dyn.propagate(
-        H_full, T @ psi_sym, cfg.grid, kappa=cav.kappa, n_ph=basis_t.photon_numbers()
-    )
+    traj_oracle = oracle_survival(vs, cav, N, psi_sym, cfg.grid, kappa=cav.kappa)
     traj_cute = dyn.propagate(
-        bh.full_matrix(), psi_sym, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers
+        bh.matrix, psi_sym, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers
     )
     dev_c = float(np.max(np.abs(traj_oracle.c_t - traj_cute.c_t)))
 

@@ -18,13 +18,16 @@ This module builds
   * the zero-temperature high-excitation ladder (blocks indexed by photon
     number at quasi = 0).
 
+Both assemblers return a BlockHamiltonian: the whole matrix as one real
+sparse CSR `matrix` plus block `offsets`, so block q spans
+offsets[q]:offsets[q + 1].  No dense copy is made.
+
 N = infinity is a first-class sentinel (math.inf): inter-block couplings
 vanish identically and collective factors sqrt(N - q)/sqrt(N) become 1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionGuardError
-from .fockspace import SymBasis, enumerate_basis, map_operator
+from .fockspace import SymBasis, _compositions_desc, enumerate_basis, map_operator
 from .vibronic import VibronicStructure
 
 HERMITICITY_TOL = 1e-12
@@ -53,6 +56,11 @@ class CavityParams:
     kappa: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega_c", "g_sqrt_n", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if math.isnan(self.n_molecules):
+            raise ValueError("n_molecules must be a positive integer or inf, got nan")
         if self.g_sqrt_n < 0:
             raise ValueError(f"g_sqrt_n must be >= 0, got {self.g_sqrt_n}")
         if self.kappa < 0:
@@ -77,17 +85,16 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
-    """Block-tridiagonal Hamiltonian: dense blocks plus first off-diagonals.
+    """Block-tridiagonal Hamiltonian held as one real sparse CSR matrix.
 
-    couplings[q] has shape (dim_q, dim_{q+1}) and sits above the diagonal,
-    i.e. it maps block q+1 amplitudes into block q.  labels carries one
+    Block q spans rows and columns offsets[q]:offsets[q + 1]; sub-block
+    (p, q) is nonzero only for |p - q| <= 1.  labels carries one
     human-readable state label per block entry; basis is the underlying
-    SymBasis for finite N (None at N = infinity, where the reference
-    occupation is macroscopic).
+    SymBasis for finite-N truncations (None otherwise).
     """
 
-    blocks: tuple[np.ndarray, ...]
-    couplings: tuple[np.ndarray, ...]
+    matrix: sp.csr_matrix
+    offsets: np.ndarray
     labels: tuple[tuple[str, ...], ...]
     photon_numbers: np.ndarray
     cavity: CavityParams
@@ -96,19 +103,13 @@ class BlockHamiltonian:
 
     @property
     def dim(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
+        return self.matrix.shape[0]
 
-    def full_matrix(self) -> np.ndarray:
-        """Dense assembled matrix: blocks on the diagonal, couplings beside it."""
-        dim = self.dim
-        out = np.zeros((dim, dim), dtype=self.blocks[0].dtype)
-        offs = np.cumsum([0] + [b.shape[0] for b in self.blocks])
-        for q, blk in enumerate(self.blocks):
-            out[offs[q] : offs[q + 1], offs[q] : offs[q + 1]] = blk
-        for q, v in enumerate(self.couplings):
-            out[offs[q] : offs[q + 1], offs[q + 1] : offs[q + 2]] = v
-            out[offs[q + 1] : offs[q + 2], offs[q] : offs[q + 1]] = v.conj().T
-        return out
+    def block(self, p: int, q: int | None = None) -> np.ndarray:
+        """Dense sub-block (p, q); the diagonal block p when q is omitted."""
+        q = p if q is None else q
+        o = self.offsets
+        return self.matrix[o[p] : o[p + 1], o[q] : o[q + 1]].toarray()
 
 
 def build_H0(vs: VibronicStructure, cav: CavityParams) -> np.ndarray:
@@ -190,104 +191,57 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     return H
 
 
-def _check_hermitian(blk: np.ndarray, what: str):
-    defect = np.max(np.abs(blk - blk.conj().T)) if blk.size else 0.0
-    if defect > HERMITICITY_TOL:
-        raise RuntimeError(f"{what} not Hermitian: defect {defect:.3e}")
-
-
-def _quasi_multisets(m: int, q: int):
-    """Deterministic order of phonon configurations: multisets of size q from k = 2..m."""
-    return itertools.combinations_with_replacement(range(2, m + 1), q)
-
-
 def assemble_truncated(
     vs: VibronicStructure, cav: CavityParams, q_max: int, size_cap: int = 500_000
 ) -> BlockHamiltonian:
     """Truncated block Hamiltonian at CUT-E order q_max (first excitation manifold).
 
-    Finite N: enumerate the quasi <= q_max basis, assemble the full mapped
-    Hamiltonian and slice it into diagonal blocks and first off-diagonal
-    couplings.  Order 0 keeps collective coupling only; order 1 admits one
-    action pair of the single-molecule coupling, and so on.
+    Finite N: enumerate the quasi <= q_max basis and keep the mapped sparse
+    Hamiltonian as is.  Order 0 keeps collective coupling only; order 1
+    admits one action pair of the single-molecule coupling, and so on.
 
-    N = infinity: couplings vanish identically and block q is the direct sum
-    over phonon multisets {k_1..k_q} of H0 shifted by sum omega_g[k_i].
+    N = infinity: only q_max = 0 is assembled (the single block H0).  The
+    q >= 1 blocks are decoupled shifted copies of H0 that no photon-initial
+    state reaches, so higher orders raise ValueError.
     """
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
     m = vs.m
 
     if cav.is_infinite:
-        H0 = build_H0(vs, cav)
-        blocks, labels = [], []
-        for q in range(q_max + 1):
-            subs, lab = [], []
-            for ms in _quasi_multisets(m, q):
-                shift = sum(vs.omega_g[k - 1] for k in ms)
-                subs.append(H0 + shift * np.eye(m + 1))
-                phonons = [f"g{k}" for k in ms]
-                lab.append("|" + " ".join(phonons + ["1"]) + ">")
-                lab.extend("|" + " ".join(phonons + [f"e{i}"]) + ">" for i in range(1, m + 1))
-            if not subs:
-                subs, lab = [np.zeros((0, 0))], []
-            blocks.append(_block_diag(subs))
-            labels.append(tuple(lab))
-            if sum(b.shape[0] for b in blocks) > size_cap:
-                raise DimensionGuardError(f"infinite-N block assembly exceeds cap {size_cap}")
-        couplings = tuple(
-            np.zeros((blocks[q].shape[0], blocks[q + 1].shape[0])) for q in range(q_max)
-        )
-        n_ph = np.concatenate([_infinite_block_photons(m, q) for q in range(q_max + 1)])
+        if q_max > 0:
+            raise ValueError(
+                f"at N = infinity only q_max = 0 couples to the photon, got q_max = {q_max}"
+            )
+        photon_numbers = np.zeros(m + 1, dtype=int)
+        photon_numbers[0] = 1
         return BlockHamiltonian(
-            blocks=tuple(blocks),
-            couplings=couplings,
-            labels=tuple(labels),
-            photon_numbers=n_ph,
+            matrix=sp.csr_matrix(build_H0(vs, cav)),
+            offsets=np.array([0, m + 1]),
+            labels=(("|1>",) + tuple(f"|e{i}>" for i in range(1, m + 1)),),
+            photon_numbers=photon_numbers,
             cavity=cav,
             vibronic=vs,
         )
 
     N = int(cav.n_molecules)
-    basis = enumerate_basis(N, 1, m, min(q_max, N), size_cap=size_cap)
-    H = hamiltonian_matrix(vs, cav, basis).toarray().real
-    _check_hermitian(H, "assembled Hamiltonian")
-
     q_eff = min(q_max, N)
+    basis = enumerate_basis(N, 1, m, q_eff, size_cap=size_cap)
+    H = hamiltonian_matrix(vs, cav, basis).real
+    defect = abs(H - H.T).max()
+    if defect > HERMITICITY_TOL:
+        raise RuntimeError(f"assembled Hamiltonian not Hermitian: defect {defect:.3e}")
+
     slices = [basis.block_slice(q) for q in range(q_eff + 1)]
-    blocks = tuple(H[s, s] for s in slices)
-    couplings = tuple(H[slices[q], slices[q + 1]] for q in range(q_eff))
-    for q, blk in enumerate(blocks):
-        _check_hermitian(blk, f"block {q}")
-    labels = tuple(
-        tuple(st.label() for st in basis.states[s]) for s in slices
-    )
     return BlockHamiltonian(
-        blocks=blocks,
-        couplings=couplings,
-        labels=labels,
+        matrix=H,
+        offsets=np.array([s.start for s in slices] + [basis.dim]),
+        labels=tuple(tuple(st.label() for st in basis.states[s]) for s in slices),
         photon_numbers=basis.photon_numbers(),
         cavity=cav,
         vibronic=vs,
         basis=basis,
     )
-
-
-def _infinite_block_photons(m: int, q: int) -> np.ndarray:
-    per_sub = np.array([1] + [0] * m)
-    k = sum(1 for _ in _quasi_multisets(m, q))
-    return np.tile(per_sub, k)
-
-
-def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
-    dim = sum(M.shape[0] for M in mats)
-    out = np.zeros((dim, dim))
-    off = 0
-    for M in mats:
-        n = M.shape[0]
-        out[off : off + n, off : off + n] = M
-        off += n
-    return out
 
 
 def assemble_high_excitation(
@@ -310,8 +264,6 @@ def assemble_high_excitation(
     if not cav.is_infinite and N < n_exc:
         raise ValueError(f"need N >= N_exc, got N={N}, N_exc={n_exc}")
 
-    from .fockspace import _compositions_desc  # same deterministic ordering
-
     sector_states = []
     for i in range(n_exc, -1, -1):
         confs = list(_compositions_desc(n_exc - i, m))
@@ -319,19 +271,17 @@ def assemble_high_excitation(
         if sum(len(s) for s in sector_states) > size_cap:
             raise DimensionGuardError(f"high-excitation basis exceeds cap {size_cap}")
 
-    def diag_energy(i, conf):
-        return cav.omega_c * i + float(np.dot(conf, vs.omega_e))
-
-    blocks = tuple(
-        np.diag([diag_energy(i, conf) for i, conf in sector]) for sector in sector_states
-    )
-
-    couplings = []
+    offsets = np.cumsum([0] + [len(sector) for sector in sector_states])
+    diag = [
+        cav.omega_c * i + float(np.dot(conf, vs.omega_e))
+        for sector in sector_states
+        for i, conf in sector
+    ]
+    rows, cols, vals = [], [], []
     for p in range(n_exc):
         upper = sector_states[p]      # i photons
         lower = sector_states[p + 1]  # i - 1 photons, one more excited molecule
-        lower_index = {conf: a for a, (_, conf) in enumerate(lower)}
-        V = np.zeros((len(upper), len(lower)))
+        lower_index = {conf: offsets[p + 1] + a for a, (_, conf) in enumerate(lower)}
         for b, (i, conf) in enumerate(upper):
             n_matter = n_exc - i
             if cav.is_infinite:
@@ -344,10 +294,14 @@ def assemble_high_excitation(
                 a = lower_index.get(tuple(tgt))
                 if a is None:
                     continue
-                V[b, a] = (
+                rows.append(offsets[p] + b)
+                cols.append(a)
+                vals.append(
                     cav.g_sqrt_n * vs.fc[j, 0] * math.sqrt(i) * math.sqrt(conf[j] + 1) * occ_fac
                 )
-        couplings.append(V)
+    dim = int(offsets[-1])
+    V = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    H = (sp.diags(diag) + V + V.T).tocsr()
 
     def state_label(i, conf):
         parts = [f"e{j + 1}" for j, n in enumerate(conf) for _ in range(n)]
@@ -364,8 +318,8 @@ def assemble_high_excitation(
         [np.full(len(sector), sector[0][0] if sector else 0) for sector in sector_states]
     )
     return BlockHamiltonian(
-        blocks=blocks,
-        couplings=tuple(couplings),
+        matrix=H,
+        offsets=offsets,
         labels=labels,
         photon_numbers=photon_numbers,
         cavity=cav,

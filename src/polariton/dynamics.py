@@ -3,8 +3,10 @@
 Cavity leakage enters as a non-Hermitian term -i (kappa/2) * n_ph added to
 the Hamiltonian (in the first excitation manifold this reproduces the
 quantum-jump description of survival amplitudes, and linewidths are all the
-absorption spectrum needs).  Propagation is spectral for the dense matrices
-used here (dimension <= 4096) and falls back to Krylov stepping beyond that.
+absorption spectrum needs).  propagate takes a dense array or a sparse
+matrix such as BlockHamiltonian.matrix.  Up to dimension 4096 it
+propagates spectrally, densifying sparse input once; beyond that it steps
+the sparse matrix with Krylov (expm_multiply) without densifying.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
 
@@ -73,14 +75,24 @@ class Trajectory:
     params: dict = field(default_factory=dict)
 
 
-def effective_hamiltonian(H, kappa: float, n_ph) -> np.ndarray:
-    """H - i (kappa/2) diag(n_ph), the leaky-cavity effective generator."""
-    H = np.asarray(H, dtype=complex)
+def effective_hamiltonian(H, kappa: float, n_ph):
+    """H - i (kappa/2) diag(n_ph), the leaky-cavity effective generator.
+
+    Complex result; sparse input stays sparse (CSR), dense input dense.
+    """
+    if kappa != 0.0 and n_ph is None:
+        raise ValueError("kappa > 0 requires the photon-number diagonal n_ph")
+    if sp.issparse(H):
+        H = sp.csr_matrix(H, dtype=complex)
+    else:
+        H = np.array(H, dtype=complex)
     if kappa == 0.0:
         return H
-    if n_ph is None:
-        raise ValueError("kappa > 0 requires the photon-number diagonal n_ph")
-    return H - 0.5j * kappa * np.diag(np.asarray(n_ph, dtype=float))
+    leak = 0.5j * kappa * np.asarray(n_ph, dtype=float)
+    if sp.issparse(H):
+        return H - sp.diags(leak)
+    H[np.diag_indices_from(H)] -= leak
+    return H
 
 
 def propagate(
@@ -115,21 +127,16 @@ def propagate(
     if method not in ("spectral", "krylov"):
         raise ValueError(f"unknown method {method!r}")
 
+    H_eff = effective_hamiltonian(H, kappa, n_ph)
     traj = None
     if method == "spectral":
-        H_eff = effective_hamiltonian(np.asarray(H.toarray() if sp.issparse(H) else H), kappa, n_ph)
         try:
-            traj = _propagate_spectral(H_eff, psi0, ref, grid, keep_states)
+            dense = H_eff.toarray() if sp.issparse(H_eff) else H_eff
+            traj = _propagate_spectral(dense, psi0, ref, grid, keep_states)
         except _IllConditionedEig:
             method = "krylov"  # near-defective eigenbasis: step instead
     if traj is None:
-        H_eff = H if sp.issparse(H) else sp.csr_matrix(np.asarray(H))
-        H_eff = H_eff.astype(complex)
-        if kappa != 0.0:
-            if n_ph is None:
-                raise ValueError("kappa > 0 requires the photon-number diagonal n_ph")
-            H_eff = H_eff - 0.5j * kappa * sp.diags(np.asarray(n_ph, dtype=float))
-        traj = _propagate_krylov(H_eff.tocsc(), psi0, ref, grid, keep_states)
+        traj = _propagate_krylov(sp.csc_matrix(H_eff), psi0, ref, grid, keep_states)
 
     if not np.all(np.isfinite(traj.c_t)):
         raise RuntimeError("propagation produced non-finite amplitudes")

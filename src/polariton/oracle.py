@@ -162,7 +162,8 @@ def symmetrize(obj, basis: TensorBasis, sym_basis: SymBasis):
     projection is T+ psi for states and T+ H T for operators.
     """
     T = symmetrizer(basis, sym_basis)
-    obj = np.asarray(obj.toarray() if sp.issparse(obj) else obj)
+    if not sp.issparse(obj):
+        obj = np.asarray(obj)
     if obj.ndim == 1:
         return T, T.conj().T @ obj
     if obj.ndim == 2:

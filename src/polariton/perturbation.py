@@ -266,20 +266,6 @@ def radiative_pumping_rate(
     )
 
 
-def second_order_raman_rate(*args, **kwargs):
-    """Reserved hook for the O(1/N^2) polariton-assisted Raman channel.
-
-    The second-order process (two actions of the single-molecule coupling
-    through the quasi = 2 blocks) is not implemented: only its existence and
-    scaling are established, with no closed-form rate prescription to build
-    against.
-    """
-    raise NotImplementedError(
-        "polariton-assisted Raman (O(1/N^2)) rate: interface reserved, no "
-        "prescription implemented"
-    )
-
-
 def write_rate_json(path, result: RateResult, header: dict | None = None):
     """Write a RateResult as JSON; header keys go into a '_config' block."""
     payload = json.loads(result.to_json())

@@ -39,6 +39,11 @@ class VibrationalMode:
     n_max: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.frequency) and math.isfinite(self.huang_rhys)):
+            raise ValueError(
+                f"mode parameters must be finite, got frequency={self.frequency}, "
+                f"huang_rhys={self.huang_rhys}"
+            )
         if self.frequency <= 0:
             raise ValueError(f"mode frequency must be positive, got {self.frequency}")
         if self.huang_rhys < 0:
@@ -65,8 +70,10 @@ class MolecularModel:
     modes: tuple[VibrationalMode, ...] = ()
 
     def __post_init__(self):
-        if self.electronic_gap <= 0:
-            raise ValueError(f"electronic_gap must be positive, got {self.electronic_gap}")
+        if not (math.isfinite(self.electronic_gap) and self.electronic_gap > 0):
+            raise ValueError(
+                f"electronic_gap must be positive and finite, got {self.electronic_gap}"
+            )
         object.__setattr__(self, "modes", tuple(self.modes))
 
     @property

@@ -46,10 +46,25 @@ def test_parse_valid_spectrum_config(tmp_path):
     assert cfg.resolved["cavity.omega_c"] == "0.108"
 
 
-def test_unknown_key_is_exit_code_2(tmp_path, capsys):
-    path = write_cfg(tmp_path, "spectrum", extra="method = infinite\nbogus_key = 1")
-    assert main(["spectrum", "--config", str(path)]) == 2
-    assert "bogus_key" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "task,n,extra,edit,msg",
+    [
+        ("spectrum", "inf", "method = infinite\nbogus_key = 1", None, "bogus_key"),
+        ("spectrum", "inf", "method = infinite\nomega_min = abc", None, "omega_min"),
+        ("rate", "8", "dark_index = x", None, "dark_index"),
+        ("dynamics", "3", "method = cuteq:-1", None, "cuteq order"),
+        ("spectrum", "inf", "method = infinite", ("omega_c = 0.108", "omega_c = nan"), "omega_c"),
+        ("spectrum", "inf", "method = infinite", ("t_max = 2048", "t_max = nan"), "t_max"),
+    ],
+    ids=["unknown_key", "omega_min_abc", "dark_index_x", "cuteq_negative", "omega_c_nan",
+         "t_max_nan"],
+)
+def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
+    path = write_cfg(tmp_path, task, n=n, extra=extra)
+    if edit:
+        path.write_text(path.read_text().replace(*edit))
+    assert main([task, "--config", str(path)]) == 2
+    assert msg in capsys.readouterr().err
 
 
 def test_unknown_section_rejected(tmp_path):

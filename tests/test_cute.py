@@ -1,9 +1,12 @@
 """Block-Hamiltonian assembly: hand-written forms vs generic mapping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polariton.cute import (
     CavityParams,
@@ -77,6 +80,21 @@ def test_fig5_polariton_band_positions():
     assert top[0] < FIG5_CAV.omega_c < top[1]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(omega_c=float("nan")),
+        dict(g_sqrt_n=float("inf")),
+        dict(kappa=float("nan")),
+        dict(n_molecules=float("nan")),
+    ],
+)
+def test_cavity_params_reject_non_finite(bad):
+    params = dict(omega_c=0.11, g_sqrt_n=0.02, n_molecules=4, kappa=0.0) | bad
+    with pytest.raises(ValueError):
+        CavityParams(**params)
+
+
 def test_H1k_infinite_is_shifted_H0():
     vs = vibronic_fixture(n_max=3)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)
@@ -148,7 +166,7 @@ def test_assemble_q0_reproduces_H0():
     vs = vibronic_fixture(n_max=2)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)
     bh = assemble_truncated(vs, cav, q_max=0)
-    np.testing.assert_allclose(bh.blocks[0], build_H0(vs, cav), atol=1e-15)
+    np.testing.assert_allclose(bh.block(0), build_H0(vs, cav), atol=1e-15)
     assert bh.labels[0][0] == "|1>"
 
 
@@ -158,13 +176,13 @@ def test_assemble_q1_block_sizes_and_coupling_shape():
     vs = vibronic_fixture(n_max=1)  # m = 2
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)
     bh = assemble_truncated(vs, cav, q_max=1)
-    assert [b.shape[0] for b in bh.blocks] == [3, 3]
-    assert bh.couplings[0].shape == (3, 3)
+    assert list(np.diff(bh.offsets)) == [3, 3]
+    assert bh.block(0, 1).shape == (3, 3)
 
     vs3 = vibronic_fixture(n_max=2)  # m = 3
     bh3 = assemble_truncated(vs3, cav, q_max=1)
-    assert [b.shape[0] for b in bh3.blocks] == [4, 2 * 4]
-    assert bh3.couplings[0].shape == (4, 8)
+    assert list(np.diff(bh3.offsets)) == [4, 2 * 4]
+    assert bh3.block(0, 1).shape == (4, 8)
 
 
 def test_assembled_coupling_matches_v0k():
@@ -175,11 +193,12 @@ def test_assembled_coupling_matches_v0k():
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=6)
     bh = assemble_truncated(vs, cav, q_max=1)
     m = vs.m
+    coupling = bh.block(0, 1)
     for k in range(2, m + 1):
         v = build_v0k(vs, cav, k)
-        np.testing.assert_allclose(bh.couplings[0][:, k - 2], v[:, 0], atol=1e-14)
+        np.testing.assert_allclose(coupling[:, k - 2], v[:, 0], atol=1e-14)
     # excited-type columns of the coupling vanish identically
-    np.testing.assert_array_equal(bh.couplings[0][:, m - 1 :], 0.0)
+    np.testing.assert_array_equal(coupling[:, m - 1 :], 0.0)
 
 
 def test_assembled_block1_matches_H1k_direct_sum():
@@ -191,22 +210,58 @@ def test_assembled_block1_matches_H1k_direct_sum():
     m = vs.m
     n_sub = m - 1
     # assembled order: [g_2 1, ..., g_m 1, g_2 e_1..e_m, g_3 e_1..e_m, ...]
-    want = np.zeros_like(bh.blocks[1])
+    want = np.zeros_like(bh.block(1))
     for j, k in enumerate(range(2, m + 1)):
         H1k = build_H1k(vs, cav, k)
         rows = [j] + [n_sub + j * m + i for i in range(m)]
         want[np.ix_(rows, rows)] = H1k
-    np.testing.assert_allclose(bh.blocks[1], want, atol=1e-13)
+    np.testing.assert_allclose(bh.block(1), want, atol=1e-13)
 
 
-def test_assemble_full_matches_map_operator_path():
-    vs = vibronic_fixture(n_max=1, s=0.8)
-    cav = CavityParams(omega_c=0.105, g_sqrt_n=0.015, n_molecules=2)
-    bh = assemble_truncated(vs, cav, q_max=2)
-    basis = enumerate_basis(2, 1, vs.m, 2)
-    H = hamiltonian_matrix(vs, cav, basis).toarray().real
-    np.testing.assert_allclose(bh.full_matrix(), H, atol=1e-15)
+@st.composite
+def small_truncations(draw):
+    """Random small models: m <= 3, N <= 4, q_max <= N."""
+    n_max = draw(st.integers(0, 2))  # m = n_max + 1
+    s = draw(st.floats(0.0, 2.0))
+    omega = draw(st.floats(0.005, 0.02))
+    vs = vibronic_fixture(s=s, omega=omega, n_max=n_max)
+    N = draw(st.integers(1, 4))
+    cav = CavityParams(
+        omega_c=draw(st.floats(0.09, 0.13)),
+        g_sqrt_n=draw(st.floats(0.0, 0.05)),
+        n_molecules=N,
+    )
+    return vs, cav, draw(st.integers(0, N))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_truncations())
+def test_assemble_full_matches_map_operator_path(case):
+    vs, cav, q_max = case
+    bh = assemble_truncated(vs, cav, q_max=q_max)
+    basis = enumerate_basis(cav.n_molecules, 1, vs.m, q_max)
+    H = bh.matrix
+    np.testing.assert_array_equal(H.toarray(), hamiltonian_matrix(vs, cav, basis).toarray().real)
+    assert abs(H - H.T).max() <= 1e-12
     assert conserved_check(basis, H) == []
+    spans = [slice(a, b) for a, b in zip(bh.offsets[:-1], bh.offsets[1:])]
+    assert spans == [basis.block_slice(q) for q in range(q_max + 1)]
+    assert bh.offsets[-1] == basis.dim
+
+
+def test_assembly_peak_memory_below_one_dense_copy():
+    # cute1 for m = 18 has dim m (m + 1) = 342; the sparse assembly must never
+    # hold a dense dim x dim float64 matrix
+    vs = vibronic_fixture(s=1.0, n_max=17)
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=50)
+    tracemalloc.start()
+    try:
+        bh = assemble_truncated(vs, cav, q_max=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bh.dim >= 300
+    assert peak < 8 * bh.dim**2, (peak, 8 * bh.dim**2)
 
 
 def test_collective_amplification_sqrtN_exact():
@@ -214,26 +269,27 @@ def test_collective_amplification_sqrtN_exact():
     for N in (4, 9, 16):
         cav = CavityParams(omega_c=0.1, g_sqrt_n=0.02 * math.sqrt(N), n_molecules=N)
         bh = assemble_truncated(vs0, cav, q_max=0)
-        assert abs(bh.blocks[0][0, 1] - math.sqrt(N) * cav.g) < 1e-12
+        assert abs(bh.block(0)[0, 1] - math.sqrt(N) * cav.g) < 1e-12
 
 
-def test_infinite_truncation_is_block_diagonal():
+def test_infinite_truncation_is_H0_only():
+    # at N = inf the q >= 1 blocks decouple from the photon: only q_max = 0 is built
     vs = vibronic_fixture(n_max=2)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)
-    bh = assemble_truncated(vs, cav, q_max=2)
-    for v in bh.couplings:
-        assert np.all(v == 0.0)
-    H0 = build_H0(vs, cav)
-    sub = bh.blocks[1][: vs.m + 1, : vs.m + 1]
-    np.testing.assert_array_equal(sub, H0 + vs.omega_g[1] * np.eye(vs.m + 1))
+    bh = assemble_truncated(vs, cav, q_max=0)
+    np.testing.assert_array_equal(bh.matrix.toarray(), build_H0(vs, cav))
+    assert list(bh.offsets) == [0, vs.m + 1]
+    assert list(bh.photon_numbers) == [1] + [0] * vs.m
+    assert bh.labels[0][:2] == ("|1>", "|e1>")
+    with pytest.raises(ValueError, match="q_max = 0"):
+        assemble_truncated(vs, cav, q_max=1)
 
 
 def test_blocks_hermitian():
     vs = vibronic_fixture(n_max=2, s=1.1)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=4)
     bh = assemble_truncated(vs, cav, q_max=3)
-    H = bh.full_matrix()
-    assert np.max(np.abs(H - H.T)) < 1e-12
+    assert abs(bh.matrix - bh.matrix.T).max() < 1e-12
 
 
 def test_high_excitation_nexc1_equals_H0():
@@ -241,7 +297,7 @@ def test_high_excitation_nexc1_equals_H0():
     for N in (INF, 7):
         cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=N)
         bh = assemble_high_excitation(vs, cav, 1)
-        np.testing.assert_array_equal(bh.full_matrix(), build_H0(vs, cav))
+        np.testing.assert_array_equal(bh.matrix.toarray(), build_H0(vs, cav))
 
 
 def test_high_excitation_two_photon_ladder():
@@ -259,9 +315,9 @@ def test_high_excitation_two_photon_ladder():
         ]
     )
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(bh.full_matrix()), np.linalg.eigvalsh(oracle), atol=1e-12
+        np.linalg.eigvalsh(bh.matrix.toarray()), np.linalg.eigvalsh(oracle), atol=1e-12
     )
-    assert [b.shape[0] for b in bh.blocks] == [1, 1, 1]
+    assert list(bh.offsets) == [0, 1, 2, 3]
 
 
 def test_high_excitation_matches_oracle_q0_restriction():
@@ -276,14 +332,14 @@ def test_high_excitation_matches_oracle_q0_restriction():
     sym = enumerate_basis(2, 2, vs.m, q_max=0)
     T = symmetrizer(tb, sym)
     H_sym = (T.conj().T @ (H @ T)).toarray().real
-    np.testing.assert_allclose(bh.full_matrix(), H_sym, atol=1e-13)
+    np.testing.assert_allclose(bh.matrix.toarray(), H_sym, atol=1e-13)
 
 
 def test_high_excitation_conserves_photon_steps():
     vs = vibronic_fixture(n_max=1)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)
     bh = assemble_high_excitation(vs, cav, 3)
-    H = bh.full_matrix()
+    H = bh.matrix.toarray()
     n_ph = bh.photon_numbers
     for i in range(H.shape[0]):
         for j in range(H.shape[1]):
@@ -304,7 +360,7 @@ def test_sparse_export_format(tmp_path):
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=3)
     bh = assemble_truncated(vs, cav, q_max=1)
     path = tmp_path / "h.txt"
-    write_sparse_matrix(path, bh.full_matrix())
+    write_sparse_matrix(path, bh.matrix)
     lines = path.read_text().splitlines()
     dim, nnz = map(int, lines[0].split())
     assert dim == bh.dim
@@ -316,4 +372,4 @@ def test_sparse_export_format(tmp_path):
     for line in lines[1:]:
         r, c, re, im = line.split()
         M[int(r), int(c)] = float(re)
-    np.testing.assert_array_equal(M, bh.full_matrix())
+    np.testing.assert_array_equal(M, bh.matrix.toarray())

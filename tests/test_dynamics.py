@@ -136,6 +136,12 @@ def test_propagate_input_validation():
         propagate(H, np.array([1.0, 0.0]), grid, kappa=0.1)
 
 
+def test_time_grid_rejects_non_finite():
+    for t_max in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_max"):
+            TimeGrid(t_max=t_max, n_steps=8)
+
+
 def test_filter_response_bare_cavity():
     vs = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav = CavityParams(omega_c=0.13, g_sqrt_n=0.0, n_molecules=INF)

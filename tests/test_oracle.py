@@ -87,7 +87,7 @@ def test_projected_hamiltonian_equals_cute_assembly():
         H, tb = build_full_H(vs, cav, N, 1)
         T = symmetrizer(tb, bh.basis)
         H_sym = (T.conj().T @ (H @ T)).toarray()
-        np.testing.assert_allclose(H_sym, bh.full_matrix(), atol=1e-12)
+        np.testing.assert_allclose(H_sym, bh.matrix.toarray(), atol=1e-12)
 
 
 def test_symmetric_subspace_is_invariant_under_evolution():
@@ -114,7 +114,7 @@ def test_oracle_survival_matches_truncated_propagation(N):
     psi_sym[0] = 1.0
     grid = TimeGrid(t_max=1000.0, n_steps=256)
     t_orc = oracle_survival(vs, cav, N, psi_sym, grid)
-    t_cut = propagate(bh.full_matrix(), psi_sym, grid)
+    t_cut = propagate(bh.matrix, psi_sym, grid)
     assert np.max(np.abs(t_orc.c_t - t_cut.c_t)) < 1e-10
 
 

@@ -11,7 +11,6 @@ from polariton.dynamics import TimeGrid, photonic_weights, propagate
 from polariton.perturbation import (
     double_phase_integral,
     radiative_pumping_rate,
-    second_order_raman_rate,
     survival_correction,
 )
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
@@ -90,7 +89,7 @@ def exact_survival(vs, cav, grid):
     bh = assemble_truncated(vs, cav, q_max=N)
     psi = np.zeros(bh.dim, dtype=complex)
     psi[0] = 1.0
-    return propagate(bh.full_matrix(), psi, grid).c_t
+    return propagate(bh.matrix, psi, grid).c_t
 
 
 def test_residual_shrinks_16x_when_coupling_halved():
@@ -109,7 +108,7 @@ def test_residual_shrinks_16x_when_coupling_halved():
         bh = assemble_truncated(vs, cav, q_max=2)
         psi_full = np.zeros(bh.dim, dtype=complex)
         psi_full[: vs.m + 1] = psi0
-        exact = propagate(bh.full_matrix(), psi_full, grid).c_t
+        exact = propagate(bh.matrix, psi_full, grid).c_t
         resid[gsn] = np.max(np.abs(exact - res.c_t))
     ratio = resid[0.006] / resid[0.003]
     assert 12.0 < ratio < 21.0, ratio
@@ -135,7 +134,7 @@ def test_even_order_structure_no_first_order_term():
     vs = single_mode(s=0.8, n_max=2)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)
     bh = assemble_truncated(vs, cav, q_max=2)
-    np.testing.assert_allclose(bh.blocks[0], build_H0(vs, cav), atol=1e-14)
+    np.testing.assert_allclose(bh.block(0), build_H0(vs, cav), atol=1e-14)
 
 
 def test_shifted_block_option_close_to_exact():
@@ -244,19 +243,15 @@ def test_rate_matches_trajectory_fit():
     gamma = res.gamma_total
 
     bh = assemble_truncated(vs, cav, q_max=1)
-    E0, U0 = np.linalg.eigh(bh.blocks[0])
+    E0, U0 = np.linalg.eigh(bh.block(0))
     psi0 = np.zeros(bh.dim, dtype=complex)
     psi0[: U0.shape[0]] = U0[:, PUMP_DARK]
     grid = TimeGrid(t_max=2.5 / gamma, n_steps=4096)
     traj = propagate(
-        bh.full_matrix(), psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers, keep_states=True
+        bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers, keep_states=True
     )
     pop = np.abs(traj.states @ psi0.conj()) ** 2
     lo, hi = int(0.05 * pop.size), int(0.8 * pop.size)
     slope = np.polyfit(grid.times[lo:hi], np.log(pop[lo:hi]), 1)[0]
     assert -slope == pytest.approx(gamma, rel=0.15)
 
-
-def test_second_order_hook_reserved():
-    with pytest.raises(NotImplementedError):
-        second_order_raman_rate()

@@ -153,6 +153,8 @@ def test_basis_size_guard():
         dict(frequency=0.0, huang_rhys=1.0, n_max=2),
         dict(frequency=0.01, huang_rhys=-1.0, n_max=2),
         dict(frequency=0.01, huang_rhys=1.0, n_max=-1),
+        dict(frequency=float("nan"), huang_rhys=1.0, n_max=2),
+        dict(frequency=0.01, huang_rhys=float("inf"), n_max=2),
     ],
 )
 def test_invalid_mode_parameters_rejected(bad):
@@ -161,8 +163,9 @@ def test_invalid_mode_parameters_rejected(bad):
 
 
 def test_invalid_gap_rejected():
-    with pytest.raises(ValueError):
-        MolecularModel(electronic_gap=0.0)
+    for gap in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MolecularModel(electronic_gap=gap)
 
 
 def test_ho_wavefunctions_match_scipy():
