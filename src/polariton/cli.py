@@ -138,11 +138,23 @@ def parse_config(path, task: str | None = None) -> RunConfig:
                 options[key] = convert("run", key, float)
         if "window" in cp["run"]:
             w = cp["run"]["window"].strip()
+            if w != "halfcos10" and w.lower() != "none":
+                raise ConfigError(f"window must be halfcos10 or none, got {w!r}")
             options["window"] = None if w.lower() == "none" else w
         if "dark_index" in cp["run"]:
             options["dark_index"] = convert("run", "dark_index", int)
         if "eigenstate" in cp["run"]:
             options["eigenstate"] = cp["run"]["eigenstate"].strip()
+
+    if "omega_min" in options or "omega_max" in options:
+        lo, hi = _omega_window(options, grid)
+        if not lo < hi:
+            raise ConfigError(f"omega_min = {lo:.6g} must be below omega_max = {hi:.6g}")
+        if max(abs(lo), abs(hi)) > grid.omega_nyquist:
+            raise ConfigError(
+                f"frequency window [{lo:.6g}, {hi:.6g}] exceeds the grid's Nyquist "
+                f"frequency pi / dt = {grid.omega_nyquist:.6g}"
+            )
 
     resolved = {}
     for section in cp.sections():
@@ -161,6 +173,11 @@ def parse_config(path, task: str | None = None) -> RunConfig:
     )
     _validate_compatibility(cfg)
     return cfg
+
+
+def _omega_window(options: dict, grid: dyn.TimeGrid) -> tuple[float, float]:
+    """[omega_min, omega_max) of the spectrum, defaulting to [0, Nyquist)."""
+    return options.get("omega_min", 0.0), options.get("omega_max", grid.omega_nyquist)
 
 
 def _parse_method(method: str, N) -> tuple[str, int | None]:
@@ -255,13 +272,11 @@ def _survival_for_method(cfg: RunConfig):
 def _task_spectrum(cfg: RunConfig, out_dir: Path):
     traj, extra = _survival_for_method(cfg)
     window = cfg.options.get("window", "halfcos10")
+    omega = None
     if "omega_min" in cfg.options or "omega_max" in cfg.options:
-        lo = cfg.options.get("omega_min", 0.0)
-        hi = cfg.options.get("omega_max", cfg.grid.omega_nyquist)
+        lo, hi = _omega_window(cfg.options, cfg.grid)
         omega = np.arange(lo, hi, cfg.grid.delta_omega)
-        omega, A = dyn.spectrum(traj.c_t, cfg.grid, omega=omega, window=window)
-    else:
-        omega, A = dyn.spectrum(traj.c_t, cfg.grid, window=window)
+    omega, A = dyn.spectrum(traj.c_t, cfg.grid, omega=omega, window=window)
     path = out_dir / "spectrum.csv"
     dyn.write_spectrum_csv(path, omega, A, header=_header(cfg, extra))
     print(f"wrote {path}")

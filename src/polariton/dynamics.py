@@ -5,8 +5,11 @@ the Hamiltonian (in the first excitation manifold this reproduces the
 quantum-jump description of survival amplitudes, and linewidths are all the
 absorption spectrum needs).  propagate takes a dense array or a sparse
 matrix such as BlockHamiltonian.matrix.  Up to dimension 4096 it
-propagates spectrally, densifying sparse input once; beyond that it steps
-the sparse matrix with Krylov (expm_multiply) without densifying.
+propagates spectrally, densifying sparse input once; beyond that, or when
+the non-normal eigenbasis is ill-conditioned, it steps the sparse matrix
+with Krylov (expm_multiply) without densifying.  spectrum evaluates the
+discrete transform on any uniform frequency grid, the default FFT bins
+included, through one Bluestein chirp-z transform.
 """
 
 from __future__ import annotations
@@ -63,9 +66,8 @@ class TimeGrid:
 class Trajectory:
     """Propagated amplitudes on a time grid.
 
-    c_t is the survival amplitude <ref|psi(t)> (ref defaults to psi0);
-    norm_t the state norm, constant without leakage and non-increasing
-    with it.
+    c_t is the survival amplitude <psi0|psi(t)>; norm_t the state norm,
+    constant without leakage and non-increasing with it.
     """
 
     grid: TimeGrid
@@ -101,16 +103,13 @@ def propagate(
     grid: TimeGrid,
     kappa: float = 0.0,
     n_ph=None,
-    reference=None,
     keep_states: bool = False,
-    method: str = "auto",
 ) -> Trajectory:
     """Evolve psi0 under H (plus optional photon leakage) over the grid.
 
-    method 'auto' uses the spectral propagator below DENSE_DIM_LIMIT and
-    Krylov stepping (scipy expm_multiply) above; 'spectral' and 'krylov'
-    force a path.  The survival amplitude is taken against `reference`
-    (psi0 by default).
+    Uses the spectral propagator up to DENSE_DIM_LIMIT and Krylov stepping
+    (scipy expm_multiply) above it or when the eigenbasis is too
+    ill-conditioned; traj.params['method'] records the path taken.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
@@ -118,25 +117,19 @@ def propagate(
         raise ValueError(f"psi0 must be normalized, got ||psi0|| = {nrm}")
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    ref = psi0 if reference is None else np.asarray(reference, dtype=complex)
 
     dim = psi0.size
-    if method == "auto":
-        method = "spectral" if dim <= DENSE_DIM_LIMIT else "krylov"
-
-    if method not in ("spectral", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
-
     H_eff = effective_hamiltonian(H, kappa, n_ph)
-    traj = None
-    if method == "spectral":
+    traj, method = None, "spectral"
+    if dim <= DENSE_DIM_LIMIT:
         try:
             dense = H_eff.toarray() if sp.issparse(H_eff) else H_eff
-            traj = _propagate_spectral(dense, psi0, ref, grid, keep_states)
+            traj = _propagate_spectral(dense, psi0, grid, keep_states)
         except _IllConditionedEig:
-            method = "krylov"  # near-defective eigenbasis: step instead
+            pass  # near-defective eigenbasis: step instead
     if traj is None:
-        traj = _propagate_krylov(sp.csc_matrix(H_eff), psi0, ref, grid, keep_states)
+        method = "krylov"
+        traj = _propagate_krylov(sp.csc_matrix(H_eff), psi0, grid, keep_states)
 
     if not np.all(np.isfinite(traj.c_t)):
         raise RuntimeError("propagation produced non-finite amplitudes")
@@ -148,18 +141,17 @@ class _IllConditionedEig(Exception):
     """Non-normal eigenbasis too ill-conditioned for the spectral propagator."""
 
 
-def _propagate_spectral(H_eff, psi0, ref, grid, keep_states) -> Trajectory:
+def _propagate_spectral(H_eff, psi0, grid, keep_states) -> Trajectory:
     hermitian = np.allclose(H_eff, H_eff.conj().T, atol=1e-12)
     if hermitian:
         evals, V = np.linalg.eigh(H_eff)
-        a = V.conj().T @ psi0
-        r = V.conj().T @ ref
+        a = r = V.conj().T @ psi0
     else:
         evals, V = sla.eig(H_eff)
         if np.linalg.cond(V) > 1e12:
             raise _IllConditionedEig
         a = np.linalg.solve(V, psi0)
-        r = V.conj().T @ ref
+        r = V.conj().T @ psi0
 
     times = grid.times
     nt = times.size
@@ -184,7 +176,7 @@ def _propagate_spectral(H_eff, psi0, ref, grid, keep_states) -> Trajectory:
     return Trajectory(grid=grid, c_t=c_t, norm_t=norm_t, states=states)
 
 
-def _propagate_krylov(H_eff, psi0, ref, grid, keep_states) -> Trajectory:
+def _propagate_krylov(H_eff, psi0, grid, keep_states) -> Trajectory:
     dt = grid.dt
     nt = grid.n_steps + 1
     c_t = np.empty(nt, dtype=complex)
@@ -193,7 +185,7 @@ def _propagate_krylov(H_eff, psi0, ref, grid, keep_states) -> Trajectory:
     psi = psi0.copy()
     stepper = -1j * dt * H_eff
     for n in range(nt):
-        c_t[n] = np.vdot(ref, psi)
+        c_t[n] = np.vdot(psi0, psi)
         norm_t[n] = np.linalg.norm(psi)
         if states is not None:
             states[n] = psi
@@ -227,16 +219,18 @@ def spectrum(
     grid: TimeGrid,
     omega: np.ndarray | None = None,
     window: str | None = "halfcos10",
-    normalize: bool = True,
 ):
-    """Absorption spectrum A(w) ~ Re sum_n dt c(t_n) e^{i w t_n}.
+    """Unit-peak absorption spectrum A(w) ~ Re sum_n dt c(t_n) e^{i w t_n}.
 
-    The discrete transform is evaluated either on the natural FFT bins
-    (omega=None, spacing ~ 2 pi / t_max) or at arbitrary frequencies below
-    Nyquist.  window 'halfcos10' applies a half-cosine taper over the final
-    10% of the grid (suppresses truncation ringing); pass None for
-    bit-reproducible comparisons against the pole oracle.  The output is
-    normalized to unit maximum unless normalize=False.
+    The discrete transform is evaluated on a uniform frequency grid
+    omega_0 + k delta_omega below Nyquist: the natural FFT bins
+    2 pi k / (n_t dt), k <= n_t // 2 (omega=None), or any uniform `omega`.
+    One Bluestein chirp-z transform serves both.  Its chirp phases reach
+    delta_omega dt n_t^2 / 2, which is <= pi n_t for delta_omega <=
+    2 pi / t_max, so rounding is of the same order as in the explicit
+    e^{i w t} sum.  window 'halfcos10' applies a half-cosine taper over
+    the final 10% of the grid (suppresses truncation ringing); pass None
+    for bit-reproducible comparisons against the pole oracle.
     """
     c_t = np.asarray(c_t, dtype=complex)
     nt = grid.n_steps + 1
@@ -246,30 +240,44 @@ def spectrum(
     dt = grid.dt
 
     if omega is None:
-        amps = nt * np.fft.ifft(data)  # sum_n c_n exp(+2 pi i j n / nt)
-        n_keep = nt // 2 + 1
-        omega = 2.0 * math.pi * np.arange(n_keep) / (nt * dt)
-        A = dt * amps[:n_keep].real
-    else:
-        omega = np.asarray(omega, dtype=float)
-        if omega.size and np.max(np.abs(omega)) > grid.omega_nyquist:
-            raise ValueError(
-                f"grid too coarse for requested frequencies: |omega| up to "
-                f"{np.max(np.abs(omega)):.6g} exceeds Nyquist {grid.omega_nyquist:.6g}"
-            )
-        times = grid.times
-        A = np.empty(omega.size)
-        chunk = max(1, 2_000_000 // nt)
-        for lo in range(0, omega.size, chunk):
-            hi = min(omega.size, lo + chunk)
-            kernel = np.exp(1j * np.outer(omega[lo:hi], times))
-            A[lo:hi] = dt * (kernel @ data).real
+        omega = 2.0 * math.pi * np.arange(nt // 2 + 1) / (nt * dt)
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim != 1 or omega.size == 0:
+        raise ValueError("omega must be a non-empty 1-d grid")
+    if np.max(np.abs(omega)) > grid.omega_nyquist:
+        raise ValueError(
+            f"grid too coarse for requested frequencies: |omega| up to "
+            f"{np.max(np.abs(omega)):.6g} exceeds Nyquist {grid.omega_nyquist:.6g}"
+        )
+    d_omega = (omega[-1] - omega[0]) / max(1, omega.size - 1)
+    uniform = omega[0] + d_omega * np.arange(omega.size)
+    tol = 1e-9 * abs(d_omega) + 1e-14 * np.max(np.abs(omega))
+    if np.max(np.abs(omega - uniform)) > tol:
+        raise ValueError("omega must be a uniform grid")
 
-    if normalize:
-        peak = np.max(np.abs(A))
-        if peak > 0:
-            A = A / peak
+    A = dt * _chirp_z(data, omega[0] * dt, d_omega * dt, omega.size).real
+    peak = np.max(np.abs(A))
+    if peak > 0:
+        A = A / peak
     return omega, A
+
+
+def _chirp_z(x: np.ndarray, phi0: float, dphi: float, n_out: int) -> np.ndarray:
+    """sum_n x_n e^{i (phi0 + k dphi) n} for k < n_out (Bluestein 1970).
+
+    With nk = (n^2 + k^2 - (k - n)^2) / 2 the sum becomes a convolution of
+    x_n e^{i phi0 n} e^{i dphi n^2 / 2} with the chirp e^{-i dphi j^2 / 2},
+    done by zero-padded FFTs of length >= n + n_out - 1.
+    """
+    n = x.size
+    idx = np.arange(max(n, n_out), dtype=float)
+    chirp = np.exp(0.5j * dphi * idx**2)
+    size = 1 << (n + n_out - 2).bit_length()
+    y = np.fft.fft(x * np.exp(1j * phi0 * idx[:n]) * chirp[:n], size)
+    h = np.zeros(size, dtype=complex)
+    h[:n_out] = chirp[:n_out].conj()
+    h[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
+    return chirp[:n_out] * np.fft.ifft(y * np.fft.fft(h))[:n_out]
 
 
 def _window(window: str | None, nt: int) -> np.ndarray:
@@ -308,8 +316,8 @@ def pole_decomposition(H_eff, entry: int = 0):
     return evals, weights
 
 
-def pole_spectrum(lambdas, weights, omega, grid: TimeGrid, normalize: bool = True):
-    """Closed-form discrete transform of sum_j w_j exp(-i lambda_j t).
+def pole_spectrum(lambdas, weights, omega, grid: TimeGrid):
+    """Unit-peak closed-form discrete transform of sum_j w_j exp(-i lambda_j t).
 
     Uses the same left-sum convention as spectrum() (geometric series over
     the n_steps + 1 samples), so the two curves are directly comparable.
@@ -325,10 +333,9 @@ def pole_spectrum(lambdas, weights, omega, grid: TimeGrid, normalize: bool = Tru
             geo = np.where(np.abs(1.0 - r) > 1e-14, (1.0 - rM) / (1.0 - r), M + 1.0)
         A += w * geo
     A = dt * A.real
-    if normalize:
-        peak = np.max(np.abs(A))
-        if peak > 0:
-            A = A / peak
+    peak = np.max(np.abs(A))
+    if peak > 0:
+        A = A / peak
     return A
 
 

@@ -199,41 +199,3 @@ def oracle_survival(
     traj = propagate(H, psi0, grid, kappa=kappa, n_ph=basis.photon_numbers())
     traj.params["basis"] = "tensor"
     return traj
-
-
-def oracle_survival_tensor(
-    vs: VibronicStructure,
-    cav: CavityParams,
-    N: int,
-    psi0_tensor: np.ndarray,
-    grid: TimeGrid,
-    kappa: float = 0.0,
-    n_exc: int = 1,
-) -> Trajectory:
-    """As oracle_survival, but psi0 given on the tensor basis.
-
-    The state must be permutationally symmetric (the method is only exact on
-    that subspace); anything with weight outside it is rejected.
-    """
-    H, basis = build_full_H(vs, cav, N, n_exc)
-    sym_basis = enumerate_basis(N, n_exc, vs.m, q_max=N)
-    T = symmetrizer(basis, sym_basis)
-    psi0_tensor = np.asarray(psi0_tensor, dtype=complex)
-    residual = np.linalg.norm(psi0_tensor - T @ (T.conj().T @ psi0_tensor))
-    if residual > 1e-10:
-        raise ValueError(
-            f"initial state is not permutationally symmetric "
-            f"(asymmetric weight {residual:.3e})"
-        )
-    return propagate(H, psi0_tensor, grid, kappa=kappa, n_ph=basis.photon_numbers())
-
-
-def embed_block0(psi_block0: np.ndarray, sym_basis: SymBasis) -> np.ndarray:
-    """Pad a zeroth-block state {|1>, |e_k>} with zeros on a full symmetric basis."""
-    psi_block0 = np.asarray(psi_block0, dtype=complex)
-    s = sym_basis.block_slice(0)
-    if psi_block0.size != s.stop - s.start:
-        raise ValueError("block-0 state has the wrong dimension for this basis")
-    out = np.zeros(sym_basis.dim, dtype=complex)
-    out[s] = psi_block0
-    return out

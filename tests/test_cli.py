@@ -55,9 +55,13 @@ def test_parse_valid_spectrum_config(tmp_path):
         ("dynamics", "3", "method = cuteq:-1", None, "cuteq order"),
         ("spectrum", "inf", "method = infinite", ("omega_c = 0.108", "omega_c = nan"), "omega_c"),
         ("spectrum", "inf", "method = infinite", ("t_max = 2048", "t_max = nan"), "t_max"),
+        ("spectrum", "inf", "method = infinite\nomega_min = 0.2\nomega_max = 0.1", None,
+         "must be below omega_max"),
+        ("spectrum", "inf", "method = infinite\nomega_min = -4", None, "Nyquist"),
+        ("spectrum", "inf", "method = infinite\nwindow = hann", None, "window"),
     ],
     ids=["unknown_key", "omega_min_abc", "dark_index_x", "cuteq_negative", "omega_c_nan",
-         "t_max_nan"],
+         "t_max_nan", "omega_min_above_max", "omega_above_nyquist", "window_hann"],
 )
 def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
     path = write_cfg(tmp_path, task, n=n, extra=extra)
@@ -261,3 +265,27 @@ def test_benchmark_spectrum_has_two_polariton_bands(tmp_path):
     idx = np.argsort(A)[-2:]
     lo, hi = np.sort(om[idx])
     assert lo < 0.1161 < hi
+
+
+def test_import_and_parse_leave_scipy_signal_unloaded():
+    # importing scipy.signal costs about 0.6 s and 43 MB per process
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = (
+        "import sys, polariton, polariton.cli\n"
+        "polariton.cli.parse_config(sys.argv[1])\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "configs" / "fig5_spectrum.ini")],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"

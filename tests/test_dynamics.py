@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polariton import dynamics
 from polariton.cute import CavityParams, build_H0
 from polariton.dynamics import (
     TimeGrid,
+    _propagate_krylov,
+    _propagate_spectral,
+    _window,
     dark_state_density,
     effective_hamiltonian,
     filter_response,
@@ -116,15 +123,32 @@ def test_krylov_path_matches_spectral():
     psi0 = rng.normal(size=12) + 0j
     psi0 /= np.linalg.norm(psi0)
     grid = TimeGrid(t_max=30.0, n_steps=60)
-    a = propagate(H, psi0, grid, method="spectral")
-    b = propagate(H, psi0, grid, method="krylov")
-    np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
-    # and with leakage
     n_ph = np.zeros(12)
     n_ph[0] = 1.0
-    a = propagate(H, psi0, grid, kappa=0.05, n_ph=n_ph, method="spectral")
-    b = propagate(H, psi0, grid, kappa=0.05, n_ph=n_ph, method="krylov")
+    for kappa in (0.0, 0.05):  # Hermitian, then with leakage
+        H_eff = effective_hamiltonian(H, kappa, n_ph)
+        a = _propagate_spectral(H_eff, psi0, grid, keep_states=False)
+        b = _propagate_krylov(sp.csc_matrix(H_eff), psi0, grid, keep_states=False)
+        np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
+        np.testing.assert_allclose(a.norm_t, b.norm_t, atol=1e-10)
+
+
+def test_propagate_path_follows_dense_dim_limit(monkeypatch):
+    rng = np.random.default_rng(12)
+    H = rng.normal(size=(6, 6))
+    H = H + H.T
+    psi0 = np.zeros(6, dtype=complex)
+    psi0[0] = 1.0
+    grid = TimeGrid(t_max=10.0, n_steps=20)
+    a = propagate(H, psi0, grid)
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 5)
+    b = propagate(H, psi0, grid)
+    assert (a.params["method"], b.params["method"]) == ("spectral", "krylov")
     np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
+    # a defective (Jordan) generator has no usable eigenbasis: Krylov steps it
+    jordan = propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), grid)
+    assert jordan.params["method"] == "krylov"
+    np.testing.assert_allclose(jordan.norm_t, np.hypot(1.0, grid.times), atol=1e-10)
 
 
 def test_propagate_input_validation():
@@ -232,6 +256,52 @@ def test_spectrum_default_grid_and_window():
         spectrum(c_t, grid, omega=np.array([10.0]))
     with pytest.raises(ValueError, match="window"):
         spectrum(c_t, grid, window="bogus")
+    with pytest.raises(ValueError, match="uniform"):
+        spectrum(c_t, grid, omega=np.array([0.1, 0.2, 0.4]))
+    with pytest.raises(ValueError, match="non-empty"):
+        spectrum(c_t, grid, omega=np.array([]))
+
+
+@pytest.mark.parametrize("n_steps", [1000, 1001])
+def test_spectrum_default_bins_match_ifft(n_steps):
+    # the natural FFT bins against the direct n_t * ifft evaluation
+    grid = TimeGrid(t_max=700.0, n_steps=n_steps)
+    rng = np.random.default_rng(n_steps)
+    c_t = rng.normal(size=n_steps + 1) + 1j * rng.normal(size=n_steps + 1)
+    nt = grid.n_steps + 1
+    om, A = spectrum(c_t, grid)
+    ref = (nt * np.fft.ifft(c_t * _window("halfcos10", nt)))[: nt // 2 + 1].real
+    np.testing.assert_allclose(om, 2 * math.pi * np.arange(nt // 2 + 1) / (nt * grid.dt))
+    assert np.max(np.abs(A - ref / np.max(np.abs(ref)))) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_steps=st.integers(2, 4095),
+    t_max=st.floats(1.0, 1e5),
+    seed=st.integers(0, 2**32 - 1),
+    start=st.floats(-1.0, 1.0),
+    refine=st.floats(1.0, 8.0),
+    n_omega=st.integers(1, 400),
+    window=st.sampled_from(["halfcos10", None]),
+)
+def test_spectrum_matches_explicit_sum(n_steps, t_max, seed, start, refine, n_omega, window):
+    # uniform grids below Nyquist, offset and negative omega_0, spacing
+    # 2 pi / t_max down to 1/8 of it, against the O(n_omega n_t) sum
+    grid = TimeGrid(t_max=t_max, n_steps=n_steps)
+    rng = np.random.default_rng(seed)
+    c_t = rng.normal(size=n_steps + 1) + 1j * rng.normal(size=n_steps + 1)
+    nyq = grid.omega_nyquist
+    d_omega = grid.delta_omega / refine
+    omega0 = start * nyq
+    n_omega = min(n_omega, int((nyq - omega0) / d_omega) + 1)
+    omega = omega0 + d_omega * np.arange(n_omega)
+    omega = omega[np.abs(omega) <= nyq]
+    om, A = spectrum(c_t, grid, omega=omega, window=window)
+    data = c_t * _window(window, n_steps + 1)
+    ref = grid.dt * (np.exp(1j * np.outer(omega, grid.times)) @ data).real
+    np.testing.assert_array_equal(om, omega)
+    assert np.max(np.abs(A - ref / np.max(np.abs(ref)))) < 1e-9
 
 
 def test_pole_decomposition_hermitian_weights():

@@ -12,9 +12,7 @@ from polariton.errors import DimensionGuardError
 from polariton.fockspace import enumerate_basis
 from polariton.oracle import (
     build_full_H,
-    embed_block0,
     oracle_survival,
-    oracle_survival_tensor,
     permutation_operator,
     symmetrize,
     symmetrizer,
@@ -130,26 +128,6 @@ def test_oracle_jc_rabi():
     np.testing.assert_allclose(
         np.abs(traj.c_t) ** 2, np.cos(cav.g * grid.times) ** 2, atol=1e-10
     )
-
-
-def test_asymmetric_initial_state_rejected():
-    vs = vibronic_fixture(n_max=1)
-    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=2)
-    basis = tensor_basis(2, vs.m, 1)
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.index[((0, 2), 0)]] = 1 / math.sqrt(2)
-    psi[basis.index[((2, 0), 0)]] = -1 / math.sqrt(2)
-    grid = TimeGrid(t_max=10.0, n_steps=4)
-    with pytest.raises(ValueError, match="symmetric"):
-        oracle_survival_tensor(vs, cav, 2, psi, grid)
-
-
-def test_embed_block0():
-    sym = enumerate_basis(3, 1, 2, 3)
-    psi = embed_block0(np.array([1.0, 0.0, 0.0]), sym)
-    assert psi[0] == 1.0 and np.all(psi[1:] == 0)
-    with pytest.raises(ValueError):
-        embed_block0(np.ones(2), sym)
 
 
 def test_dimension_guards():
