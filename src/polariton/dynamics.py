@@ -240,20 +240,23 @@ def spectrum(
     dt = grid.dt
 
     if omega is None:
+        # the natural bins; the last may round one ulp past pi / dt
         omega = 2.0 * math.pi * np.arange(nt // 2 + 1) / (nt * dt)
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 1 or omega.size == 0:
-        raise ValueError("omega must be a non-empty 1-d grid")
-    if np.max(np.abs(omega)) > grid.omega_nyquist:
-        raise ValueError(
-            f"grid too coarse for requested frequencies: |omega| up to "
-            f"{np.max(np.abs(omega)):.6g} exceeds Nyquist {grid.omega_nyquist:.6g}"
-        )
-    d_omega = (omega[-1] - omega[0]) / max(1, omega.size - 1)
-    uniform = omega[0] + d_omega * np.arange(omega.size)
-    tol = 1e-9 * abs(d_omega) + 1e-14 * np.max(np.abs(omega))
-    if np.max(np.abs(omega - uniform)) > tol:
-        raise ValueError("omega must be a uniform grid")
+        d_omega = 2.0 * math.pi / (nt * dt)
+    else:
+        omega = np.asarray(omega, dtype=float)
+        if omega.ndim != 1 or omega.size == 0:
+            raise ValueError("omega must be a non-empty 1-d grid")
+        if np.max(np.abs(omega)) > grid.omega_nyquist:
+            raise ValueError(
+                f"grid too coarse for requested frequencies: |omega| up to "
+                f"{np.max(np.abs(omega)):.6g} exceeds Nyquist {grid.omega_nyquist:.6g}"
+            )
+        d_omega = (omega[-1] - omega[0]) / max(1, omega.size - 1)
+        uniform = omega[0] + d_omega * np.arange(omega.size)
+        tol = 1e-9 * abs(d_omega) + 1e-14 * np.max(np.abs(omega))
+        if np.max(np.abs(omega - uniform)) > tol:
+            raise ValueError("omega must be a uniform grid")
 
     A = dt * _chirp_z(data, omega[0] * dt, d_omega * dt, omega.size).real
     peak = np.max(np.abs(A))

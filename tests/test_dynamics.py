@@ -262,10 +262,11 @@ def test_spectrum_default_grid_and_window():
         spectrum(c_t, grid, omega=np.array([]))
 
 
-@pytest.mark.parametrize("n_steps", [1000, 1001])
-def test_spectrum_default_bins_match_ifft(n_steps):
-    # the natural FFT bins against the direct n_t * ifft evaluation
-    grid = TimeGrid(t_max=700.0, n_steps=n_steps)
+@pytest.mark.parametrize("t_max, n_steps", [(700.0, 1000), (700.0, 1001), (25.0, 25)])
+def test_spectrum_default_bins_match_ifft(t_max, n_steps):
+    # the natural FFT bins against the direct n_t * ifft evaluation; at
+    # (25, 25) the last bin rounds one ulp above pi / dt
+    grid = TimeGrid(t_max=t_max, n_steps=n_steps)
     rng = np.random.default_rng(n_steps)
     c_t = rng.normal(size=n_steps + 1) + 1j * rng.normal(size=n_steps + 1)
     nt = grid.n_steps + 1
