@@ -28,7 +28,7 @@ from .cute import CavityParams, assemble_truncated
 from .errors import DimensionGuardError
 from .fockspace import enumerate_basis
 from .oracle import build_full_H, oracle_survival, symmetrize
-from .perturbation import radiative_pumping_rate, write_rate_json
+from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate, write_rate_json
 from .vibronic import MolecularModel, VibrationalMode, build_vibronic
 
 TASKS = ("spectrum", "dynamics", "rate", "densities", "validate")
@@ -239,7 +239,6 @@ def _header(cfg: RunConfig, extra: dict | None = None) -> dict:
     out = dict(cfg.resolved)
     vs = build_vibronic(cfg.model)
     out["derived.m"] = vs.m
-    out["derived.delta_omega"] = f"{cfg.grid.delta_omega:.17g}"
     if extra:
         out.update(extra)
     return out
@@ -272,11 +271,14 @@ def _survival_for_method(cfg: RunConfig):
 def _task_spectrum(cfg: RunConfig, out_dir: Path):
     traj, extra = _survival_for_method(cfg)
     window = cfg.options.get("window", "halfcos10")
-    omega = None
     if "omega_min" in cfg.options or "omega_max" in cfg.options:
         lo, hi = _omega_window(cfg.options, cfg.grid)
-        omega = np.arange(lo, hi, cfg.grid.delta_omega)
+        d_omega = cfg.grid.delta_omega
+        omega = np.arange(lo, hi, d_omega)
+    else:  # the FFT bins of the n_steps + 1 samples
+        omega, d_omega = None, 2.0 * math.pi / ((cfg.grid.n_steps + 1) * cfg.grid.dt)
     omega, A = dyn.spectrum(traj.c_t, cfg.grid, omega=omega, window=window)
+    extra["derived.delta_omega"] = f"{d_omega:.17g}"
     path = out_dir / "spectrum.csv"
     dyn.write_spectrum_csv(path, omega, A, header=_header(cfg, extra))
     print(f"wrote {path}")
@@ -312,9 +314,9 @@ def _select_eigenstate(label: str, evals, weights) -> int:
             raise ConfigError("no polariton-like eigenstate (photonic weight >= 0.05)")
         return int(with_photon[0])
     if label == "dark":
-        darks = np.where(weights < 1e-3)[0]
+        darks = np.where(weights < DARK_PHOTON_WEIGHT)[0]
         if darks.size == 0:
-            raise ConfigError("no dark eigenstate (photonic weight < 1e-3)")
+            raise ConfigError(f"no dark eigenstate (photonic weight < {DARK_PHOTON_WEIGHT:g})")
         return int(darks[0])
     try:
         return int(label)

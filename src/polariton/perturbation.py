@@ -7,16 +7,18 @@ the survival amplitude expands as
     c(t) = c1(t) + c_corr(t) + O(1/N^2),
 
 where c1 evolves under the zeroth block alone and the leading correction is
-a time-ordered double integral through the quasi = 1 sub-blocks:
+the second-order Dyson term through the quasi = 1 sub-blocks:
 
     c_corr(t) = - sum_{k>1} int_0^t dt1 int_0^t1 dt2
                 <i| e^{-i H0 (t - t1)} v0k e^{-i H1k (t1 - t2)} v0k^T
                     e^{-i H0 t2} |i>.
 
 Each v0k carries one factor of g = g_sqrt_n/sqrt(N), so c_corr is O(1/N) and
-N * c_corr has an N-independent limit.  The double integral is evaluated in
-closed form per eigenvalue triple (no quadrature error); degenerate
-denominators are handled by series limits.
+N * c_corr has an N-independent limit.  The double integral is one
+off-diagonal block of the exponential of a block upper-triangular generator
+(Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), so survival_correction
+is a single Krylov propagation with no quadrature and no eigendecomposition.
+Cavity leakage enters every block as -i (kappa/2) n_ph.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cute import CavityParams, build_H0, build_H1k, build_v0k
-from .dynamics import TimeGrid
+from .dynamics import TimeGrid, _propagate_krylov, effective_hamiltonian
 from .vibronic import VibronicStructure
+
+# eigenstates with less photonic weight than this count as dark
+DARK_PHOTON_WEIGHT = 1e-3
 
 
 @dataclass
@@ -53,50 +59,6 @@ class ExpansionResult:
         return self.c1_t + self.c_corr_t
 
 
-def _pair_phase_dd(x, y, t):
-    """(e^{-i x t} - e^{-i y t}) / (x - y), stable for any gap via the sine form."""
-    mean = 0.5 * (x + y)
-    half = 0.5 * (x - y) * t
-    return -1j * t * np.exp(-1j * mean * t) * np.sinc(half / math.pi)
-
-
-def double_phase_integral(a, b, c, t):
-    """int_0^t dt1 int_0^t1 dt2 e^{-i a (t-t1)} e^{-i b (t1-t2)} e^{-i c t2}.
-
-    Equals minus the second divided difference of x -> e^{-i x t} on the
-    nodes (a, b, c); divided differences are permutation invariant, so the
-    nodes are re-ordered to divide by the largest pairwise gap, and the
-    near-degenerate case falls back to a series whose truncation error is
-    below 2e-10 relative at the 1e-3 gap*t threshold.
-    """
-    a, b, c, t = np.broadcast_arrays(*np.atleast_1d(a, b, c, t))
-    g_ab = np.abs(a - b)
-    g_bc = np.abs(b - c)
-    g_ac = np.abs(a - c)
-
-    # Arrange nodes (x1, x2, x3) so |x1 - x3| is the largest gap.
-    x1 = np.where(g_ab >= np.maximum(g_bc, g_ac), a, np.where(g_bc >= g_ac, b, a))
-    x3 = np.where(g_ab >= np.maximum(g_bc, g_ac), b, c)
-    x2 = (a + b + c) - x1 - x3
-
-    big = np.maximum(g_ab, np.maximum(g_bc, g_ac)) * np.abs(t) >= 1e-3
-    out = np.empty(np.broadcast(a, t).shape, dtype=complex)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dd = (_pair_phase_dd(x1, x2, t) - _pair_phase_dd(x2, x3, t)) / (x1 - x3)
-    out[big] = -dd[big]
-
-    small = ~big
-    if np.any(small):
-        mean = (a + b + c) / 3.0
-        d2 = (a - mean) ** 2 + (b - mean) ** 2 + (c - mean) ** 2
-        series = (
-            np.exp(-1j * mean * t) * 0.5 * t**2 * (1.0 - t**2 * d2 / 24.0)
-        )
-        out[small] = series[small]
-    return out
-
-
 def survival_correction(
     vs: VibronicStructure,
     cav: CavityParams,
@@ -106,10 +68,21 @@ def survival_correction(
 ) -> ExpansionResult:
     """Reference amplitude c1 and leading 1/N correction for psi0 in block 0.
 
-    psi0 is a normalized state over {|1>, |e_1>..|e_m>}.  With shifted=True
-    the sub-blocks H1k are replaced by H0 + omega_g[k] I (the N >> 1
-    approximation), reusing the zeroth-block eigendecomposition.  At
-    N = infinity the correction is identically zero and is returned as such.
+    psi0 is a normalized state over {|1>, |e_1>..|e_m>}.  One Krylov
+    propagation of the block upper-triangular generator
+
+        M = [[H0, s V, 0], [0, H1, s V^T], [0, 0, H0]],   s = sqrt(N),
+
+    with H1 = diag(H1k) and V = [v02 ... v0m], from [0; 0; psi0] gives
+    exp(-i H0 t) psi0 in the last block and, in the first, N times the
+    correction operator applied to psi0 (Van Loan).  s V = g_sqrt_n fc does
+    not depend on N, so neither does the precision of N * c_corr, and
+    c_corr is exactly zero at N = infinity.  With kappa > 0 the photon
+    state of every block leaks, so c1 = <psi0| exp(-i H0_eff t) |psi0>.
+    M is defective (H0 appears twice) and its eigenvectors are
+    ill-conditioned at weak coupling, so it is stepped, never diagonalised.
+    With shifted=True the sub-blocks H1k are replaced by H0 + omega_g[k] I
+    (the N >> 1 approximation).
     """
     psi0 = np.asarray(psi0, dtype=complex)
     m = vs.m
@@ -120,34 +93,25 @@ def survival_correction(
         raise ValueError(f"psi0 must be normalized, got ||psi0|| = {nrm}")
 
     H0 = build_H0(vs, cav)
-    E0, U0 = np.linalg.eigh(H0)
-    alpha = U0.conj().T @ psi0
-    times = grid.times
-    c1_t = np.exp(-1j * np.outer(times, E0)) @ (np.abs(alpha) ** 2)
+    sub = [
+        H0 + vs.omega_g[k - 1] * np.eye(m + 1) if shifted else build_H1k(vs, cav, k)
+        for k in range(2, m + 1)
+    ]
+    # sqrt(N) v0k: the photon column of sub-block k holds g_sqrt_n fc[:, k-1]
+    V = np.zeros((m + 1, (m - 1) * (m + 1)))
+    V[1:, :: m + 1] = cav.g_sqrt_n * vs.fc[:, 1:]
+    H1 = sp.block_diag(sub) if sub else None  # m = 1 has no sub-blocks
+    M = sp.bmat([[H0, V, None], [None, H1, V.T], [None, None, H0]])
+    n_ph = np.zeros(M.shape[0])
+    n_ph[:: m + 1] = 1.0  # every block starts with its photon state
+    x0 = np.zeros(M.shape[0], dtype=complex)
+    x0[-(m + 1) :] = psi0
 
-    corr = np.zeros_like(c1_t)
-    if not cav.is_infinite and cav.g_sqrt_n > 0:
-        for k in range(2, m + 1):
-            if shifted:
-                F, W = E0 + vs.omega_g[k - 1], U0
-            else:
-                F, W = np.linalg.eigh(build_H1k(vs, cav, k))
-            V = build_v0k(vs, cav, k)
-            X = W.T @ V.T @ U0  # <mu| v0k^T |a> in the two eigenbases
-            coeff = np.einsum("b,a,mb,ma->bma", alpha.conj(), alpha, X, X).ravel()
-            Eb, Fm, Ea = np.meshgrid(E0, F, E0, indexing="ij")
-            Eb, Fm, Ea = Eb.ravel(), Fm.ravel(), Ea.ravel()
-            keep = np.abs(coeff) > 1e-300
-            Eb, Fm, Ea, coeff = Eb[keep], Fm[keep], Ea[keep], coeff[keep]
-            chunk = max(1, 2_000_000 // max(1, coeff.size))
-            for lo in range(0, times.size, chunk):
-                hi = min(times.size, lo + chunk)
-                I = double_phase_integral(
-                    Eb[:, None], Fm[:, None], Ea[:, None], times[None, lo:hi]
-                )
-                corr[lo:hi] -= coeff @ I
-
-    return ExpansionResult(grid=grid, c1_t=c1_t, c_corr_t=corr, n_molecules=cav.n_molecules)
+    M_eff = sp.csc_matrix(effective_hamiltonian(M, cav.kappa, n_ph))
+    states = _propagate_krylov(M_eff, x0, grid, keep_states=True).states
+    c1_t = states[:, -(m + 1) :] @ psi0.conj()
+    c_corr_t = states[:, : m + 1] @ psi0.conj() / cav.n_molecules
+    return ExpansionResult(grid=grid, c1_t=c1_t, c_corr_t=c_corr_t, n_molecules=cav.n_molecules)
 
 
 @dataclass
@@ -197,8 +161,6 @@ def radiative_pumping_rate(
     vs: VibronicStructure,
     cav: CavityParams,
     dark_index: int,
-    photon_weight_threshold: float = 1e-3,
-    window: float | None = None,
 ) -> RateResult:
     """Golden-rule decay of a dark zeroth-block eigenstate through v0k.
 
@@ -207,9 +169,9 @@ def radiative_pumping_rate(
     linewidth kappa as the only broadening.  Each coupling carries one factor
     of g, so the total rate scales as 1/N at fixed collective coupling.
 
-    The dark state must have photonic weight below `photon_weight_threshold`.
-    If no final state lies within `window` (default 10 kappa) of the dark
-    state the rate is reported as zero with a diagnostic.
+    The dark state must have photonic weight below DARK_PHOTON_WEIGHT.  If no
+    final state lies within 10 kappa of the dark state the rate is reported
+    as zero with a diagnostic.
     """
     if cav.is_infinite:
         raise ValueError("radiative pumping requires finite N")
@@ -220,15 +182,14 @@ def radiative_pumping_rate(
     if not 0 <= dark_index < E0.size:
         raise ValueError(f"dark_index {dark_index} out of range 0..{E0.size - 1}")
     w_ph = float(U0[0, dark_index] ** 2)
-    if w_ph >= photon_weight_threshold:
+    if w_ph >= DARK_PHOTON_WEIGHT:
         raise ValueError(
             f"eigenstate {dark_index} has photonic weight {w_ph:.3e} >= "
-            f"threshold {photon_weight_threshold:.3e}; not a dark state"
+            f"threshold {DARK_PHOTON_WEIGHT:.3e}; not a dark state"
         )
     E_D = float(E0[dark_index])
     kappa = cav.kappa
-    if window is None:
-        window = 10.0 * kappa
+    window = 10.0 * kappa
 
     channels = []
     best_detuning = math.inf

@@ -111,22 +111,28 @@ def test_rate_requires_kappa(tmp_path):
         parse_config(path)
 
 
-def test_spectrum_run_writes_headers_and_is_deterministic(tmp_path):
-    path = write_cfg(
-        tmp_path,
-        "spectrum",
-        extra="method = infinite\nomega_min = 0.05\nomega_max = 0.17\nwindow = none",
-    )
+@pytest.mark.parametrize(
+    "window",
+    ["omega_min = 0.05\nomega_max = 0.17\nwindow = none", "window = none"],
+    ids=["omega_window", "default_bins"],
+)
+def test_spectrum_run_writes_headers_and_is_deterministic(tmp_path, window):
+    path = write_cfg(tmp_path, "spectrum", extra="method = infinite\n" + window)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["spectrum", "--config", str(path), "--out", str(out1)]) == 0
     assert main(["spectrum", "--config", str(path), "--out", str(out2)]) == 0
     b1 = (out1 / "spectrum.csv").read_bytes()
     b2 = (out2 / "spectrum.csv").read_bytes()
     assert b1 == b2  # bit-identical across repeated runs
-    text = b1.decode()
-    assert "# cavity.omega_c = 0.108" in text
-    assert "# run.task = spectrum" in text
-    assert "omega,intensity" in text
+    lines = b1.decode().splitlines()
+    assert "# cavity.omega_c = 0.108" in lines
+    assert "# run.task = spectrum" in lines
+    assert "omega,intensity" in lines
+    # the header states the spacing of the rows below it (2 pi / t_max on a
+    # window, 2 pi / (n_t dt) on the default bins)
+    header = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("#"))
+    omega = np.loadtxt(lines[lines.index("omega,intensity") + 1 :], delimiter=",")[:, 0]
+    np.testing.assert_allclose(np.diff(omega), float(header["derived.delta_omega"]), rtol=1e-9)
 
 
 def test_dynamics_run_finite_N_cuteq(tmp_path):
@@ -136,6 +142,7 @@ def test_dynamics_run_finite_N_cuteq(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     header = [l for l in lines if l.startswith("#")]
     assert any("derived.dim" in l for l in header)
+    assert not any("delta_omega" in l for l in header)  # no frequency grid here
     data = np.loadtxt([l for l in lines if not l.startswith("#")][1:], delimiter=",")
     assert abs(data[0, 1] - 1.0) < 1e-12  # c(0) = 1
 
