@@ -298,6 +298,8 @@ def _task_rate(cfg: RunConfig, out_dir: Path):
     evals, weights = dyn.photonic_weights(vs, cfg.cavity)
     if "dark_index" in cfg.options:
         dark = cfg.options["dark_index"]
+        if not 0 <= dark < evals.size:
+            raise ConfigError(f"dark_index {dark} out of range 0..{evals.size - 1}")
     else:
         dark = int(np.argmin(weights))
     result = radiative_pumping_rate(vs, cfg.cavity, dark)
@@ -319,9 +321,12 @@ def _select_eigenstate(label: str, evals, weights) -> int:
             raise ConfigError(f"no dark eigenstate (photonic weight < {DARK_PHOTON_WEIGHT:g})")
         return int(darks[0])
     try:
-        return int(label)
+        idx = int(label)
     except ValueError as exc:
         raise ConfigError(f"eigenstate must be 'lp', 'dark' or an index, got {label!r}") from exc
+    if not 0 <= idx < evals.size:
+        raise ConfigError(f"eigenstate index {idx} out of range 0..{evals.size - 1}")
+    return idx
 
 
 def _task_densities(cfg: RunConfig, out_dir: Path):

@@ -191,9 +191,7 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     return H
 
 
-def assemble_truncated(
-    vs: VibronicStructure, cav: CavityParams, q_max: int, size_cap: int = 500_000
-) -> BlockHamiltonian:
+def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> BlockHamiltonian:
     """Truncated block Hamiltonian at CUT-E order q_max (first excitation manifold).
 
     Finite N: enumerate the quasi <= q_max basis and keep the mapped sparse
@@ -226,7 +224,7 @@ def assemble_truncated(
 
     N = int(cav.n_molecules)
     q_eff = min(q_max, N)
-    basis = enumerate_basis(N, 1, m, q_eff, size_cap=size_cap)
+    basis = enumerate_basis(N, 1, m, q_eff)
     H = hamiltonian_matrix(vs, cav, basis).real
     defect = abs(H - H.T).max()
     if defect > HERMITICITY_TOL:

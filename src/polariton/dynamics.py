@@ -4,12 +4,12 @@ Cavity leakage enters as a non-Hermitian term -i (kappa/2) * n_ph added to
 the Hamiltonian (in the first excitation manifold this reproduces the
 quantum-jump description of survival amplitudes, and linewidths are all the
 absorption spectrum needs).  propagate takes a dense array or a sparse
-matrix such as BlockHamiltonian.matrix.  Up to dimension 4096 it
-propagates spectrally, densifying sparse input once; beyond that, or when
-the non-normal eigenbasis is ill-conditioned, it steps the sparse matrix
-with Krylov (expm_multiply) without densifying.  spectrum evaluates the
-discrete transform on any uniform frequency grid, the default FFT bins
-included, through one Bluestein chirp-z transform.
+matrix such as BlockHamiltonian.matrix and steps it over the uniform grid
+in one loop: up to DENSE_DIM_LIMIT with a dense step operator
+exp(-i H dt) formed once by scaling and squaring, beyond that with Krylov
+(expm_multiply) on the sparse matrix, which is never densified.  spectrum
+evaluates the discrete transform on any uniform frequency grid, the
+default FFT bins included, through one Bluestein chirp-z transform.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ import scipy.sparse.linalg as spla
 from .cute import CavityParams, build_H0
 from .vibronic import VibronicStructure, ho_wavefunctions
 
-DENSE_DIM_LIMIT = 4096
+DENSE_DIM_LIMIT = 512
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid 0..t_max with n_steps intervals (atomic units).
 
-    The frequency resolution of spectra computed on this grid is
-    delta_omega = 2 pi / t_max; the Nyquist frequency is pi / dt.
+    delta_omega = 2 pi / t_max is the resolution of a spectrum on a
+    frequency window; the default spectrum bins are spaced
+    2 pi / (n_t dt) with n_t = n_steps + 1.  The Nyquist frequency is pi / dt.
     """
 
     t_max: float
@@ -107,9 +108,12 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under H (plus optional photon leakage) over the grid.
 
-    Uses the spectral propagator up to DENSE_DIM_LIMIT and Krylov stepping
-    (scipy expm_multiply) above it or when the eigenbasis is too
-    ill-conditioned; traj.params['method'] records the path taken.
+    Every step applies the same exp(-i H_eff dt).  Up to DENSE_DIM_LIMIT
+    that step operator is formed once as a dense matrix (scipy expm,
+    scaling and squaring); above it each step is a Krylov expm_multiply on
+    the sparse matrix.  Neither needs an eigenbasis, so defective
+    generators step exactly; traj.params['method'] records 'dense' or
+    'krylov'.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
@@ -120,14 +124,11 @@ def propagate(
 
     dim = psi0.size
     H_eff = effective_hamiltonian(H, kappa, n_ph)
-    traj, method = None, "spectral"
     if dim <= DENSE_DIM_LIMIT:
-        try:
-            dense = H_eff.toarray() if sp.issparse(H_eff) else H_eff
-            traj = _propagate_spectral(dense, psi0, grid, keep_states)
-        except _IllConditionedEig:
-            pass  # near-defective eigenbasis: step instead
-    if traj is None:
+        method = "dense"
+        dense = H_eff.toarray() if sp.issparse(H_eff) else H_eff
+        traj = _step(sla.expm(-1j * grid.dt * dense).dot, psi0, grid, keep_states)
+    else:
         method = "krylov"
         traj = _propagate_krylov(sp.csc_matrix(H_eff), psi0, grid, keep_states)
 
@@ -137,60 +138,25 @@ def propagate(
     return traj
 
 
-class _IllConditionedEig(Exception):
-    """Non-normal eigenbasis too ill-conditioned for the spectral propagator."""
-
-
-def _propagate_spectral(H_eff, psi0, grid, keep_states) -> Trajectory:
-    hermitian = np.allclose(H_eff, H_eff.conj().T, atol=1e-12)
-    if hermitian:
-        evals, V = np.linalg.eigh(H_eff)
-        a = r = V.conj().T @ psi0
-    else:
-        evals, V = sla.eig(H_eff)
-        if np.linalg.cond(V) > 1e12:
-            raise _IllConditionedEig
-        a = np.linalg.solve(V, psi0)
-        r = V.conj().T @ psi0
-
-    times = grid.times
-    nt = times.size
-    dim = evals.size
-    c_t = np.empty(nt, dtype=complex)
-    states = np.empty((nt, dim), dtype=complex) if keep_states else None
-    need_norm = keep_states or not hermitian
-    norm_t = np.empty(nt) if need_norm else np.full(nt, np.linalg.norm(psi0))
-
-    # chunk over time so the (nt_chunk, dim) phase buffers stay bounded
-    weights = r.conj() * a
-    chunk = max(1, 2_000_000 // max(1, dim))
-    for lo in range(0, nt, chunk):
-        hi = min(nt, lo + chunk)
-        phases = np.exp(-1j * np.outer(times[lo:hi], evals))
-        c_t[lo:hi] = phases @ weights
-        if need_norm:
-            blk = (phases * a) @ V.T
-            if keep_states:
-                states[lo:hi] = blk
-            norm_t[lo:hi] = np.linalg.norm(blk, axis=1)
-    return Trajectory(grid=grid, c_t=c_t, norm_t=norm_t, states=states)
-
-
 def _propagate_krylov(H_eff, psi0, grid, keep_states) -> Trajectory:
-    dt = grid.dt
+    stepper = -1j * grid.dt * H_eff
+    return _step(lambda psi: spla.expm_multiply(stepper, psi), psi0, grid, keep_states)
+
+
+def _step(advance, psi0, grid, keep_states) -> Trajectory:
+    """Record <psi0|psi>, ||psi|| (and psi) at each grid time; advance steps by dt."""
     nt = grid.n_steps + 1
     c_t = np.empty(nt, dtype=complex)
     norm_t = np.empty(nt)
     states = np.empty((nt, psi0.size), dtype=complex) if keep_states else None
-    psi = psi0.copy()
-    stepper = -1j * dt * H_eff
+    psi = psi0
     for n in range(nt):
+        if n > 0:
+            psi = advance(psi)
         c_t[n] = np.vdot(psi0, psi)
         norm_t[n] = np.linalg.norm(psi)
         if states is not None:
             states[n] = psi
-        if n < nt - 1:
-            psi = spla.expm_multiply(stepper, psi)
     return Trajectory(grid=grid, c_t=c_t, norm_t=norm_t, states=states)
 
 

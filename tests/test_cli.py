@@ -59,9 +59,16 @@ def test_parse_valid_spectrum_config(tmp_path):
          "must be below omega_max"),
         ("spectrum", "inf", "method = infinite\nomega_min = -4", None, "Nyquist"),
         ("spectrum", "inf", "method = infinite\nwindow = hann", None, "window"),
+        ("rate", "8", "dark_index = 99", None, "dark_index 99 out of range"),
+        ("rate", "8", "dark_index = -1", None, "dark_index -1 out of range"),
+        ("densities", "inf", "method = infinite\neigenstate = 999", None,
+         "eigenstate index 999 out of range"),
+        ("densities", "inf", "method = infinite\neigenstate = -1", None,
+         "eigenstate index -1 out of range"),
     ],
     ids=["unknown_key", "omega_min_abc", "dark_index_x", "cuteq_negative", "omega_c_nan",
-         "t_max_nan", "omega_min_above_max", "omega_above_nyquist", "window_hann"],
+         "t_max_nan", "omega_min_above_max", "omega_above_nyquist", "window_hann",
+         "dark_index_99", "dark_index_negative", "eigenstate_999", "eigenstate_negative"],
 )
 def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
     path = write_cfg(tmp_path, task, n=n, extra=extra)

@@ -1,6 +1,7 @@
 """Propagation, spectra and densities against analytic and pole oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polariton import dynamics
-from polariton.cute import CavityParams, build_H0
+from polariton.cute import CavityParams, assemble_truncated, build_H0
 from polariton.dynamics import (
     TimeGrid,
-    _propagate_krylov,
-    _propagate_spectral,
     _window,
     dark_state_density,
     effective_hamiltonian,
@@ -104,7 +103,7 @@ def test_linearity():
     np.testing.assert_allclose(both, (s1 + s2) / math.sqrt(2), atol=1e-10)
 
 
-def test_spectral_vs_rk4_on_rabi():
+def test_dense_vs_rk4_on_rabi():
     # 10 Rabi periods, fixed-step reference fine enough for 1e-8 agreement
     vs = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav = CavityParams(omega_c=0.1, g_sqrt_n=0.02, n_molecules=INF)
@@ -116,39 +115,59 @@ def test_spectral_vs_rk4_on_rabi():
     assert np.max(np.abs(traj.c_t - ref)) < 1e-8
 
 
-def test_krylov_path_matches_spectral():
-    rng = np.random.default_rng(11)
-    H = rng.normal(size=(12, 12))
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(2, 12),
+    kappa=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_and_krylov_paths_agree(dim, kappa, seed):
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(dim, dim))
     H = H + H.T
-    psi0 = rng.normal(size=12) + 0j
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
-    grid = TimeGrid(t_max=30.0, n_steps=60)
-    n_ph = np.zeros(12)
-    n_ph[0] = 1.0
-    for kappa in (0.0, 0.05):  # Hermitian, then with leakage
-        H_eff = effective_hamiltonian(H, kappa, n_ph)
-        a = _propagate_spectral(H_eff, psi0, grid, keep_states=False)
-        b = _propagate_krylov(sp.csc_matrix(H_eff), psi0, grid, keep_states=False)
-        np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
-        np.testing.assert_allclose(a.norm_t, b.norm_t, atol=1e-10)
-
-
-def test_propagate_path_follows_dense_dim_limit(monkeypatch):
-    rng = np.random.default_rng(12)
-    H = rng.normal(size=(6, 6))
-    H = H + H.T
-    psi0 = np.zeros(6, dtype=complex)
-    psi0[0] = 1.0
-    grid = TimeGrid(t_max=10.0, n_steps=20)
-    a = propagate(H, psi0, grid)
-    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 5)
-    b = propagate(H, psi0, grid)
-    assert (a.params["method"], b.params["method"]) == ("spectral", "krylov")
+    n_ph = (rng.random(dim) < 0.5).astype(float)
+    grid = TimeGrid(t_max=15.0, n_steps=30)
+    a = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph, keep_states=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "DENSE_DIM_LIMIT", dim - 1)
+        b = propagate(sp.csr_matrix(H), psi0, grid, kappa=kappa, n_ph=n_ph, keep_states=True)
+    assert (a.params["method"], b.params["method"]) == ("dense", "krylov")
     np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
-    # a defective (Jordan) generator has no usable eigenbasis: Krylov steps it
+    np.testing.assert_allclose(a.norm_t, b.norm_t, atol=1e-10)
+    np.testing.assert_allclose(a.states, b.states, atol=1e-10)
+    assert np.all(np.diff(a.norm_t) <= 1e-12)
+
+
+def test_defective_generator_steps_exactly():
+    # a Jordan generator has no eigenbasis; the dense step operator needs none
+    grid = TimeGrid(t_max=10.0, n_steps=20)
     jordan = propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), grid)
-    assert jordan.params["method"] == "krylov"
+    assert jordan.params["method"] == "dense"
     np.testing.assert_allclose(jordan.norm_t, np.hypot(1.0, grid.times), atol=1e-10)
+
+
+def test_propagate_peak_memory_below_one_dense_copy():
+    # cute1 at dim 600 lies above DENSE_DIM_LIMIT: Krylov stepping must never
+    # hold a dense dim x dim complex matrix
+    model = MolecularModel(
+        electronic_gap=0.1,
+        modes=(VibrationalMode(0.01, 0.5, 1), VibrationalMode(0.002, 2.0, 11)),
+    )
+    cav = CavityParams(omega_c=0.1, g_sqrt_n=0.02, n_molecules=50, kappa=0.002)
+    bh = assemble_truncated(build_vibronic(model), cav, q_max=1)
+    psi0 = np.zeros(bh.dim, dtype=complex)
+    psi0[0] = 1.0
+    grid = TimeGrid(t_max=500.0, n_steps=50)
+    tracemalloc.start()
+    try:
+        traj = propagate(bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (bh.dim, traj.params["method"]) == (600, "krylov")
+    assert peak < 16 * bh.dim**2, (peak, 16 * bh.dim**2)
 
 
 def test_propagate_input_validation():
