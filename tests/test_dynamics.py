@@ -140,6 +140,39 @@ def test_dense_and_krylov_paths_agree(dim, kappa, seed):
     assert np.all(np.diff(a.norm_t) <= 1e-12)
 
 
+def test_krylov_path_matches_spectral():
+    # the Krylov stepper against the small-dim step operator, fixed seed
+    rng = np.random.default_rng(11)
+    H = rng.normal(size=(12, 12))
+    H = H + H.T
+    psi0 = rng.normal(size=12) + 0j
+    psi0 /= np.linalg.norm(psi0)
+    grid = TimeGrid(t_max=30.0, n_steps=60)
+    n_ph = np.zeros(12)
+    n_ph[0] = 1.0
+    for kappa in (0.0, 0.05):  # Hermitian, then with leakage
+        H_eff = effective_hamiltonian(H, kappa, n_ph)
+        a = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph)
+        b = dynamics._propagate_krylov(sp.csc_matrix(H_eff), psi0, grid, keep_states=False)
+        assert a.params["method"] == "dense"
+        np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
+        np.testing.assert_allclose(a.norm_t, b.norm_t, atol=1e-10)
+
+
+def test_propagate_path_follows_dense_dim_limit(monkeypatch):
+    rng = np.random.default_rng(12)
+    H = rng.normal(size=(6, 6))
+    H = H + H.T
+    psi0 = np.zeros(6, dtype=complex)
+    psi0[0] = 1.0
+    grid = TimeGrid(t_max=10.0, n_steps=20)
+    a = propagate(H, psi0, grid)
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 5)
+    b = propagate(H, psi0, grid)
+    assert (a.params["method"], b.params["method"]) == ("dense", "krylov")
+    np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
+
+
 def test_defective_generator_steps_exactly():
     # a Jordan generator has no eigenbasis; the dense step operator needs none
     grid = TimeGrid(t_max=10.0, n_steps=20)
