@@ -18,7 +18,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +263,7 @@ def _survival_for_method(cfg: RunConfig):
         N = int(cav.n_molecules)
         psi_sym = np.zeros(enumerate_basis(N, 1, vs.m, q_max=N).dim, dtype=complex)
         psi_sym[0] = 1.0
-        traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid, kappa=cav.kappa)
+        traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid)
         dim = traj.params["dim"]
     return traj, {"derived.dim": dim}
 
@@ -369,12 +369,8 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
     _, H_sym = symmetrize(*build_full_H(vs, cav, N, 1), bh.basis)
     dev_H = float(abs(H_sym - bh.matrix).max())
 
-    psi_sym = np.zeros(bh.dim, dtype=complex)
-    psi_sym[0] = 1.0
-    traj_oracle = oracle_survival(vs, cav, N, psi_sym, cfg.grid, kappa=cav.kappa)
-    traj_cute = dyn.propagate(
-        bh.matrix, psi_sym, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers
-    )
+    traj_oracle, _ = _survival_for_method(replace(cfg, method="oracle"))
+    traj_cute, _ = _survival_for_method(replace(cfg, method="exactN"))
     dev_c = float(np.max(np.abs(traj_oracle.c_t - traj_cute.c_t)))
 
     dev = max(dev_H, dev_c)

@@ -10,17 +10,18 @@ off-diagonal couplings v_q of strength g between neighbouring blocks.
 This module builds
 
   * the (m+1) x (m+1) zeroth block H0 (photon + singly-excited states),
-  * its quasi = 1 sub-blocks H1k (shifted by omega_g[k], coupling
-    g*sqrt(N-1)) and the single-molecule coupling matrices v0k,
+  * the arrowhead A1 shared by its quasi = 1 sub-blocks H1k = A1 + omega_g[k] I
+    (coupling g*sqrt(N-1)) and the single-molecule coupling matrices v0k,
   * the truncated block Hamiltonian at any order q_max from the generic
     second-quantized mapping (the hand-written forms above are regression
     fixtures, not the source of truth),
   * the zero-temperature high-excitation ladder (blocks indexed by photon
     number at quasi = 0).
 
-Both assemblers return a BlockHamiltonian: the whole matrix as one real
-sparse CSR `matrix` plus block `offsets`, so block q spans
-offsets[q]:offsets[q + 1].  No dense copy is made.
+Both assemblers return a BlockHamiltonian with four fields: the whole
+matrix as one real sparse CSR `matrix`, block `offsets` (block q spans
+offsets[q]:offsets[q + 1]), the photon number of every state and, for
+finite-N truncations, the SymBasis.  No dense copy is made.
 
 N = infinity is a first-class sentinel (math.inf): inter-block couplings
 vanish identically and collective factors sqrt(N - q)/sqrt(N) become 1.
@@ -29,7 +30,7 @@ vanish identically and collective factors sqrt(N - q)/sqrt(N) become 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,15 +60,13 @@ class CavityParams:
         for name in ("omega_c", "g_sqrt_n", "kappa"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if math.isnan(self.n_molecules):
-            raise ValueError("n_molecules must be a positive integer or inf, got nan")
         if self.g_sqrt_n < 0:
             raise ValueError(f"g_sqrt_n must be >= 0, got {self.g_sqrt_n}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         N = self.n_molecules
-        if not math.isinf(N):
-            if N < 1 or N != int(N):
+        if N != math.inf:
+            if not N >= 1 or N != int(N):  # also rejects nan and -inf
                 raise ValueError(f"n_molecules must be a positive integer or inf, got {N}")
             object.__setattr__(self, "n_molecules", int(N))
 
@@ -88,17 +87,14 @@ class BlockHamiltonian:
     """Block-tridiagonal Hamiltonian held as one real sparse CSR matrix.
 
     Block q spans rows and columns offsets[q]:offsets[q + 1]; sub-block
-    (p, q) is nonzero only for |p - q| <= 1.  labels carries one
-    human-readable state label per block entry; basis is the underlying
-    SymBasis for finite-N truncations (None otherwise).
+    (p, q) is nonzero only for |p - q| <= 1.  photon_numbers holds the
+    photon number of every state (the leakage diagonal); basis is the
+    underlying SymBasis for finite-N truncations (None otherwise).
     """
 
     matrix: sp.csr_matrix
     offsets: np.ndarray
-    labels: tuple[tuple[str, ...], ...]
     photon_numbers: np.ndarray
-    cavity: CavityParams
-    vibronic: VibronicStructure = field(repr=False)
     basis: SymBasis | None = None
 
     @property
@@ -128,23 +124,33 @@ def build_H0(vs: VibronicStructure, cav: CavityParams) -> np.ndarray:
     return H
 
 
+def build_A1(vs: VibronicStructure, cav: CavityParams) -> np.ndarray:
+    """The arrowhead shared by every quasi = 1 sub-block, H1k = A1 + omega_g[k] I.
+
+    H0 with the collective coupling reduced to g*sqrt(N-1): one ground-state
+    molecule holds the phonon and drops out of the bright combination.  At
+    N = infinity A1 = H0.
+    """
+    A = build_H0(vs, cav)
+    if not cav.is_infinite:
+        N = cav.n_molecules
+        scale = math.sqrt((N - 1) / N)
+        A[0, 1:] *= scale
+        A[1:, 0] *= scale
+    return A
+
+
 def build_H1k(vs: VibronicStructure, cav: CavityParams, k: int) -> np.ndarray:
     """Quasi = 1 sub-block over {|g_k 1>, |g_k e_1>, ..., |g_k e_m>}.
 
-    Same arrowhead as H0 with the collective coupling reduced to
-    g*sqrt(N-1) and every diagonal entry shifted by omega_g[k] (the phonon
+    build_A1 with every diagonal entry shifted by omega_g[k] (the phonon
     parked on one ground-state molecule).  k is the 1-based vibronic index,
     k >= 2; at N = infinity this is exactly H0 + omega_g[k] * I.
     """
     m = vs.m
     if not 2 <= k <= m:
         raise ValueError(f"k must be in 2..{m}, got {k}")
-    H = build_H0(vs, cav)
-    if not cav.is_infinite:
-        N = cav.n_molecules
-        scale = math.sqrt((N - 1) / N)
-        H[0, 1:] *= scale
-        H[1:, 0] *= scale
+    H = build_A1(vs, cav)
     H[np.diag_indices_from(H)] += vs.omega_g[k - 1]
     return H
 
@@ -216,10 +222,7 @@ def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> 
         return BlockHamiltonian(
             matrix=sp.csr_matrix(build_H0(vs, cav)),
             offsets=np.array([0, m + 1]),
-            labels=(("|1>",) + tuple(f"|e{i}>" for i in range(1, m + 1)),),
             photon_numbers=photon_numbers,
-            cavity=cav,
-            vibronic=vs,
         )
 
     N = int(cav.n_molecules)
@@ -230,14 +233,10 @@ def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> 
     if defect > HERMITICITY_TOL:
         raise RuntimeError(f"assembled Hamiltonian not Hermitian: defect {defect:.3e}")
 
-    slices = [basis.block_slice(q) for q in range(q_eff + 1)]
     return BlockHamiltonian(
         matrix=H,
-        offsets=np.array([s.start for s in slices] + [basis.dim]),
-        labels=tuple(tuple(st.label() for st in basis.states[s]) for s in slices),
+        offsets=np.array([basis.block_slice(q).start for q in range(q_eff + 1)] + [basis.dim]),
         photon_numbers=basis.photon_numbers(),
-        cavity=cav,
-        vibronic=vs,
         basis=basis,
     )
 
@@ -300,45 +299,8 @@ def assemble_high_excitation(
     dim = int(offsets[-1])
     V = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
     H = (sp.diags(diag) + V + V.T).tocsr()
-
-    def state_label(i, conf):
-        parts = [f"e{j + 1}" for j, n in enumerate(conf) for _ in range(n)]
-        if i == 1:
-            parts.append("1")
-        elif i > 1:
-            parts.append(f"{i}ph")
-        return "|" + (" ".join(parts) if parts else "0") + ">"
-
-    labels = tuple(
-        tuple(state_label(i, conf) for i, conf in sector) for sector in sector_states
-    )
     photon_numbers = np.concatenate(
         [np.full(len(sector), sector[0][0] if sector else 0) for sector in sector_states]
     )
-    return BlockHamiltonian(
-        matrix=H,
-        offsets=offsets,
-        labels=labels,
-        photon_numbers=photon_numbers,
-        cavity=cav,
-        vibronic=vs,
-    )
+    return BlockHamiltonian(matrix=H, offsets=offsets, photon_numbers=photon_numbers)
 
-
-def write_sparse_matrix(path, M, tol: float = 0.0):
-    """Plain-text sparse export: header 'dim nnz', then 'row col re im' lines.
-
-    Entries are written in canonical (row, col) order with 17 significant
-    digits, so files from identical runs are byte-identical.
-    """
-    M = sp.coo_matrix(M)
-    M.sum_duplicates()
-    order = np.lexsort((M.col, M.row))
-    rows, cols, data = M.row[order], M.col[order], M.data[order]
-    keep = np.abs(data) > tol
-    rows, cols, data = rows[keep], cols[keep], data[keep]
-    with open(path, "w") as fh:
-        fh.write(f"{M.shape[0]} {len(data)}\n")
-        for r, c, v in zip(rows, cols, data):
-            v = complex(v)
-            fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")

@@ -262,18 +262,18 @@ def _window(window: str | None, nt: int) -> np.ndarray:
     raise ValueError(f"unknown window {window!r}")
 
 
-def pole_decomposition(H_eff, entry: int = 0):
-    """Poles and weights of <entry| exp(-i H_eff t) |entry>.
+def pole_decomposition(H_eff):
+    """Poles and weights of <0| exp(-i H_eff t) |0>, the photon survival.
 
-    For Hermitian H_eff the weights are |<entry|v_j>|^2; with photon leakage
+    For Hermitian H_eff the weights are |<0|v_j>|^2; with photon leakage
     the matrix is complex symmetric and the weights are the bilinear
-    residues v_j[entry]^2 / (v_j^T v_j).  Provides the sum-over-poles oracle
+    residues v_j[0]^2 / (v_j^T v_j).  Provides the sum-over-poles oracle
     c(t) = sum_j w_j exp(-i lambda_j t) against which transforms are checked.
     """
     H_eff = np.asarray(H_eff)
     if np.allclose(H_eff, H_eff.conj().T, atol=1e-12):
         evals, V = np.linalg.eigh(H_eff)
-        weights = np.abs(V[entry, :]) ** 2
+        weights = np.abs(V[0, :]) ** 2
         return evals.astype(complex), weights.astype(complex)
     if not np.allclose(H_eff, H_eff.T, atol=1e-12):
         raise ValueError("pole decomposition expects Hermitian or complex-symmetric input")
@@ -281,7 +281,7 @@ def pole_decomposition(H_eff, entry: int = 0):
     norms = np.einsum("ij,ij->j", V, V)
     if np.min(np.abs(norms)) < 1e-12:
         raise RuntimeError("defective eigenvector pair in pole decomposition")
-    weights = V[entry, :] ** 2 / norms
+    weights = V[0, :] ** 2 / norms
     return evals, weights
 
 
@@ -344,8 +344,6 @@ def dark_state_density(
     vs: VibronicStructure,
     cav: CavityParams,
     which: int,
-    q_grids: list[np.ndarray] | None = None,
-    n_points: int = 2048,
 ) -> list[ModeDensity]:
     """Per-mode vibrational densities of a zeroth-block eigenstate.
 
@@ -358,7 +356,8 @@ def dark_state_density(
     over excited-surface oscillator functions chi displaced by d, normalized
     to unit integral.  Polariton states give densities near the ground-
     surface minimum (Franck-Condon region); relaxed dark states sit at the
-    displaced (Stokes-shifted) minimum.
+    displaced (Stokes-shifted) minimum.  Each mode's grid has 2048 points
+    spanning both minima plus 1.5 classical turning radii of its top level.
     """
     modes = vs.model.modes
     if not modes:
@@ -379,13 +378,10 @@ def dark_state_density(
     out = []
     for ax, mode in enumerate(modes):
         d = mode.displacement
-        if q_grids is not None:
-            q = np.asarray(q_grids[ax], dtype=float)
-        else:
-            turning = math.sqrt((2 * mode.n_max + 1) / mode.frequency)
-            lo = min(0.0, d) - 1.5 * turning
-            hi = max(0.0, d) + 1.5 * turning
-            q = np.linspace(lo, hi, n_points)
+        turning = math.sqrt((2 * mode.n_max + 1) / mode.frequency)
+        lo = min(0.0, d) - 1.5 * turning
+        hi = max(0.0, d) + 1.5 * turning
+        q = np.linspace(lo, hi, 2048)
         chi = ho_wavefunctions(mode.n_max, q, mode.frequency, center=d)
         amp = np.tensordot(chi, np.moveaxis(tensor, ax, 0), axes=(0, 0))
         rho = np.sum(np.abs(amp.reshape(q.size, -1)) ** 2, axis=1)

@@ -20,6 +20,7 @@ in quasi and motivates truncating the basis at quasi <= q_max.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,19 +54,6 @@ class SymState:
     def matter(self) -> tuple[int, ...]:
         return self.n_g + self.n_e
 
-    def label(self) -> str:
-        """Short multi-particle label, e.g. '|1>', '|e1>', '|g2 e1>'."""
-        parts = []
-        for k, n in enumerate(self.n_g[1:], start=2):
-            parts.extend([f"g{k}"] * n)
-        for k, n in enumerate(self.n_e, start=1):
-            parts.extend([f"e{k}"] * n)
-        if self.n_ph == 1:
-            parts.append("1")
-        elif self.n_ph > 1:
-            parts.append(f"{self.n_ph}ph")
-        return "|" + (" ".join(parts) if parts else "0") + ">"
-
 
 @dataclass(frozen=True)
 class SymBasis:
@@ -92,19 +80,18 @@ class SymBasis:
     def photon_numbers(self) -> np.ndarray:
         return np.array([s.n_ph for s in self.states])
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label() for s in self.states)
-
 
 def _compositions_desc(total: int, slots: int):
-    """All ways to place `total` quanta in `slots` registers, descending lex."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, slots - 1):
-            yield (first,) + rest
+    """All ways to place `total` quanta in `slots` registers, descending lex.
+
+    Each quantum picks a slot; the slot multisets come in ascending lex
+    order, which is descending lex order of the occupation tuples.
+    """
+    for picks in itertools.combinations_with_replacement(range(slots), total):
+        occ = [0] * slots
+        for k in picks:
+            occ[k] += 1
+        yield tuple(occ)
 
 
 def enumerate_basis(
@@ -133,9 +120,10 @@ def enumerate_basis(
             n_g0 = N - n_exc_tot - q
             if n_exc_tot > N or n_g0 < 0:
                 continue
+            excited = list(_compositions_desc(n_exc_tot, m))
             for tail in _compositions_desc(q, m - 1):
                 n_g = (n_g0,) + tail
-                for n_e in _compositions_desc(n_exc_tot, m):
+                for n_e in excited:
                     states.append(SymState(n_g=n_g, n_e=n_e, n_ph=n_ph))
                     if len(states) > size_cap:
                         raise DimensionGuardError(
@@ -154,36 +142,6 @@ def enumerate_basis(
     )
 
 
-@dataclass(frozen=True)
-class MatterBasis:
-    """Full bosonic matter Fock space at fixed N (no photon, no truncation).
-
-    Used to exercise the operator mapping on arbitrary one-body operators,
-    which generally conserve neither N_exc nor quasi.
-    """
-
-    states: tuple[SymState, ...]
-    N: int
-    m: int
-    index: dict[SymState, int] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-
-def enumerate_matter_basis(N: int, m: int, size_cap: int = 500_000) -> MatterBasis:
-    """All occupations of the 2m vibronic states with sum = N, descending lex."""
-    states = []
-    for occ in _compositions_desc(N, 2 * m):
-        states.append(SymState(n_g=occ[:m], n_e=occ[m:], n_ph=0))
-        if len(states) > size_cap:
-            raise DimensionGuardError(f"matter basis exceeds cap {size_cap}")
-    return MatterBasis(
-        states=tuple(states), N=N, m=m, index={s: i for i, s in enumerate(states)}
-    )
-
-
 def map_operator(one_body, basis, photon_shift: int = 0) -> sp.csr_matrix:
     """Second-quantize a symmetric sum of single-molecule operators.
 
@@ -192,9 +150,9 @@ def map_operator(one_body, basis, photon_shift: int = 0) -> sp.csr_matrix:
     (g-manifold then e-manifold) and beta_i are the molecule bosons.  Matrix
     elements carry the usual ladder factors sqrt(n_j) sqrt(n_i + 1).
 
-    photon_shift = -1/+1 multiplies every term by the photon annihilator /
-    creator (factors sqrt(n_ph), sqrt(n_ph + 1)), which is how the
-    light-matter terms B+_i b_j a and their conjugates are assembled.
+    photon_shift = -1 multiplies every term by the photon annihilator
+    (factor sqrt(n_ph)), which is how the light-matter terms B+_i b_j a are
+    assembled; their conjugates are its transpose.
     Target states outside the basis are dropped: that is exactly the
     quasi-block truncation.
     """
@@ -205,8 +163,8 @@ def map_operator(one_body, basis, photon_shift: int = 0) -> sp.csr_matrix:
             f"one-body matrix must be ({two_m}, {two_m}) for m={basis.m}, "
             f"got {one_body.shape}"
         )
-    if photon_shift not in (-1, 0, 1):
-        raise ValueError(f"photon_shift must be -1, 0 or +1, got {photon_shift}")
+    if photon_shift not in (-1, 0):
+        raise ValueError(f"photon_shift must be -1 or 0, got {photon_shift}")
 
     nz_i, nz_j = np.nonzero(one_body)
     rows, cols, vals = [], [], []
@@ -216,8 +174,6 @@ def map_operator(one_body, basis, photon_shift: int = 0) -> sp.csr_matrix:
             if st.n_ph == 0:
                 continue
             ph_fac = np.sqrt(st.n_ph)
-        elif photon_shift == +1:
-            ph_fac = np.sqrt(st.n_ph + 1)
         else:
             ph_fac = 1.0
         n_ph_new = st.n_ph + photon_shift

@@ -177,17 +177,16 @@ def oracle_survival(
     N: int,
     psi0_sym: np.ndarray,
     grid: TimeGrid,
-    kappa: float = 0.0,
-    n_exc: int = 1,
 ) -> Trajectory:
     """Exact survival amplitude with psi0 given on the symmetric basis.
 
-    The symmetric state is lifted into the tensor basis through the
-    symmetrizer isometry and propagated under the full distinguishable-
-    molecule Hamiltonian (with optional photon leakage).
+    psi0 lives in the first excitation manifold.  The symmetric state is
+    lifted into the tensor basis through the symmetrizer isometry and
+    propagated under the full distinguishable-molecule Hamiltonian, with
+    photon leakage cav.kappa.
     """
-    H, basis = build_full_H(vs, cav, N, n_exc)
-    sym_basis = enumerate_basis(N, n_exc, vs.m, q_max=N)
+    H, basis = build_full_H(vs, cav, N, 1)
+    sym_basis = enumerate_basis(N, 1, vs.m, q_max=N)
     psi0_sym = np.asarray(psi0_sym, dtype=complex)
     if psi0_sym.shape != (sym_basis.dim,):
         raise ValueError(
@@ -196,6 +195,6 @@ def oracle_survival(
         )
     T = symmetrizer(basis, sym_basis)
     psi0 = T @ psi0_sym
-    traj = propagate(H, psi0, grid, kappa=kappa, n_ph=basis.photon_numbers())
+    traj = propagate(H, psi0, grid, kappa=cav.kappa, n_ph=basis.photon_numbers())
     traj.params["basis"] = "tensor"
     return traj

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .cute import CavityParams, build_H0, build_H1k, build_v0k
+from .cute import CavityParams, build_A1, build_H0
 from .dynamics import TimeGrid, _propagate_krylov, effective_hamiltonian
 from .vibronic import VibronicStructure
 
@@ -73,7 +73,8 @@ def survival_correction(
 
         M = [[H0, s V, 0], [0, H1, s V^T], [0, 0, H0]],   s = sqrt(N),
 
-    with H1 = diag(H1k) and V = [v02 ... v0m], from [0; 0; psi0] gives
+    with H1 = diag(H1k) = I (x) A1 + diag(omega_g[2..m]) (x) I and
+    V = [v02 ... v0m], from [0; 0; psi0] gives
     exp(-i H0 t) psi0 in the last block and, in the first, N times the
     correction operator applied to psi0 (Van Loan).  s V = g_sqrt_n fc does
     not depend on N, so neither does the precision of N * c_corr, and
@@ -81,7 +82,7 @@ def survival_correction(
     state of every block leaks, so c1 = <psi0| exp(-i H0_eff t) |psi0>.
     M is defective (H0 appears twice) and its eigenvectors are
     ill-conditioned at weak coupling, so it is stepped, never diagonalised.
-    With shifted=True the sub-blocks H1k are replaced by H0 + omega_g[k] I
+    With shifted=True A1 is replaced by H0, so H1k = H0 + omega_g[k] I
     (the N >> 1 approximation).
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -93,14 +94,14 @@ def survival_correction(
         raise ValueError(f"psi0 must be normalized, got ||psi0|| = {nrm}")
 
     H0 = build_H0(vs, cav)
-    sub = [
-        H0 + vs.omega_g[k - 1] * np.eye(m + 1) if shifted else build_H1k(vs, cav, k)
-        for k in range(2, m + 1)
-    ]
+    A1 = H0 if shifted else build_A1(vs, cav)
     # sqrt(N) v0k: the photon column of sub-block k holds g_sqrt_n fc[:, k-1]
     V = np.zeros((m + 1, (m - 1) * (m + 1)))
     V[1:, :: m + 1] = cav.g_sqrt_n * vs.fc[:, 1:]
-    H1 = sp.block_diag(sub) if sub else None  # m = 1 has no sub-blocks
+    H1 = None  # m = 1 has no sub-blocks
+    if m > 1:
+        eye = sp.identity(m + 1)
+        H1 = sp.kron(sp.identity(m - 1), A1) + sp.kron(sp.diags(vs.omega_g[1:]), eye)
     M = sp.bmat([[H0, V, None], [None, H1, V.T], [None, None, H0]])
     n_ph = np.zeros(M.shape[0])
     n_ph[:: m + 1] = 1.0  # every block starts with its photon state
@@ -168,6 +169,9 @@ def radiative_pumping_rate(
     over the eigenstates f of every quasi = 1 sub-block, with the cavity
     linewidth kappa as the only broadening.  Each coupling carries one factor
     of g, so the total rate scales as 1/N at fixed collective coupling.
+    Every sub-block H1k = A1 + omega_g[k] I shares the eigenvectors W of A1,
+    and v0k only touches its photon state, so <f = (k, mu)|v0|D> =
+    W[0, mu] g fc[:, k]^T D_e with D_e the excited-sector part of D.
 
     The dark state must have photonic weight below DARK_PHOTON_WEIGHT.  If no
     final state lies within 10 kappa of the dark state the rate is reported
@@ -191,12 +195,14 @@ def radiative_pumping_rate(
     kappa = cav.kappa
     window = 10.0 * kappa
 
+    FA, W = np.linalg.eigh(build_A1(vs, cav))
+    fc_dark = cav.g * (vs.fc[:, 1:].T @ U0[1:, dark_index])  # g fc[:, k]^T D_e, k = 2..m
+
     channels = []
     best_detuning = math.inf
     for k in range(2, m + 1):
-        F, W = np.linalg.eigh(build_H1k(vs, cav, k))
-        V = build_v0k(vs, cav, k)
-        coup = W.T @ V.T @ U0[:, dark_index]
+        F = FA + vs.omega_g[k - 1]
+        coup = W[0] * fc_dark[k - 2]
         for mu in range(F.size):
             c2 = float(coup[mu] ** 2)
             det = E_D - float(F[mu])

@@ -65,16 +65,18 @@ def test_parse_valid_spectrum_config(tmp_path):
          "eigenstate index 999 out of range"),
         ("densities", "inf", "method = infinite\neigenstate = -1", None,
          "eigenstate index -1 out of range"),
+        ("spectrum", "-inf", "method = infinite", None, "n_molecules"),
     ],
     ids=["unknown_key", "omega_min_abc", "dark_index_x", "cuteq_negative", "omega_c_nan",
          "t_max_nan", "omega_min_above_max", "omega_above_nyquist", "window_hann",
-         "dark_index_99", "dark_index_negative", "eigenstate_999", "eigenstate_negative"],
+         "dark_index_99", "dark_index_negative", "eigenstate_999", "eigenstate_negative",
+         "n_molecules_neg_inf"],
 )
 def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
     path = write_cfg(tmp_path, task, n=n, extra=extra)
     if edit:
         path.write_text(path.read_text().replace(*edit))
-    assert main([task, "--config", str(path)]) == 2
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert msg in capsys.readouterr().err
 
 

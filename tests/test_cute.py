@@ -16,10 +16,9 @@ from polariton.cute import (
     build_H1k,
     build_v0k,
     hamiltonian_matrix,
-    write_sparse_matrix,
 )
 from polariton.errors import DimensionGuardError
-from polariton.fockspace import conserved_check, enumerate_basis
+from polariton.fockspace import SymState, conserved_check, enumerate_basis
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
 
 INF = float("inf")
@@ -87,6 +86,7 @@ def test_fig5_polariton_band_positions():
         dict(g_sqrt_n=float("inf")),
         dict(kappa=float("nan")),
         dict(n_molecules=float("nan")),
+        dict(n_molecules=float("-inf")),
     ],
 )
 def test_cavity_params_reject_non_finite(bad):
@@ -167,7 +167,7 @@ def test_assemble_q0_reproduces_H0():
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)
     bh = assemble_truncated(vs, cav, q_max=0)
     np.testing.assert_allclose(bh.block(0), build_H0(vs, cav), atol=1e-15)
-    assert bh.labels[0][0] == "|1>"
+    assert bh.basis.states[0] == SymState(n_g=(5, 0, 0), n_e=(0, 0, 0), n_ph=1)  # |1>
 
 
 def test_assemble_q1_block_sizes_and_coupling_shape():
@@ -279,8 +279,8 @@ def test_infinite_truncation_is_H0_only():
     bh = assemble_truncated(vs, cav, q_max=0)
     np.testing.assert_array_equal(bh.matrix.toarray(), build_H0(vs, cav))
     assert list(bh.offsets) == [0, vs.m + 1]
-    assert list(bh.photon_numbers) == [1] + [0] * vs.m
-    assert bh.labels[0][:2] == ("|1>", "|e1>")
+    assert list(bh.photon_numbers) == [1] + [0] * vs.m  # |1>, |e1>, ..., |em>
+    assert bh.basis is None
     with pytest.raises(ValueError, match="q_max = 0"):
         assemble_truncated(vs, cav, q_max=1)
 
@@ -354,22 +354,3 @@ def test_high_excitation_guards():
     with pytest.raises(DimensionGuardError):
         assemble_high_excitation(vs, CavityParams(0.11, 0.02, INF), 2, size_cap=2)
 
-
-def test_sparse_export_format(tmp_path):
-    vs = vibronic_fixture()
-    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=3)
-    bh = assemble_truncated(vs, cav, q_max=1)
-    path = tmp_path / "h.txt"
-    write_sparse_matrix(path, bh.matrix)
-    lines = path.read_text().splitlines()
-    dim, nnz = map(int, lines[0].split())
-    assert dim == bh.dim
-    assert len(lines) == nnz + 1
-    r, c, re, im = lines[1].split()
-    assert float(im) == 0.0
-    # entries are exact round-trips at 17 significant digits
-    M = np.zeros((dim, dim))
-    for line in lines[1:]:
-        r, c, re, im = line.split()
-        M[int(r), int(c)] = float(re)
-    np.testing.assert_array_equal(M, bh.matrix.toarray())

@@ -1,18 +1,62 @@
 """Symmetric basis enumeration and the bosonic one-body operator mapping."""
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polariton.errors import DimensionGuardError
 from polariton.fockspace import (
     SymState,
+    _compositions_desc,
     conserved_check,
     enumerate_basis,
-    enumerate_matter_basis,
     map_operator,
 )
+
+
+def recursive_compositions_desc(total, slots):
+    """Reference: the recursive descending-lex walk over compositions."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in recursive_compositions_desc(total - first, slots - 1):
+            yield (first,) + rest
+
+
+@dataclass(frozen=True)
+class MatterBasis:
+    """Full bosonic matter Fock space at fixed N (no photon, no truncation).
+
+    Used to exercise the operator mapping on arbitrary one-body operators,
+    which generally conserve neither N_exc nor quasi.
+    """
+
+    states: tuple[SymState, ...]
+    N: int
+    m: int
+    index: dict[SymState, int] = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return len(self.states)
+
+
+def enumerate_matter_basis(N: int, m: int, size_cap: int = 500_000) -> MatterBasis:
+    """All occupations of the 2m vibronic states with sum = N, descending lex."""
+    states = []
+    for occ in _compositions_desc(N, 2 * m):
+        states.append(SymState(n_g=occ[:m], n_e=occ[m:], n_ph=0))
+        if len(states) > size_cap:
+            raise DimensionGuardError(f"matter basis exceeds cap {size_cap}")
+    return MatterBasis(
+        states=tuple(states), N=N, m=m, index={s: i for i, s in enumerate(states)}
+    )
 
 
 def brute_force_states(N, N_exc, m, q_max):
@@ -30,10 +74,13 @@ def brute_force_states(N, N_exc, m, q_max):
 
 
 def test_block0_states_eq7():
+    # |1>, |e1>, |e2>
     basis = enumerate_basis(3, 1, 2, 0)
-    assert [s.label() for s in basis.states] == ["|1>", "|e1>", "|e2>"]
-    assert basis.states[0] == SymState(n_g=(3, 0), n_e=(0, 0), n_ph=1)
-    assert basis.states[1] == SymState(n_g=(2, 0), n_e=(1, 0), n_ph=0)
+    assert basis.states == (
+        SymState(n_g=(3, 0), n_e=(0, 0), n_ph=1),
+        SymState(n_g=(2, 0), n_e=(1, 0), n_ph=0),
+        SymState(n_g=(2, 0), n_e=(0, 1), n_ph=0),
+    )
 
 
 def test_first_order_block_counts():
@@ -42,7 +89,11 @@ def test_first_order_block_counts():
     # phonon configuration.
     basis = enumerate_basis(3, 1, 2, 1)
     assert basis.dim == 6
-    assert [s.label() for s in basis.states[3:]] == ["|g2 1>", "|g2 e1>", "|g2 e2>"]
+    assert basis.states[3:] == (  # |g2 1>, |g2 e1>, |g2 e2>
+        SymState(n_g=(2, 1), n_e=(0, 0), n_ph=1),
+        SymState(n_g=(1, 1), n_e=(1, 0), n_ph=0),
+        SymState(n_g=(1, 1), n_e=(0, 1), n_ph=0),
+    )
     assert {tuple(s.n_g) + tuple(s.n_e) + (s.n_ph,) for s in basis.states} == {
         g + e + (p,) for g, e, p in brute_force_states(3, 1, 2, 1)
     }
@@ -50,7 +101,10 @@ def test_first_order_block_counts():
 
 def test_jaynes_cummings_limit():
     basis = enumerate_basis(1, 1, 1, 0)
-    assert [s.label() for s in basis.states] == ["|1>", "|e1>"]
+    assert basis.states == (  # |1>, |e1>
+        SymState(n_g=(1,), n_e=(0,), n_ph=1),
+        SymState(n_g=(0,), n_e=(1,), n_ph=0),
+    )
 
 
 @pytest.mark.parametrize(
@@ -74,6 +128,13 @@ def test_enumeration_order_and_index_bijection():
         assert sector == sorted(sector, reverse=True)
     for p, state in enumerate(basis.states):
         assert basis.index[state] == p
+
+
+@given(total=st.integers(0, 5), slots=st.integers(0, 8))
+def test_compositions_match_recursive_walk(total, slots):
+    assert list(_compositions_desc(total, slots)) == list(
+        recursive_compositions_desc(total, slots)
+    )
 
 
 def test_invalid_arguments():
@@ -149,8 +210,9 @@ def test_photon_shift_factors():
     dst = basis.index[SymState(n_g=(1, 0), n_e=(1, 0), n_ph=0)]
     # sqrt(n_ph) * sqrt(n_g1) * sqrt(n_e1 + 1) = 1 * sqrt(2) * 1
     assert out[dst, src] == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(ValueError):
-        map_operator(op, basis, photon_shift=2)
+    for shift in (1, 2):
+        with pytest.raises(ValueError):
+            map_operator(op, basis, photon_shift=shift)
     with pytest.raises(ValueError):
         map_operator(np.eye(3), basis)
 

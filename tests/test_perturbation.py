@@ -146,6 +146,9 @@ MODE_SHAPES = [(), (1,), (2,), (3,), (1, 1)]
          shifted=False, n_steps=128, t_max=400.0, seed=1)
 @example(shape=(3,), huang_rhys=0.5, omega_c=0.11, g_sqrt_n=1e-4, N=100,
          shifted=True, n_steps=128, t_max=400.0, seed=2)
+# m = 1: no quasi = 1 sub-blocks, so the correction is exactly zero
+@example(shape=(), huang_rhys=1.0, omega_c=0.11, g_sqrt_n=0.01, N=100,
+         shifted=False, n_steps=16, t_max=100.0, seed=3)
 def test_correction_matches_triple_sum(
     shape, huang_rhys, omega_c, g_sqrt_n, N, shifted, n_steps, t_max, seed
 ):
@@ -312,6 +315,46 @@ PUMP_MODEL = MolecularModel(electronic_gap=0.1, modes=(VibrationalMode(0.02, 1.0
 PUMP_KAPPA = 0.0015
 PUMP_WC = 0.08 + 1.5 * PUMP_KAPPA  # photon channel detuned 1.5 kappa below the
 PUMP_DARK = 2                      # one-quantum dark state at 0.12
+
+
+def per_k_pumping_rate(vs, cav, dark_index):
+    """Reference: (channels, Gamma_total) from one eigh(H1k) and dense v0k per k."""
+    E0, U0 = np.linalg.eigh(build_H0(vs, cav))
+    E_D = E0[dark_index]
+    channels = []
+    for k in range(2, vs.m + 1):
+        F, W = np.linalg.eigh(build_H1k(vs, cav, k))
+        coup = W.T @ build_v0k(vs, cav, k).T @ U0[:, dark_index]
+        for mu in range(F.size):
+            c2 = coup[mu] ** 2
+            gamma = c2 * cav.kappa / ((E_D - F[mu]) ** 2 + 0.25 * cav.kappa**2)
+            channels.append((k, mu, F[mu], c2, gamma))
+    return channels, sum(ch[-1] for ch in channels)
+
+
+@pytest.mark.parametrize(
+    "modes,omega_c,g_sqrt_n,N,dark",
+    [
+        (PUMP_MODEL.modes, PUMP_WC, 2.5e-4, 50, PUMP_DARK),  # configs/pumping_rate.ini
+        (PUMP_MODEL.modes, PUMP_WC, 2.5e-4, 100, PUMP_DARK),
+        ((VibrationalMode(0.02, 0.5, 2), VibrationalMode(0.005, 1.5, 3)), 0.1, 3e-4, 8, None),
+    ],
+    ids=["pumping_rate_N50", "pumping_rate_N100", "two_modes_N8"],
+)
+def test_rate_matches_per_k_reference(modes, omega_c, g_sqrt_n, N, dark):
+    vs = build_vibronic(MolecularModel(electronic_gap=0.1, modes=modes))
+    cav = CavityParams(omega_c=omega_c, g_sqrt_n=g_sqrt_n, n_molecules=N, kappa=PUMP_KAPPA)
+    if dark is None:
+        dark = int(np.argmin(photonic_weights(vs, cav)[1]))
+    res = radiative_pumping_rate(vs, cav, dark)
+    channels, gamma_total = per_k_pumping_rate(vs, cav, dark)
+    got = np.array([(ch.k, ch.mu, ch.energy, ch.coupling_sq, ch.gamma) for ch in res.channels])
+    want = np.array(channels)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[:, :2], want[:, :2])
+    for col in (2, 3, 4):
+        np.testing.assert_allclose(got[:, col], want[:, col], rtol=1e-12, atol=0)
+    assert res.gamma_total == pytest.approx(gamma_total, rel=1e-12, abs=0)
 
 
 def test_rate_zero_when_emission_channels_closed():
