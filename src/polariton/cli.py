@@ -265,7 +265,11 @@ def _survival_for_method(cfg: RunConfig):
         psi_sym[0] = 1.0
         traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid)
         dim = traj.params["dim"]
-    return traj, {"derived.dim": dim}
+    extra = {"derived.dim": dim, "derived.method": traj.params["method"]}
+    for key in ("taylor_degree", "taylor_substeps"):
+        if key in traj.params:
+            extra[f"derived.{key}"] = traj.params[key]
+    return traj, extra
 
 
 def _task_spectrum(cfg: RunConfig, out_dir: Path):

@@ -6,8 +6,10 @@ quantum-jump description of survival amplitudes, and linewidths are all the
 absorption spectrum needs).  propagate takes a dense array or a sparse
 matrix such as BlockHamiltonian.matrix and steps it over the uniform grid
 in one loop: up to DENSE_DIM_LIMIT with a dense step operator
-exp(-i H dt) formed once by scaling and squaring, beyond that with Krylov
-(expm_multiply) on the sparse matrix, which is never densified.  spectrum
+exp(-i H dt) formed once by scaling and squaring, beyond that with
+fixed-degree Taylor steps chosen once per propagation (a Krylov polynomial
+in the sparse matrix, which is never densified).  No states are stored
+unless asked for.  spectrum
 evaluates the discrete transform on any uniform frequency grid, the
 default FFT bins included, through one Bluestein chirp-z transform.
 """
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cute import CavityParams, build_H0
 from .vibronic import VibronicStructure, ho_wavefunctions
@@ -68,7 +69,8 @@ class Trajectory:
     """Propagated amplitudes on a time grid.
 
     c_t is the survival amplitude <psi0|psi(t)>; norm_t the state norm,
-    constant without leakage and non-increasing with it.
+    constant without leakage and non-increasing with it; bra_t is
+    <bra|psi(t)> when a second bra was given (transition_amplitudes).
     """
 
     grid: TimeGrid
@@ -76,6 +78,7 @@ class Trajectory:
     norm_t: np.ndarray
     states: np.ndarray | None = None
     params: dict = field(default_factory=dict)
+    bra_t: np.ndarray | None = None
 
 
 def effective_hamiltonian(H, kappa: float, n_ph):
@@ -110,27 +113,32 @@ def propagate(
 
     Every step applies the same exp(-i H_eff dt).  Up to DENSE_DIM_LIMIT
     that step operator is formed once as a dense matrix (scipy expm,
-    scaling and squaring); above it each step is a Krylov expm_multiply on
-    the sparse matrix.  Neither needs an eigenbasis, so defective
-    generators step exactly; traj.params['method'] records 'dense' or
-    'krylov'.
+    scaling and squaring); above it each step applies fixed-degree Taylor
+    steps chosen once per propagation to the sparse matrix (see
+    _taylor_stepper).  Neither needs an eigenbasis, so defective generators
+    step exactly.  traj.params['method'] records 'dense' or 'krylov', and on
+    the krylov path 'taylor_degree' and 'taylor_substeps' the series used.
+    States are stored only with keep_states.  Non-finite psi0, kappa or H
+    raise ValueError before any step.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"psi0 must be normalized, got ||psi0|| = {nrm}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not abs(nrm - 1.0) <= 1e-8:  # also rejects NaN
+        raise ValueError(f"psi0 must be finite and normalized, got ||psi0|| = {nrm}")
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
 
     dim = psi0.size
     H_eff = effective_hamiltonian(H, kappa, n_ph)
+    if not np.all(np.isfinite(H_eff.data if sp.issparse(H_eff) else H_eff)):
+        raise ValueError("H and n_ph must be finite")
     if dim <= DENSE_DIM_LIMIT:
         method = "dense"
         dense = H_eff.toarray() if sp.issparse(H_eff) else H_eff
         traj = _step(sla.expm(-1j * grid.dt * dense).dot, psi0, grid, keep_states)
     else:
         method = "krylov"
-        traj = _propagate_krylov(sp.csc_matrix(H_eff), psi0, grid, keep_states)
+        traj = _propagate_krylov(H_eff, psi0, grid, keep_states)
 
     if not np.all(np.isfinite(traj.c_t)):
         raise RuntimeError("propagation produced non-finite amplitudes")
@@ -138,17 +146,90 @@ def propagate(
     return traj
 
 
-def _propagate_krylov(H_eff, psi0, grid, keep_states) -> Trajectory:
-    stepper = -1j * grid.dt * H_eff
-    return _step(lambda psi: spla.expm_multiply(stepper, psi), psi0, grid, keep_states)
+def transition_amplitudes(H_eff, psi0, bra, grid: TimeGrid):
+    """<psi0|psi(t)> and <bra|psi(t)>, psi(t) = exp(-i H_eff t) psi0, on the grid.
+
+    H_eff is used as given (leakage included) at any dimension, stepped by
+    the fixed-degree Taylor series of _taylor_stepper; no state is stored.
+    """
+    traj = _propagate_krylov(H_eff, psi0, grid, keep_states=False, bra=bra)
+    return traj.c_t, traj.bra_t
 
 
-def _step(advance, psi0, grid, keep_states) -> Trajectory:
-    """Record <psi0|psi>, ||psi|| (and psi) at each grid time; advance steps by dt."""
+def _propagate_krylov(H_eff, psi0, grid, keep_states, bra=None) -> Trajectory:
+    advance, degree, substeps = _taylor_stepper(-1j * grid.dt * H_eff)
+    traj = _step(advance, psi0, grid, keep_states, bra)
+    traj.params.update({"taylor_degree": degree, "taylor_substeps": substeps})
+    return traj
+
+
+# theta_m: the largest ||A||_1 for which the degree-m truncated Taylor series
+# of exp(A) has backward error below the unit roundoff 2^-53 (Al-Mohy and
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1)
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
+def _taylor_stepper(A):
+    """b -> exp(A) b by one truncated Taylor series fixed for every call.
+
+    With the trace shift mu = tr(A)/n and the exact norm ||A - mu I||_1, the
+    degree m and the substep count s = ceil(||A - mu I||_1 / theta_m) are
+    chosen once to minimise the m s matvecs per call.  Each call applies s
+    substeps of the degree-m series of (A - mu I)/s to the sparse matrix,
+    each ending early once two successive terms fall below the unit
+    roundoff of the partial sum, and scaled by e^{mu/s} (Al-Mohy and Higham
+    2011, Algorithm 3.2).  Returns (advance, m, s); A = 0 gives m = 0.
+    """
+    n = A.shape[0]
+    A = sp.csr_matrix(A)
+    mu = A.diagonal().sum() / n
+    A = A - mu * sp.identity(n, format="csr")
+    norm = abs(A).sum(axis=0).max()
+    if not math.isfinite(norm):
+        raise ValueError(f"generator must be finite, got ||A - mu I||_1 = {norm}")
+    degree, substeps = 0, 1
+    if norm > 0:
+        _, degree, substeps = min(
+            (m * math.ceil(norm / theta), m, math.ceil(norm / theta))
+            for m, theta in _TAYLOR_THETA.items()
+        )
+    A = A / substeps
+    eta = np.exp(mu / substeps)
+    tol = 2.0**-53
+
+    def advance(b):
+        for _ in range(substeps):
+            f = b
+            c1 = np.abs(b).max()
+            for j in range(1, degree + 1):
+                b = A.dot(b)
+                b /= j
+                c2 = np.abs(b).max()
+                f = f + b
+                if c1 + c2 <= tol * np.abs(f).max():
+                    break
+                c1 = c2
+            b = eta * f
+        return b
+
+    return advance, degree, substeps
+
+
+def _step(advance, psi0, grid, keep_states, bra=None) -> Trajectory:
+    """Record <psi0|psi>, ||psi|| (psi, <bra|psi>) at each grid time; advance steps by dt."""
     nt = grid.n_steps + 1
     c_t = np.empty(nt, dtype=complex)
     norm_t = np.empty(nt)
     states = np.empty((nt, psi0.size), dtype=complex) if keep_states else None
+    bra_t = None if bra is None else np.empty(nt, dtype=complex)
     psi = psi0
     for n in range(nt):
         if n > 0:
@@ -157,7 +238,9 @@ def _step(advance, psi0, grid, keep_states) -> Trajectory:
         norm_t[n] = np.linalg.norm(psi)
         if states is not None:
             states[n] = psi
-    return Trajectory(grid=grid, c_t=c_t, norm_t=norm_t, states=states)
+        if bra_t is not None:
+            bra_t[n] = np.vdot(bra, psi)
+    return Trajectory(grid=grid, c_t=c_t, norm_t=norm_t, states=states, bra_t=bra_t)
 
 
 def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) -> Trajectory:

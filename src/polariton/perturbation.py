@@ -17,7 +17,8 @@ Each v0k carries one factor of g = g_sqrt_n/sqrt(N), so c_corr is O(1/N) and
 N * c_corr has an N-independent limit.  The double integral is one
 off-diagonal block of the exponential of a block upper-triangular generator
 (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), so survival_correction
-is a single Krylov propagation with no quadrature and no eigendecomposition.
+is a single propagation by fixed-degree Taylor steps chosen once per
+propagation, with no quadrature, no eigendecomposition and no stored states.
 Cavity leakage enters every block as -i (kappa/2) n_ph.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cute import CavityParams, build_A1, build_H0
-from .dynamics import TimeGrid, _propagate_krylov, effective_hamiltonian
+from .dynamics import TimeGrid, effective_hamiltonian, transition_amplitudes
 from .vibronic import VibronicStructure
 
 # eigenstates with less photonic weight than this count as dark
@@ -68,15 +69,18 @@ def survival_correction(
 ) -> ExpansionResult:
     """Reference amplitude c1 and leading 1/N correction for psi0 in block 0.
 
-    psi0 is a normalized state over {|1>, |e_1>..|e_m>}.  One Krylov
-    propagation of the block upper-triangular generator
+    psi0 is a normalized state over {|1>, |e_1>..|e_m>}.  One propagation,
+    by fixed-degree Taylor steps chosen once, of the block upper-triangular
+    generator
 
         M = [[H0, s V, 0], [0, H1, s V^T], [0, 0, H0]],   s = sqrt(N),
 
     with H1 = diag(H1k) = I (x) A1 + diag(omega_g[2..m]) (x) I and
     V = [v02 ... v0m], from [0; 0; psi0] gives
     exp(-i H0 t) psi0 in the last block and, in the first, N times the
-    correction operator applied to psi0 (Van Loan).  s V = g_sqrt_n fc does
+    correction operator applied to psi0 (Van Loan).  Only the projections
+    c1 = <[0; 0; psi0]|x(t)> and N c_corr = <[psi0; 0; 0]|x(t)> are recorded
+    as the steps go; no state is stored.  s V = g_sqrt_n fc does
     not depend on N, so neither does the precision of N * c_corr, and
     c_corr is exactly zero at N = infinity.  With kappa > 0 the photon
     state of every block leaks, so c1 = <psi0| exp(-i H0_eff t) |psi0>.
@@ -90,8 +94,8 @@ def survival_correction(
     if psi0.shape != (m + 1,):
         raise ValueError(f"psi0 must live in the zeroth block, shape ({m + 1},)")
     nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"psi0 must be normalized, got ||psi0|| = {nrm}")
+    if not abs(nrm - 1.0) <= 1e-8:  # also rejects NaN
+        raise ValueError(f"psi0 must be finite and normalized, got ||psi0|| = {nrm}")
 
     H0 = build_H0(vs, cav)
     A1 = H0 if shifted else build_A1(vs, cav)
@@ -107,11 +111,12 @@ def survival_correction(
     n_ph[:: m + 1] = 1.0  # every block starts with its photon state
     x0 = np.zeros(M.shape[0], dtype=complex)
     x0[-(m + 1) :] = psi0
+    top = np.zeros(M.shape[0], dtype=complex)
+    top[: m + 1] = psi0
 
-    M_eff = sp.csc_matrix(effective_hamiltonian(M, cav.kappa, n_ph))
-    states = _propagate_krylov(M_eff, x0, grid, keep_states=True).states
-    c1_t = states[:, -(m + 1) :] @ psi0.conj()
-    c_corr_t = states[:, : m + 1] @ psi0.conj() / cav.n_molecules
+    M_eff = effective_hamiltonian(M, cav.kappa, n_ph)
+    c1_t, scaled_corr_t = transition_amplitudes(M_eff, x0, top, grid)
+    c_corr_t = scaled_corr_t / cav.n_molecules
     return ExpansionResult(grid=grid, c1_t=c1_t, c_corr_t=c_corr_t, n_molecules=cav.n_molecules)
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from polariton import dynamics
 from polariton.cli import ConfigError, main, parse_config, run
 
 BASE = """
@@ -142,18 +143,38 @@ def test_spectrum_run_writes_headers_and_is_deterministic(tmp_path, window):
     header = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("#"))
     omega = np.loadtxt(lines[lines.index("omega,intensity") + 1 :], delimiter=",")[:, 0]
     np.testing.assert_allclose(np.diff(omega), float(header["derived.delta_omega"]), rtol=1e-9)
+    assert header["derived.method"] == "dense"
+    assert not any(key.startswith("derived.taylor") for key in header)
 
 
-def test_dynamics_run_finite_N_cuteq(tmp_path):
+def run_dynamics_cuteq(tmp_path):
+    """Header dict and data rows of a cuteq:2 dynamics run at N = 3."""
     path = write_cfg(tmp_path, "dynamics", n="3", extra="method = cuteq:2")
     out = tmp_path / "out"
     assert main(["dynamics", "--config", str(path), "--out", str(out)]) == 0
     lines = (out / "trajectory.csv").read_text().splitlines()
-    header = [l for l in lines if l.startswith("#")]
-    assert any("derived.dim" in l for l in header)
-    assert not any("delta_omega" in l for l in header)  # no frequency grid here
+    header = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("#"))
     data = np.loadtxt([l for l in lines if not l.startswith("#")][1:], delimiter=",")
+    return header, data
+
+
+def test_dynamics_run_finite_N_cuteq(tmp_path):
+    header, data = run_dynamics_cuteq(tmp_path)
+    keys = list(header)
+    assert keys[keys.index("derived.dim") + 1] == "derived.method"
+    assert header["derived.method"] == "dense"
+    assert not any(key.startswith("derived.taylor") for key in keys)
+    assert not any("delta_omega" in key for key in keys)  # no frequency grid here
     assert abs(data[0, 1] - 1.0) < 1e-12  # c(0) = 1
+
+
+def test_dynamics_run_header_reports_taylor_series(tmp_path, monkeypatch):
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)
+    header, data = run_dynamics_cuteq(tmp_path)
+    assert header["derived.method"] == "krylov"
+    assert int(header["derived.taylor_degree"]) > 0
+    assert int(header["derived.taylor_substeps"]) >= 1
+    assert abs(data[0, 1] - 1.0) < 1e-12
 
 
 def test_oracle_method_runs(tmp_path):

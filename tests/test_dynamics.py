@@ -5,7 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from polariton.dynamics import (
     write_spectrum_csv,
     write_trajectory_csv,
 )
+from polariton.perturbation import survival_correction
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
 
 INF = float("inf")
@@ -210,6 +213,93 @@ def test_propagate_input_validation():
         propagate(H, np.array([2.0, 0.0]), grid)
     with pytest.raises(ValueError, match="n_ph"):
         propagate(H, np.array([1.0, 0.0]), grid, kappa=0.1)
+
+
+@pytest.mark.parametrize("case", ["psi0_nan", "psi0_inf", "kappa_nan", "sparse_H_inf"])
+def test_non_finite_input_rejected_before_stepping(monkeypatch, case):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped on non-finite input")
+
+    monkeypatch.setattr(dynamics, "_step", no_step)
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)  # the sparse Taylor path
+    H = sp.csr_matrix(np.diag([0.1, 0.2]))
+    psi0 = np.array([1.0, 0.0])
+    kwargs = {}
+    if case == "psi0_nan":
+        psi0 = np.array([np.nan, 0.0])
+    elif case == "psi0_inf":
+        psi0 = np.array([np.inf, 0.0])
+    elif case == "kappa_nan":
+        kwargs = {"kappa": np.nan, "n_ph": np.array([1.0, 0.0])}
+    else:
+        H = sp.csr_matrix(np.array([[0.1, np.inf], [np.inf, 0.2]]))
+    with pytest.raises(ValueError, match="finite"):
+        propagate(H, psi0, TimeGrid(t_max=1.0, n_steps=2), **kwargs)
+
+
+def test_transition_amplitudes_reject_non_finite_generator():
+    # NaN > 0 is False: without the check a NaN norm would pick the identity step
+    H = sp.csr_matrix(np.array([[0.1, np.nan], [np.nan, 0.2]]))
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        dynamics.transition_amplitudes(H, psi0, psi0, TimeGrid(t_max=1.0, n_steps=2))
+
+
+def _leaky_symmetric(dim, kappa, seed):
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(dim, dim))
+    n_ph = (rng.random(dim) < 0.5).astype(float)
+    return effective_hamiltonian(H + H.T, kappa, n_ph)
+
+
+@pytest.mark.parametrize("case, dt", [("leaky", 2.0), ("jordan", 3.0), ("zero", 1.0)])
+def test_taylor_step_matches_expm(case, dt):
+    # one step of the fixed-degree series against scaling and squaring
+    H_eff = {
+        "leaky": _leaky_symmetric(8, 0.2, seed=5),  # complex symmetric, ||A||_1 > theta_55
+        "jordan": np.array([[0.0, 1.0], [0.0, 0.0]]),
+        "zero": np.zeros((3, 3)),
+    }[case]
+    A = -1j * dt * H_eff
+    advance, degree, substeps = dynamics._taylor_stepper(sp.csr_matrix(A))
+    if case == "leaky":
+        assert substeps > 1
+    if case == "zero":
+        assert (degree, substeps) == (0, 1)
+    rng = np.random.default_rng(6)
+    b = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
+    b /= np.linalg.norm(b)
+    np.testing.assert_allclose(advance(b), sla.expm(A) @ b, rtol=0, atol=1e-12)
+
+
+def test_defective_generator_on_sparse_path(monkeypatch):
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)
+    grid = TimeGrid(t_max=10.0, n_steps=20)
+    H = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    jordan = propagate(H, np.array([0.0, 1.0]), grid)
+    assert jordan.params["method"] == "krylov"
+    np.testing.assert_allclose(jordan.norm_t, np.hypot(1.0, grid.times), rtol=0, atol=1e-12)
+    zero = propagate(sp.csr_matrix((2, 2)), np.array([0.6, 0.8]), grid)
+    assert (zero.params["taylor_degree"], zero.params["taylor_substeps"]) == (0, 1)
+    np.testing.assert_array_equal(zero.c_t, np.ones(grid.n_steps + 1))
+
+
+def test_no_propagation_calls_expm_multiply(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_multiply called")
+
+    monkeypatch.setattr(spla, "expm_multiply", refuse)
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 5)
+    H = _leaky_symmetric(8, 0.0, seed=7)
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    traj = propagate(sp.csr_matrix(H), psi0, TimeGrid(t_max=5.0, n_steps=10))
+    assert traj.params["method"] == "krylov"
+    vs = build_vibronic(MolecularModel(electronic_gap=0.1, modes=(VibrationalMode(0.01, 1.0, 2),)))
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=100, kappa=0.002)
+    psi_b0 = np.zeros(vs.m + 1, dtype=complex)
+    psi_b0[0] = 1.0
+    survival_correction(vs, cav, psi_b0, TimeGrid(t_max=50.0, n_steps=10))
 
 
 def test_time_grid_rejects_non_finite():

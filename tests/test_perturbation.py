@@ -307,6 +307,9 @@ def test_survival_correction_input_validation():
         survival_correction(vs, cav, np.ones(7), grid)
     with pytest.raises(ValueError, match="normalized"):
         survival_correction(vs, cav, np.ones(vs.m + 1), grid)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            survival_correction(vs, cav, np.array([bad] + [0.0] * vs.m), grid)
 
 
 # --- radiative pumping -------------------------------------------------
