@@ -29,7 +29,7 @@ from .errors import DimensionGuardError
 from .fockspace import enumerate_basis
 from .oracle import build_full_H, oracle_survival, symmetrize
 from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate, write_rate_json
-from .vibronic import MolecularModel, VibrationalMode, build_vibronic
+from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
 
 TASKS = ("spectrum", "dynamics", "rate", "densities", "validate")
 VALIDATE_TOL = 1e-8
@@ -235,18 +235,16 @@ def _validate_compatibility(cfg: RunConfig):
             raise ConfigError("task validate requires finite n_molecules <= 4")
 
 
-def _header(cfg: RunConfig, extra: dict | None = None) -> dict:
+def _header(cfg: RunConfig, vs: VibronicStructure, extra: dict | None = None) -> dict:
     out = dict(cfg.resolved)
-    vs = build_vibronic(cfg.model)
     out["derived.m"] = vs.m
     if extra:
         out.update(extra)
     return out
 
 
-def _survival_for_method(cfg: RunConfig):
+def _survival_for_method(cfg: RunConfig, vs: VibronicStructure):
     """Photon-state survival amplitude under the configured method."""
-    vs = build_vibronic(cfg.model)
     cav = cfg.cavity
     kind, q = _parse_method(cfg.method, cav.n_molecules)
     if kind == "infinite":
@@ -266,14 +264,15 @@ def _survival_for_method(cfg: RunConfig):
         traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid)
         dim = traj.params["dim"]
     extra = {"derived.dim": dim, "derived.method": traj.params["method"]}
-    for key in ("taylor_degree", "taylor_substeps"):
+    for key in ("block_steps", "taylor_degree", "taylor_substeps"):
         if key in traj.params:
             extra[f"derived.{key}"] = traj.params[key]
     return traj, extra
 
 
 def _task_spectrum(cfg: RunConfig, out_dir: Path):
-    traj, extra = _survival_for_method(cfg)
+    vs = build_vibronic(cfg.model)
+    traj, extra = _survival_for_method(cfg, vs)
     window = cfg.options.get("window", "halfcos10")
     if "omega_min" in cfg.options or "omega_max" in cfg.options:
         lo, hi = _omega_window(cfg.options, cfg.grid)
@@ -284,15 +283,16 @@ def _task_spectrum(cfg: RunConfig, out_dir: Path):
     omega, A = dyn.spectrum(traj.c_t, cfg.grid, omega=omega, window=window)
     extra["derived.delta_omega"] = f"{d_omega:.17g}"
     path = out_dir / "spectrum.csv"
-    dyn.write_spectrum_csv(path, omega, A, header=_header(cfg, extra))
+    dyn.write_spectrum_csv(path, omega, A, header=_header(cfg, vs, extra))
     print(f"wrote {path}")
     return [path]
 
 
 def _task_dynamics(cfg: RunConfig, out_dir: Path):
-    traj, extra = _survival_for_method(cfg)
+    vs = build_vibronic(cfg.model)
+    traj, extra = _survival_for_method(cfg, vs)
     path = out_dir / "trajectory.csv"
-    dyn.write_trajectory_csv(path, traj, header=_header(cfg, extra))
+    dyn.write_trajectory_csv(path, traj, header=_header(cfg, vs, extra))
     print(f"wrote {path}")
     return [path]
 
@@ -308,7 +308,7 @@ def _task_rate(cfg: RunConfig, out_dir: Path):
         dark = int(np.argmin(weights))
     result = radiative_pumping_rate(vs, cfg.cavity, dark)
     path = out_dir / "rate.json"
-    write_rate_json(path, result, header=_header(cfg))
+    write_rate_json(path, result, header=_header(cfg, vs))
     print(f"wrote {path} (Gamma_total = {result.gamma_total:.6e})")
     return [path]
 
@@ -349,6 +349,7 @@ def _task_densities(cfg: RunConfig, out_dir: Path):
             path = out_dir / f"density_{name}_mode{nu}.csv"
             header = _header(
                 cfg,
+                vs,
                 {
                     "derived.eigenstate_index": idx,
                     "derived.energy": f"{evals[idx]:.17g}",
@@ -373,8 +374,8 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
     _, H_sym = symmetrize(*build_full_H(vs, cav, N, 1), bh.basis)
     dev_H = float(abs(H_sym - bh.matrix).max())
 
-    traj_oracle, _ = _survival_for_method(replace(cfg, method="oracle"))
-    traj_cute, _ = _survival_for_method(replace(cfg, method="exactN"))
+    traj_oracle, _ = _survival_for_method(replace(cfg, method="oracle"), vs)
+    traj_cute, _ = _survival_for_method(replace(cfg, method="exactN"), vs)
     dev_c = float(np.max(np.abs(traj_oracle.c_t - traj_cute.c_t)))
 
     dev = max(dev_H, dev_c)
@@ -387,7 +388,7 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
         f"result                          = {'PASS' if ok else 'FAIL'}",
     ]
     path = out_dir / "validate.txt"
-    header = [f"# {k} = {v}" for k, v in _header(cfg).items()]
+    header = [f"# {k} = {v}" for k, v in _header(cfg, vs).items()]
     dyn.atomic_write_text(path, "\n".join(header + report) + "\n")
     print("\n".join(report))
     print(f"wrote {path}")

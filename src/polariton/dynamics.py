@@ -8,15 +8,18 @@ matrix such as BlockHamiltonian.matrix and steps it over the uniform grid
 in one loop: up to DENSE_DIM_LIMIT with a dense step operator
 exp(-i H dt) formed once by scaling and squaring, beyond that with
 fixed-degree Taylor steps chosen once per propagation (a Krylov polynomial
-in the sparse matrix, which is never densified).  No states are stored
-unless asked for.  spectrum
-evaluates the discrete transform on any uniform frequency grid, the
-default FFT bins included, through one Bluestein chirp-z transform.
+in the sparse matrix, which is never densified).  On a dense grid of
+n_t >= 16 dim samples the loop advances 64 grid times per matrix-matrix
+product with a second step operator exp(-i H 64 dt).  No states are stored
+unless asked for.  spectrum evaluates the discrete transform on any uniform
+frequency grid, the default FFT bins included, through one Bluestein
+chirp-z transform.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +47,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.n_steps < 2:
-            raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 2:
+            raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps!r}")
 
     @property
     def dt(self) -> float:
@@ -111,15 +114,18 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under H (plus optional photon leakage) over the grid.
 
-    Every step applies the same exp(-i H_eff dt).  Up to DENSE_DIM_LIMIT
-    that step operator is formed once as a dense matrix (scipy expm,
-    scaling and squaring); above it each step applies fixed-degree Taylor
-    steps chosen once per propagation to the sparse matrix (see
-    _taylor_stepper).  Neither needs an eigenbasis, so defective generators
-    step exactly.  traj.params['method'] records 'dense' or 'krylov', and on
-    the krylov path 'taylor_degree' and 'taylor_substeps' the series used.
-    States are stored only with keep_states.  Non-finite psi0, kappa or H
-    raise ValueError before any step.
+    Every step applies the same U = exp(-i H_eff dt).  Up to
+    DENSE_DIM_LIMIT U is a dense matrix formed once (scipy expm, scaling
+    and squaring); once n_t >= 16 dim samples repay a second expm, U fills
+    the first w = min(64, n_t) states and exp(-i H_eff w dt) advances each
+    block of w states in one matrix-matrix product.  Above the limit each
+    step applies fixed-degree Taylor steps chosen once per propagation to
+    the sparse matrix (see _taylor_stepper).  Neither needs an eigenbasis,
+    so defective generators step exactly.  traj.params['method'] records
+    'dense' (with w as 'block_steps') or 'krylov' (with the series'
+    'taylor_degree' and 'taylor_substeps').  States are stored only with
+    keep_states.  Non-finite psi0, kappa or H raise ValueError before any
+    step.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
@@ -135,7 +141,16 @@ def propagate(
     if dim <= DENSE_DIM_LIMIT:
         method = "dense"
         dense = H_eff.toarray() if sp.issparse(H_eff) else H_eff
-        traj = _step(sla.expm(-1j * grid.dt * dense).dot, psi0, grid, keep_states)
+        U = sla.expm(-1j * grid.dt * dense)
+        nt = grid.n_steps + 1
+        w = min(64, nt) if nt >= 16 * dim else 1
+        first = [psi0]
+        for _ in range(w - 1):
+            first.append(U.dot(first[-1]))
+        if 1 < w < nt:  # formed directly: backward stable where squaring U is not
+            U = sla.expm(-1j * (w * grid.dt) * dense)
+        traj = _step(U.dot, np.stack(first, axis=1), grid, keep_states)
+        traj.params["block_steps"] = w
     else:
         method = "krylov"
         traj = _propagate_krylov(H_eff, psi0, grid, keep_states)
@@ -223,23 +238,32 @@ def _taylor_stepper(A):
     return advance, degree, substeps
 
 
-def _step(advance, psi0, grid, keep_states, bra=None) -> Trajectory:
-    """Record <psi0|psi>, ||psi|| (psi, <bra|psi>) at each grid time; advance steps by dt."""
+def _step(advance, block, grid, keep_states, bra=None) -> Trajectory:
+    """Record <psi0|psi>, ||psi|| (psi, <bra|psi>) at each grid time.
+
+    block holds the states at the first w grid times as columns, psi0 first,
+    or psi0 alone as a vector (w = 1; a Taylor series steps a vector faster
+    than a column); advance maps the block at times n..n+w-1 to n+w..n+2w-1.
+    """
     nt = grid.n_steps + 1
+    dim = block.shape[0]
+    w = block.size // dim
+    bra0 = block.reshape(dim, w)[:, 0].conj()
     c_t = np.empty(nt, dtype=complex)
     norm_t = np.empty(nt)
-    states = np.empty((nt, psi0.size), dtype=complex) if keep_states else None
+    states = np.empty((nt, dim), dtype=complex) if keep_states else None
     bra_t = None if bra is None else np.empty(nt, dtype=complex)
-    psi = psi0
-    for n in range(nt):
+    bra = None if bra is None else np.conj(bra)
+    for n in range(0, nt, w):
         if n > 0:
-            psi = advance(psi)
-        c_t[n] = np.vdot(psi0, psi)
-        norm_t[n] = np.linalg.norm(psi)
+            block = advance(block)
+        P = block.reshape(dim, w)[:, : nt - n]
+        c_t[n : n + w] = bra0 @ P
+        norm_t[n : n + w] = np.sqrt(np.vecdot(P, P, axis=0).real)
         if states is not None:
-            states[n] = psi
+            states[n : n + w] = P.T
         if bra_t is not None:
-            bra_t[n] = np.vdot(bra, psi)
+            bra_t[n : n + w] = bra @ P
     return Trajectory(grid=grid, c_t=c_t, norm_t=norm_t, states=states, bra_t=bra_t)
 
 
@@ -389,22 +413,6 @@ def pole_spectrum(lambdas, weights, omega, grid: TimeGrid):
     if peak > 0:
         A = A / peak
     return A
-
-
-def find_peaks(omega: np.ndarray, A: np.ndarray, min_height: float = 0.0):
-    """Local maxima with parabolic refinement; returns (positions, heights)."""
-    pos, hts = [], []
-    for i in range(1, A.size - 1):
-        if A[i] > A[i - 1] and A[i] >= A[i + 1] and A[i] > min_height:
-            denom = A[i - 1] - 2.0 * A[i] + A[i + 1]
-            if denom < 0:
-                shift = 0.5 * (A[i - 1] - A[i + 1]) / denom
-                pos.append(omega[i] + shift * (omega[i] - omega[i - 1]))
-                hts.append(A[i] - 0.25 * (A[i - 1] - A[i + 1]) * shift)
-            else:
-                pos.append(omega[i])
-                hts.append(A[i])
-    return np.array(pos), np.array(hts)
 
 
 def photonic_weights(vs: VibronicStructure, cav: CavityParams):

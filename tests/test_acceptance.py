@@ -19,7 +19,6 @@ from polariton.dynamics import (
     TimeGrid,
     dark_state_density,
     effective_hamiltonian,
-    find_peaks,
     photon_survival,
     photonic_weights,
     pole_decomposition,
@@ -31,6 +30,8 @@ from polariton.fockspace import conserved_check
 from polariton.oracle import build_full_H, symmetrizer
 from polariton.perturbation import radiative_pumping_rate, survival_correction
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
+
+from peaks import find_peaks
 
 INF = float("inf")
 

@@ -172,6 +172,7 @@ def test_dynamics_run_header_reports_taylor_series(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)
     header, data = run_dynamics_cuteq(tmp_path)
     assert header["derived.method"] == "krylov"
+    assert "derived.block_steps" not in header
     assert int(header["derived.taylor_degree"]) > 0
     assert int(header["derived.taylor_substeps"]) >= 1
     assert abs(data[0, 1] - 1.0) < 1e-12
@@ -302,6 +303,10 @@ def test_benchmark_spectrum_has_two_polariton_bands(tmp_path):
     idx = np.argsort(A)[-2:]
     lo, hi = np.sort(om[idx])
     assert lo < 0.1161 < hi
+    # dim 124 with 8193 >= 16 dim samples: the dense path steps in blocks of 64
+    keys = [l[2:].split(" = ", 1)[0] for l in lines if l.startswith("#")]
+    i = keys.index("derived.method")
+    assert lines[i : i + 2] == ["# derived.method = dense", "# derived.block_steps = 64"]
 
 
 def test_import_and_parse_leave_scipy_signal_unloaded():

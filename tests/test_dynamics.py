@@ -19,7 +19,6 @@ from polariton.dynamics import (
     dark_state_density,
     effective_hamiltonian,
     filter_response,
-    find_peaks,
     photon_survival,
     photonic_weights,
     pole_decomposition,
@@ -31,6 +30,8 @@ from polariton.dynamics import (
 )
 from polariton.perturbation import survival_correction
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
+
+from peaks import find_peaks
 
 INF = float("inf")
 
@@ -143,6 +144,42 @@ def test_dense_and_krylov_paths_agree(dim, kappa, seed):
     assert np.all(np.diff(a.norm_t) <= 1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from(["below_w", "w", "kw", "kw_plus_1"]),
+    kappa=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_dense_path_matches_single_steps(data, shape, kappa, seed):
+    # n_t >= 16 dim: blocks of w = min(64, n_t) states against one step at a time
+    dim = data.draw(st.integers(1, {"below_w": 3, "w": 4}.get(shape, 12)))
+    if shape == "below_w":
+        n_t = data.draw(st.integers(16 * dim, 63))
+    elif shape == "w":
+        n_t = 64
+    else:
+        n_t = 64 * data.draw(st.integers(-(-16 * dim // 64), 6)) + (shape == "kw_plus_1")
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(dim, dim))
+    H = H + H.T
+    n_ph = (rng.random(dim) < 0.5).astype(float)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    grid = TimeGrid(t_max=0.1 * (n_t - 1), n_steps=n_t - 1)
+    traj = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph, keep_states=True)
+    assert traj.params["block_steps"] == min(64, n_t)
+
+    U = sla.expm(-1j * grid.dt * effective_hamiltonian(H, kappa, n_ph))
+    ref = np.empty((n_t, dim), dtype=complex)
+    ref[0] = psi0
+    for n in range(1, n_t):
+        ref[n] = U @ ref[n - 1]
+    np.testing.assert_allclose(traj.states, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.c_t, ref @ psi0.conj(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.norm_t, np.linalg.norm(ref, axis=1), rtol=0, atol=1e-12)
+
+
 def test_krylov_path_matches_spectral():
     # the Krylov stepper against the small-dim step operator, fixed seed
     rng = np.random.default_rng(11)
@@ -170,18 +207,25 @@ def test_propagate_path_follows_dense_dim_limit(monkeypatch):
     psi0[0] = 1.0
     grid = TimeGrid(t_max=10.0, n_steps=20)
     a = propagate(H, psi0, grid)
+    # blocks of 64 steps once n_t >= 16 dim = 96 samples repay a second expm
+    short = propagate(H, psi0, TimeGrid(t_max=10.0, n_steps=94))
+    long = propagate(H, psi0, TimeGrid(t_max=10.0, n_steps=95))
+    assert [t.params["block_steps"] for t in (a, short, long)] == [1, 1, 64]
     monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 5)
     b = propagate(H, psi0, grid)
     assert (a.params["method"], b.params["method"]) == ("dense", "krylov")
+    assert "block_steps" not in b.params
     np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
 
 
 def test_defective_generator_steps_exactly():
     # a Jordan generator has no eigenbasis; the dense step operator needs none
-    grid = TimeGrid(t_max=10.0, n_steps=20)
-    jordan = propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), grid)
-    assert jordan.params["method"] == "dense"
-    np.testing.assert_allclose(jordan.norm_t, np.hypot(1.0, grid.times), atol=1e-10)
+    J = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # n_t = 201 >= 16 dim: blocks of 64 steps, the last one partial
+    for grid, block_steps in ((TimeGrid(10.0, 20), 1), (TimeGrid(50.0, 200), 64)):
+        jordan = propagate(J, np.array([0.0, 1.0]), grid)
+        assert (jordan.params["method"], jordan.params["block_steps"]) == ("dense", block_steps)
+        np.testing.assert_allclose(jordan.norm_t, np.hypot(1.0, grid.times), atol=1e-10)
 
 
 def test_propagate_peak_memory_below_one_dense_copy():
@@ -306,6 +350,9 @@ def test_time_grid_rejects_non_finite():
     for t_max in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="t_max"):
             TimeGrid(t_max=t_max, n_steps=8)
+    with pytest.raises(ValueError, match="n_steps"):
+        TimeGrid(t_max=10.0, n_steps=100.5)
+    assert TimeGrid(t_max=10.0, n_steps=np.int64(50)).dt == 0.2
 
 
 def test_filter_response_bare_cavity():
