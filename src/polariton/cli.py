@@ -306,6 +306,11 @@ def _task_rate(cfg: RunConfig, out_dir: Path):
             raise ConfigError(f"dark_index {dark} out of range 0..{evals.size - 1}")
     else:
         dark = int(np.argmin(weights))
+    if weights[dark] >= DARK_PHOTON_WEIGHT:
+        raise ConfigError(
+            f"eigenstate {dark} has photonic weight {weights[dark]:.3e} >= "
+            f"{DARK_PHOTON_WEIGHT:g}; not a dark state"
+        )
     result = radiative_pumping_rate(vs, cfg.cavity, dark)
     path = out_dir / "rate.json"
     write_rate_json(path, result, header=_header(cfg, vs))
@@ -343,6 +348,8 @@ def _task_densities(cfg: RunConfig, out_dir: Path):
     paths = []
     for label in labels:
         idx = _select_eigenstate(label, evals, weights)
+        if weights[idx] > 1.0 - 1e-12:
+            raise ConfigError(f"eigenstate {idx} has no excited-sector weight")
         name = label if label in ("lp", "dark") else f"state{idx}"
         densities = dyn.dark_state_density(vs, cfg.cavity, idx)
         for nu, dens in enumerate(densities, start=1):

@@ -12,31 +12,31 @@ This module builds
   * the (m+1) x (m+1) zeroth block H0 (photon + singly-excited states),
   * the arrowhead A1 shared by its quasi = 1 sub-blocks H1k = A1 + omega_g[k] I
     (coupling g*sqrt(N-1)) and the single-molecule coupling matrices v0k,
-  * the truncated block Hamiltonian at any order q_max from the generic
-    second-quantized mapping (the hand-written forms above are regression
-    fixtures, not the source of truth),
-  * the zero-temperature high-excitation ladder (blocks indexed by photon
-    number at quasi = 0).
+  * one bosonized assembler (reservoir eliminated, every element smooth in
+    1/N) behind the truncated block Hamiltonian at any order q_max and the
+    zero-temperature high-excitation ladder (quasi = 0, blocks indexed by
+    photon number).  The hand-written forms above are regression fixtures,
+    and fockspace.map_operator is the generic reference.
 
 Both assemblers return a BlockHamiltonian with four fields: the whole
 matrix as one real sparse CSR `matrix`, block `offsets` (block q spans
 offsets[q]:offsets[q + 1]), the photon number of every state and, for
 finite-N truncations, the SymBasis.  No dense copy is made.
 
-N = infinity is a first-class sentinel (math.inf): inter-block couplings
-vanish identically and collective factors sqrt(N - q)/sqrt(N) become 1.
+N = infinity is a first-class sentinel (math.inf), simply 1/N = 0: the
+single-molecule g and every inter-block coupling vanish, reservoir factors are 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, islice
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionGuardError
-from .fockspace import SymBasis, _compositions_desc, enumerate_basis, map_operator
+from .fockspace import BASIS_SIZE_CAP, SymBasis, SymState, enumerate_basis
 from .vibronic import VibronicStructure
 
 HERMITICITY_TOL = 1e-12
@@ -175,69 +175,81 @@ def build_v0k(vs: VibronicStructure, cav: CavityParams, k: int) -> np.ndarray:
 
 
 def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis) -> sp.csr_matrix:
-    """Full second-quantized Hamiltonian on a symmetric basis.
+    """Bosonized Hamiltonian on a symmetric basis, smooth in 1/N.
 
-    omega_c a+a + sum_i omega_g_i b+_i b_i + sum_i omega_e_i B+_i B_i
-    + g sum_ij fc[i, j] (B+_i b_j a + h.c.), assembled from the generic
-    one-body mapping with exact bosonic factors.  Truncation to the basis
-    (quasi <= q_max) happens by dropping out-of-basis targets.
+    The vibrational-ground-state reservoir g_1 is eliminated (Holstein-
+    Primakoff): no amplitude reads its occupation n_g[0].  Diagonal: omega_c
+    n_ph + sum_{k>1} omega_g[k] n_g[k] + sum_i omega_e[i] n_e[i].  Absorbing
+    the photon, g_1 -> e_i carries g_sqrt_n sqrt(1 - n_out/N) fc[i, 0]
+    sqrt(n_e[i] + 1) sqrt(n_ph) (n_out: molecules outside the reservoir) and
+    g_k -> e_i, k > 1, carries g sqrt(n_g[k]) in its place.  Conjugates are
+    the transpose; out-of-basis targets (quasi > q_max) are dropped.
     """
-    if cav.is_infinite:
-        raise ValueError("occupation-number assembly needs finite N; use the N=inf builders")
     m = vs.m
-    diag_matter = np.diag(np.concatenate([vs.omega_g, vs.omega_e]))
-    H = map_operator(diag_matter, basis)
-    H += sp.diags([cav.omega_c * s.n_ph for s in basis.states], format="csr", dtype=complex)
-    raise_op = np.zeros((2 * m, 2 * m))
-    raise_op[m:, :m] = vs.fc
-    M = cav.g * map_operator(raise_op, basis, photon_shift=-1)
-    H = H + M + M.conj().T.tocsr()
-    H.sum_duplicates()
-    H.sort_indices()
-    return H
+    w, fc = np.concatenate([vs.omega_g, vs.omega_e]).tolist(), vs.fc.T.tolist()
+    inv_n = 0.0 if cav.is_infinite else 1.0 / cav.n_molecules
+    diag, rows, cols, vals = [], [], [], []
+    for src, s in enumerate(basis.states):
+        # occupied modes outside the reservoir: g_2..g_m, then e_1..e_m
+        matter = s.matter
+        occ = [(k, matter[k]) for k in compress(range(1, 2 * m), islice(matter, 1, None))]
+        diag.append(cav.omega_c * s.n_ph + sum(w[k] * n for k, n in occ))
+        if s.n_ph == 0:
+            continue
+        n_out = sum(n for _, n in occ)
+        hops = [(0, cav.g_sqrt_n * math.sqrt(1.0 - n_out * inv_n))]
+        hops += [(k, cav.g * math.sqrt(n)) for k, n in occ if k < m]
+        ph = math.sqrt(s.n_ph)
+        for k, amp in hops:
+            n_g = s.n_g[:k] + (s.n_g[k] - 1,) + s.n_g[k + 1 :]
+            for i in range(m):
+                n_e = s.n_e[:i] + (s.n_e[i] + 1,) + s.n_e[i + 1 :]
+                tgt = basis.index.get(SymState(n_g, n_e, s.n_ph - 1))
+                if tgt is not None:
+                    rows.append(tgt)
+                    cols.append(src)
+                    vals.append(amp * fc[k][i] * math.sqrt(n_e[i]) * ph)
+    M = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    return (sp.diags(diag) + M + M.T).tocsr()
+
+
+def _assemble(vs: VibronicStructure, cav: CavityParams, n_exc: int, q_max: int, size_cap: int):
+    """Basis and Hamiltonian of the n_exc manifold at quasi <= q_max.
+
+    Outside the reservoir the state list is the same for every
+    N >= n_exc + q_max, so N = infinity enumerates at that N.
+    """
+    N = n_exc + q_max if cav.is_infinite else cav.n_molecules
+    basis = enumerate_basis(N, n_exc, vs.m, q_max, size_cap)
+    H = hamiltonian_matrix(vs, cav, basis)
+    defect = abs(H - H.T).max()
+    if defect > HERMITICITY_TOL:
+        raise RuntimeError(f"assembled Hamiltonian not Hermitian: defect {defect:.3e}")
+    return basis, H
 
 
 def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> BlockHamiltonian:
     """Truncated block Hamiltonian at CUT-E order q_max (first excitation manifold).
 
-    Finite N: enumerate the quasi <= q_max basis and keep the mapped sparse
+    Enumerate the quasi <= q_max basis and keep the assembled sparse
     Hamiltonian as is.  Order 0 keeps collective coupling only; order 1
     admits one action pair of the single-molecule coupling, and so on.
 
-    N = infinity: only q_max = 0 is assembled (the single block H0).  The
-    q >= 1 blocks are decoupled shifted copies of H0 that no photon-initial
-    state reaches, so higher orders raise ValueError.
+    N = infinity: only q_max = 0 is assembled (the single block H0) and no
+    basis is returned.  The q >= 1 blocks are decoupled shifted copies of H0
+    that no photon-initial state reaches, so higher orders raise ValueError.
     """
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
-    m = vs.m
-
-    if cav.is_infinite:
-        if q_max > 0:
-            raise ValueError(
-                f"at N = infinity only q_max = 0 couples to the photon, got q_max = {q_max}"
-            )
-        photon_numbers = np.zeros(m + 1, dtype=int)
-        photon_numbers[0] = 1
-        return BlockHamiltonian(
-            matrix=sp.csr_matrix(build_H0(vs, cav)),
-            offsets=np.array([0, m + 1]),
-            photon_numbers=photon_numbers,
-        )
-
-    N = int(cav.n_molecules)
-    q_eff = min(q_max, N)
-    basis = enumerate_basis(N, 1, m, q_eff)
-    H = hamiltonian_matrix(vs, cav, basis).real
-    defect = abs(H - H.T).max()
-    if defect > HERMITICITY_TOL:
-        raise RuntimeError(f"assembled Hamiltonian not Hermitian: defect {defect:.3e}")
-
+    if cav.is_infinite and q_max > 0:
+        raise ValueError(f"at N = infinity only q_max = 0 couples to the photon, got {q_max}")
+    q_eff = min(q_max, cav.n_molecules)
+    basis, H = _assemble(vs, cav, 1, q_eff, BASIS_SIZE_CAP)
     return BlockHamiltonian(
         matrix=H,
         offsets=np.array([basis.block_slice(q).start for q in range(q_eff + 1)] + [basis.dim]),
         photon_numbers=basis.photon_numbers(),
-        basis=basis,
+        basis=None if cav.is_infinite else basis,
     )
 
 
@@ -251,56 +263,14 @@ def assemble_high_excitation(
     the m excited vibronic states.  Blocks are indexed by descending photon
     number (i = N_exc first); the collective coupling between neighbouring
     blocks carries the photon factor sqrt(i), the matter factor
-    sqrt(n_e + 1) and, at finite N, the occupation factor
-    sqrt((N - n_exc_matter)/N) which tends to 1 as N -> infinity.
+    sqrt(n_e + 1) and the reservoir factor sqrt(1 - (N_exc - i)/N), which is
+    1 at N = infinity.
     """
     if n_exc < 1:
         raise ValueError(f"n_exc must be >= 1, got {n_exc}")
-    m = vs.m
-    N = cav.n_molecules
-    if not cav.is_infinite and N < n_exc:
-        raise ValueError(f"need N >= N_exc, got N={N}, N_exc={n_exc}")
-
-    sector_states = []
-    for i in range(n_exc, -1, -1):
-        confs = list(_compositions_desc(n_exc - i, m))
-        sector_states.append([(i, conf) for conf in confs])
-        if sum(len(s) for s in sector_states) > size_cap:
-            raise DimensionGuardError(f"high-excitation basis exceeds cap {size_cap}")
-
-    offsets = np.cumsum([0] + [len(sector) for sector in sector_states])
-    diag = [
-        cav.omega_c * i + float(np.dot(conf, vs.omega_e))
-        for sector in sector_states
-        for i, conf in sector
-    ]
-    rows, cols, vals = [], [], []
-    for p in range(n_exc):
-        upper = sector_states[p]      # i photons
-        lower = sector_states[p + 1]  # i - 1 photons, one more excited molecule
-        lower_index = {conf: offsets[p + 1] + a for a, (_, conf) in enumerate(lower)}
-        for b, (i, conf) in enumerate(upper):
-            n_matter = n_exc - i
-            if cav.is_infinite:
-                occ_fac = 1.0
-            else:
-                occ_fac = math.sqrt((N - n_matter) / N)
-            for j in range(m):
-                tgt = list(conf)
-                tgt[j] += 1
-                a = lower_index.get(tuple(tgt))
-                if a is None:
-                    continue
-                rows.append(offsets[p] + b)
-                cols.append(a)
-                vals.append(
-                    cav.g_sqrt_n * vs.fc[j, 0] * math.sqrt(i) * math.sqrt(conf[j] + 1) * occ_fac
-                )
-    dim = int(offsets[-1])
-    V = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    H = (sp.diags(diag) + V + V.T).tocsr()
-    photon_numbers = np.concatenate(
-        [np.full(len(sector), sector[0][0] if sector else 0) for sector in sector_states]
-    )
-    return BlockHamiltonian(matrix=H, offsets=offsets, photon_numbers=photon_numbers)
-
+    if not cav.is_infinite and cav.n_molecules < n_exc:
+        raise ValueError(f"need N >= N_exc, got N={cav.n_molecules}, N_exc={n_exc}")
+    basis, H = _assemble(vs, cav, n_exc, 0, size_cap)
+    n_ph = basis.photon_numbers()
+    offsets = np.r_[0, np.flatnonzero(np.diff(n_ph)) + 1, basis.dim]  # photon sectors
+    return BlockHamiltonian(matrix=H, offsets=offsets, photon_numbers=n_ph)

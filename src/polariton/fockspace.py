@@ -16,6 +16,11 @@ molecules
 is conserved by the collective part of the Hamiltonian and changed by +-1 by
 the single-molecule coupling, which makes the Hamiltonian block-tridiagonal
 in quasi and motivates truncating the basis at quasi <= q_max.
+
+map_operator second-quantizes any one-body operator directly from the
+occupations, the reservoir included.  The Hamiltonian itself is assembled in
+bosonized form by cute.hamiltonian_matrix; map_operator is the generic
+reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionGuardError
+
+BASIS_SIZE_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ def _compositions_desc(total: int, slots: int):
 
 
 def enumerate_basis(
-    N: int, N_exc: int, m: int, q_max: int, size_cap: int = 500_000
+    N: int, N_exc: int, m: int, q_max: int, size_cap: int = BASIS_SIZE_CAP
 ) -> SymBasis:
     """Enumerate all states with quasi <= q_max at fixed (N, N_exc).
 

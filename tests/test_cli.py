@@ -67,11 +67,17 @@ def test_parse_valid_spectrum_config(tmp_path):
         ("densities", "inf", "method = infinite\neigenstate = -1", None,
          "eigenstate index -1 out of range"),
         ("spectrum", "-inf", "method = infinite", None, "n_molecules"),
+        ("rate", "8", "dark_index = 0", None, "not a dark state"),
+        ("densities", "inf", "method = infinite\neigenstate = lp",
+         ("g_sqrt_n = 0.02", "g_sqrt_n = 0"), "no excited-sector weight"),
+        ("densities", "inf", "method = infinite\neigenstate = 1",
+         ("g_sqrt_n = 0.02", "g_sqrt_n = 0"), "no excited-sector weight"),
     ],
     ids=["unknown_key", "omega_min_abc", "dark_index_x", "cuteq_negative", "omega_c_nan",
          "t_max_nan", "omega_min_above_max", "omega_above_nyquist", "window_hann",
          "dark_index_99", "dark_index_negative", "eigenstate_999", "eigenstate_negative",
-         "n_molecules_neg_inf"],
+         "n_molecules_neg_inf", "dark_index_bright", "eigenstate_lp_uncoupled",
+         "eigenstate_photon_uncoupled"],
 )
 def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
     path = write_cfg(tmp_path, task, n=n, extra=extra)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,9 @@ from polariton.cute import (
     build_v0k,
     hamiltonian_matrix,
 )
+from polariton.dynamics import TimeGrid, propagate
 from polariton.errors import DimensionGuardError
-from polariton.fockspace import SymState, conserved_check, enumerate_basis
+from polariton.fockspace import SymState, conserved_check, enumerate_basis, map_operator
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
 
 INF = float("inf")
@@ -242,6 +244,18 @@ def test_assemble_full_matches_map_operator_path(case):
     basis = enumerate_basis(cav.n_molecules, 1, vs.m, q_max)
     H = bh.matrix
     np.testing.assert_array_equal(H.toarray(), hamiltonian_matrix(vs, cav, basis).toarray().real)
+    # reference pin: the generic one-body mapping of the same Hamiltonian,
+    # which reads the reservoir occupation directly
+    m = vs.m
+    raise_op = np.zeros((2 * m, 2 * m))
+    raise_op[m:, :m] = vs.fc
+    R = map_operator(raise_op, basis, photon_shift=-1)
+    ref = (
+        map_operator(np.diag(np.concatenate([vs.omega_g, vs.omega_e])), basis)
+        + sp.diags(cav.omega_c * basis.photon_numbers())
+        + cav.g * (R + R.T)
+    ).real
+    assert abs(H - ref).max() <= 1e-15 * abs(ref).max()
     assert abs(H - H.T).max() <= 1e-12
     assert conserved_check(basis, H) == []
     spans = [slice(a, b) for a, b in zip(bh.offsets[:-1], bh.offsets[1:])]
@@ -320,19 +334,59 @@ def test_high_excitation_two_photon_ladder():
     assert list(bh.offsets) == [0, 1, 2, 3]
 
 
-def test_high_excitation_matches_oracle_q0_restriction():
+@pytest.mark.parametrize("N,n_exc", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_high_excitation_matches_oracle_q0_restriction(N, n_exc):
     # At finite N the construction must agree with the q = 0 sector of the
-    # brute-force Hamiltonian in the N_exc = 2 manifold.
+    # brute-force Hamiltonian in the N_exc manifold.
     from polariton.oracle import build_full_H, symmetrizer
 
     vs = vibronic_fixture(n_max=1, s=0.5)
-    cav = CavityParams(omega_c=0.105, g_sqrt_n=0.02, n_molecules=2)
-    bh = assemble_high_excitation(vs, cav, 2)
-    H, tb = build_full_H(vs, cav, 2, 2)
-    sym = enumerate_basis(2, 2, vs.m, q_max=0)
+    cav = CavityParams(omega_c=0.105, g_sqrt_n=0.02, n_molecules=N)
+    bh = assemble_high_excitation(vs, cav, n_exc)
+    H, tb = build_full_H(vs, cav, N, n_exc)
+    sym = enumerate_basis(N, n_exc, vs.m, q_max=0)
     T = symmetrizer(tb, sym)
     H_sym = (T.conj().T @ (H @ T)).toarray().real
     np.testing.assert_allclose(bh.matrix.toarray(), H_sym, atol=1e-13)
+
+
+def test_high_excitation_finite_N_is_first_order_in_one_over_N():
+    # every element is a smooth function of 1/N, so the distance to the
+    # N = inf ladder falls off exactly as 1/N
+    vs = vibronic_fixture(n_max=2, s=1.0)
+    H_inf = assemble_high_excitation(vs, CavityParams(0.11, 0.02, INF), 3).matrix
+    scaled = [
+        N * abs(assemble_high_excitation(vs, CavityParams(0.11, 0.02, N), 3).matrix - H_inf).max()
+        for N in (10**3, 10**4, 10**5)
+    ]
+    assert scaled[0] > 0
+    np.testing.assert_allclose(scaled, scaled[0], rtol=0.01)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    s=st.floats(0.0, 2.0),
+    omega=st.floats(0.005, 0.02),
+    n_max=st.integers(0, 3),
+    g_sqrt_n=st.floats(0.0, 0.05),
+    kappa=st.floats(0.0, 0.01),
+)
+def test_high_excitation_photon_survival_factorises_at_infinite_N(s, omega, n_max, g_sqrt_n, kappa):
+    # At N = inf the N_exc manifold holds N_exc free bosons of one quadratic
+    # (leaky) Hamiltonian, so the n-photon survival amplitude is c_1(t)^n.
+    vs = vibronic_fixture(s=s, omega=omega, n_max=n_max)
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=g_sqrt_n, n_molecules=INF, kappa=kappa)
+    grid = TimeGrid(t_max=400.0, n_steps=200)
+
+    def survival(n):
+        bh = assemble_high_excitation(vs, cav, n)
+        psi0 = np.zeros(bh.dim)
+        psi0[0] = 1.0  # all n quanta in the photon
+        return propagate(bh.matrix, psi0, grid, kappa=kappa, n_ph=bh.photon_numbers).c_t
+
+    c1 = survival(1)
+    for n in (2, 3):
+        np.testing.assert_allclose(survival(n), c1**n, rtol=0, atol=1e-12)
 
 
 def test_high_excitation_conserves_photon_steps():
