@@ -243,16 +243,20 @@ def _header(cfg: RunConfig, vs: VibronicStructure, extra: dict | None = None) ->
     return out
 
 
-def _survival_for_method(cfg: RunConfig, vs: VibronicStructure):
-    """Photon-state survival amplitude under the configured method."""
+def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, bh=None):
+    """Photon-state survival amplitude under the configured method.
+
+    A cuteq method propagates bh, its truncation, when the caller has
+    already assembled it.
+    """
     cav = cfg.cavity
     kind, q = _parse_method(cfg.method, cav.n_molecules)
     if kind == "infinite":
         traj = dyn.photon_survival(vs, cav, cfg.grid)
         dim = vs.m + 1
     elif kind == "cuteq":
-        q = min(q, int(cav.n_molecules))
-        bh = assemble_truncated(vs, cav, q_max=q)
+        if bh is None:
+            bh = assemble_truncated(vs, cav, q_max=min(q, int(cav.n_molecules)))
         psi0 = np.zeros(bh.dim, dtype=complex)
         psi0[0] = 1.0
         traj = dyn.propagate(bh.matrix, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
@@ -264,7 +268,7 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure):
         traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid)
         dim = traj.params["dim"]
     extra = {"derived.dim": dim, "derived.method": traj.params["method"]}
-    for key in ("block_steps", "taylor_degree", "taylor_substeps"):
+    for key in ("krylov_dim", "block_steps", "substeps"):
         if key in traj.params:
             extra[f"derived.{key}"] = traj.params[key]
     return traj, extra
@@ -382,7 +386,7 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
     dev_H = float(abs(H_sym - bh.matrix).max())
 
     traj_oracle, _ = _survival_for_method(replace(cfg, method="oracle"), vs)
-    traj_cute, _ = _survival_for_method(replace(cfg, method="exactN"), vs)
+    traj_cute, _ = _survival_for_method(replace(cfg, method="exactN"), vs, bh)
     dev_c = float(np.max(np.abs(traj_oracle.c_t - traj_cute.c_t)))
 
     dev = max(dev_H, dev_c)

@@ -4,13 +4,16 @@ Cavity leakage enters as a non-Hermitian term -i (kappa/2) * n_ph added to
 the Hamiltonian (in the first excitation manifold this reproduces the
 quantum-jump description of survival amplitudes, and linewidths are all the
 absorption spectrum needs).  propagate takes a dense array or a sparse
-matrix such as BlockHamiltonian.matrix and steps it over the uniform grid
-in one loop: up to DENSE_DIM_LIMIT with a dense step operator
-exp(-i H dt) formed once by scaling and squaring, beyond that with
-fixed-degree Taylor steps chosen once per propagation (a Krylov polynomial
-in the sparse matrix, which is never densified).  On a dense grid of
-n_t >= 16 dim samples the loop advances 64 grid times per matrix-matrix
-product with a second step operator exp(-i H 64 dt).  No states are stored
+matrix such as BlockHamiltonian.matrix and steps psi0 over the uniform grid
+in one loop, window by window: up to DENSE_DIM_LIMIT with a dense step
+operator exp(-i H dt) formed once, which on a dense grid of n_t >= 16 dim
+samples advances 64 grid times per matrix-matrix product with a second
+step operator exp(-i H 64 dt); beyond the limit with one Arnoldi basis of
+KRYLOV_DIM vectors per window of grid steps, the window chosen once per
+propagation from Saad's error bound, so the sparse matrix is never
+densified.  Every matrix exponential, from the dense step operators down to
+the small exponentials of the Krylov windows, is one truncated Taylor
+series applied to the identity, scaled and squared.  No states are stored
 unless asked for.  spectrum evaluates the discrete transform on any uniform
 frequency grid, the default FFT bins included, through one Bluestein
 chirp-z transform.
@@ -23,13 +26,14 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .cute import CavityParams, build_H0
 from .vibronic import VibronicStructure, ho_wavefunctions
 
 DENSE_DIM_LIMIT = 512
+# vectors per Arnoldi basis of the sparse path; its window follows from Saad's bound
+KRYLOV_DIM = 30
 
 
 @dataclass(frozen=True)
@@ -114,18 +118,19 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under H (plus optional photon leakage) over the grid.
 
-    Every step applies the same U = exp(-i H_eff dt).  Up to
-    DENSE_DIM_LIMIT U is a dense matrix formed once (scipy expm, scaling
-    and squaring); once n_t >= 16 dim samples repay a second expm, U fills
-    the first w = min(64, n_t) states and exp(-i H_eff w dt) advances each
-    block of w states in one matrix-matrix product.  Above the limit each
-    step applies fixed-degree Taylor steps chosen once per propagation to
-    the sparse matrix (see _taylor_stepper).  Neither needs an eigenbasis,
-    so defective generators step exactly.  traj.params['method'] records
-    'dense' (with w as 'block_steps') or 'krylov' (with the series'
-    'taylor_degree' and 'taylor_substeps').  States are stored only with
-    keep_states.  Non-finite psi0, kappa or H raise ValueError before any
-    step.
+    Up to DENSE_DIM_LIMIT every step applies the same dense
+    U = exp(-i H_eff dt); once n_t >= 16 dim samples repay a second
+    exponential, U fills the first w = min(64, n_t) states and
+    exp(-i H_eff w dt) advances each block of w states in one
+    matrix-matrix product.  Above the limit one Arnoldi basis of the sparse
+    matrix advances a window of grid steps (see _propagate_krylov).  Every
+    matrix exponential is _expm, the Taylor series of _taylor_stepper
+    applied to the identity, and neither path needs an eigenbasis, so
+    defective generators step exactly.  traj.params['method'] records
+    'dense' (with w as 'block_steps') or 'krylov' (with the basis size
+    'krylov_dim', the grid steps per basis 'block_steps' and the bases per
+    grid step 'substeps').  States are stored only with keep_states.
+    Non-finite psi0, kappa or H raise ValueError before any step.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
@@ -141,15 +146,15 @@ def propagate(
     if dim <= DENSE_DIM_LIMIT:
         method = "dense"
         dense = H_eff.toarray() if sp.issparse(H_eff) else H_eff
-        U = sla.expm(-1j * grid.dt * dense)
+        U = _expm(-1j * grid.dt * dense)
         nt = grid.n_steps + 1
         w = min(64, nt) if nt >= 16 * dim else 1
         first = [psi0]
         for _ in range(w - 1):
-            first.append(U.dot(first[-1]))
+            first.append(U @ first[-1])
         if 1 < w < nt:  # formed directly: backward stable where squaring U is not
-            U = sla.expm(-1j * (w * grid.dt) * dense)
-        traj = _step(U.dot, np.stack(first, axis=1), grid, keep_states)
+            U = _expm(-1j * (w * grid.dt) * dense)
+        traj = _step(_blocks(U, np.stack(first, axis=1), nt), psi0, grid, keep_states)
         traj.params["block_steps"] = w
     else:
         method = "krylov"
@@ -165,17 +170,120 @@ def transition_amplitudes(H_eff, psi0, bra, grid: TimeGrid):
     """<psi0|psi(t)> and <bra|psi(t)>, psi(t) = exp(-i H_eff t) psi0, on the grid.
 
     H_eff is used as given (leakage included) at any dimension, stepped by
-    the fixed-degree Taylor series of _taylor_stepper; no state is stored.
+    the Arnoldi windows of _propagate_krylov; no state is stored.
     """
     traj = _propagate_krylov(H_eff, psi0, grid, keep_states=False, bra=bra)
     return traj.c_t, traj.bra_t
 
 
+def _blocks(U, block, nt):
+    """The dense path's windows: block, U block, U^2 block, ... up to n_t states."""
+    w = block.shape[1]
+    for n in range(0, nt, w):
+        if n:
+            block = U @ block
+        yield n, None, block[:, : nt - n]
+
+
 def _propagate_krylov(H_eff, psi0, grid, keep_states, bra=None) -> Trajectory:
-    advance, degree, substeps = _taylor_stepper(-1j * grid.dt * H_eff)
-    traj = _step(advance, psi0, grid, keep_states, bra)
-    traj.params.update({"taylor_degree": degree, "taylor_substeps": substeps})
+    """Step psi0 by Arnoldi bases of the sparse H_eff, a window of grid steps each.
+
+    With the trace shift mu = tr(H_eff)/dim and A = -i dt (H_eff - mu I),
+    each window builds a basis V of k = min(KRYLOV_DIM, dim) vectors from
+    the current state psi and steps the k x k projection H of A by
+    E = exp(H / s) e^(-i mu dt / s): y_j = E^j ||psi|| e_1 stands for the
+    state V^T y_j (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The window
+    of W grid steps and the s substeps per grid step are chosen once: the
+    largest W with Saad's error bound 2 (rho W)^k e^(rho W) / k! <= 2^-53,
+    where rho = max(||A||_1, ||A||_inf) >= ||A||_2, else W = 1 and the
+    smallest s that meets the bound with rho / s, one basis per substep.
+    An invariant basis (dim <= k, or a happy breakdown) is exact, so it
+    covers the rest of the grid and no bound is applied.  Amplitudes and
+    norms come from the k-vectors y_j; the full state is formed once per
+    window.
+    """
+    dim = psi0.size
+    H_eff = sp.csr_matrix(H_eff, dtype=complex)
+    mu = H_eff.diagonal().sum() / dim
+    A = -1j * grid.dt * (H_eff - mu * sp.identity(dim, format="csr"))
+    rho = max(abs(A).sum(axis=0).max(), abs(A).sum(axis=1).max())
+    if not math.isfinite(rho):
+        raise ValueError(f"generator must be finite, got max(||A||_1, ||A||_inf) = {rho}")
+    k = min(KRYLOV_DIM, dim)
+    reach = _krylov_reach(k) if dim > k else math.inf
+    width, substeps = grid.n_steps, 1
+    if rho * grid.n_steps > reach:
+        if rho <= reach:
+            width = int(reach / rho)
+        else:
+            width, substeps = 1, math.ceil(rho / reach)
+    phase = np.exp(-1j * grid.dt * mu / substeps)  # E carries the trace shift
+
+    def windows(psi):
+        yield 0, None, psi[:, None]
+        total, done = grid.n_steps * substeps, 0
+        while done < total:
+            V, H, beta, exact = _arnoldi(A, psi, k, 2.0**-53 * rho)
+            span = total - done if exact else min(width, total - done)
+            E = _expm(H / substeps) * phase
+            Y = np.empty((len(H), span), dtype=complex)
+            y = np.zeros(len(H), dtype=complex)
+            y[0] = beta
+            for j in range(span):
+                y = E @ y
+                Y[:, j] = y
+            psi = y @ V
+            start, done = done, done + span
+            # column j is substep start + j + 1; grid times are its multiples of s
+            first = -(start + 1) % substeps
+            if first < span:
+                yield (start + first + 1) // substeps, V, Y[:, first::substeps]
+
+    traj = _step(windows(psi0), psi0, grid, keep_states, bra)
+    traj.params.update({"krylov_dim": k, "block_steps": width, "substeps": substeps})
     return traj
+
+
+def _krylov_reach(k):
+    """The x with 2 x^k e^x / k! = 2^-53, by fixed-point iteration.
+
+    Saad's bound on the error of the k-dimensional Arnoldi approximation of
+    exp(A) v, ||v|| = 1, holds at unit roundoff for ||A||_2 <= x.
+    """
+    log_bound = math.lgamma(k + 1) - 54 * math.log(2.0)  # of x^k e^x
+    x = 0.0
+    for _ in range(50):  # contracts by x / k <= 0.11 for k <= 30
+        x = math.exp((log_bound - x) / k)
+    return x
+
+
+def _arnoldi(A, psi, k, tol):
+    """(V, H, ||psi||, exact): the Arnoldi basis of A from psi.
+
+    The rows of V are an orthonormal basis of span{psi, A psi, ...} and
+    H = conj(V) A V^T is its upper Hessenberg projection, built by classical
+    Gram-Schmidt applied twice.  V has k rows unless a residual falls to
+    tol or the basis fills the space: then the space is invariant and
+    exact is True.
+    """
+    n = psi.size
+    V = np.empty((k, n), dtype=complex)
+    H = np.zeros((k, k), dtype=complex)
+    beta = np.linalg.norm(psi)
+    V[0] = psi / beta if beta else psi  # a state decayed to 0 stays 0
+    for j in range(k):
+        w = A @ V[j]
+        for _ in range(2):
+            h = np.conj(V[: j + 1] @ w.conj())
+            w -= h @ V[: j + 1]
+            H[: j + 1, j] += h
+        r = np.linalg.norm(w)
+        if j + 1 == n or r <= tol:
+            return V[: j + 1], H[: j + 1, : j + 1], beta, True
+        if j + 1 < k:
+            V[j + 1] = w / r
+            H[j + 1, j] = r
+    return V, H, beta, False
 
 
 # theta_m: the largest ||A||_1 for which the degree-m truncated Taylor series
@@ -192,22 +300,43 @@ _TAYLOR_THETA = {
 }
 
 
-def _taylor_stepper(A):
-    """b -> exp(A) b by one truncated Taylor series fixed for every call.
+def _expm(A):
+    """exp(A) of a dense matrix by scaling and squaring.
 
-    With the trace shift mu = tr(A)/n and the exact norm ||A - mu I||_1, the
-    degree m and the substep count s = ceil(||A - mu I||_1 / theta_m) are
-    chosen once to minimise the m s matvecs per call.  Each call applies s
-    substeps of the degree-m series of (A - mu I)/s to the sparse matrix,
-    each ending early once two successive terms fall below the unit
-    roundoff of the partial sum, and scaled by e^{mu/s} (Al-Mohy and Higham
-    2011, Algorithm 3.2).  Returns (advance, m, s); A = 0 gives m = 0.
+    The series of _taylor_stepper for A / 2^j is applied to the identity
+    and squared j times, j the fewest halvings that bring ||A - mu I||_1
+    below theta_13: about 13 + j matrix products, where the series' own
+    substeps would take up to 13 2^j (Higham, SIAM J. Matrix Anal. Appl.
+    26, 1179 (2005)).
+    """
+    n = len(A)
+    norm = np.abs(A - np.trace(A) / n * np.eye(n)).sum(axis=0).max()
+    j = max(0, math.frexp(norm / _TAYLOR_THETA[13])[1])
+    E = _taylor_stepper(A / 2**j)[0](np.eye(n))
+    for _ in range(j):
+        E = E @ E
+    return E
+
+
+def _taylor_stepper(A):
+    """B -> exp(A) B by one truncated Taylor series fixed for every call.
+
+    With the trace shift mu = tr(A)/n and the exact norm ||A - mu I||_1 of
+    the dense matrix A, the degree m and the substep count
+    s = ceil(||A - mu I||_1 / theta_m) are chosen once to minimise the m s
+    products per call.  Each call applies s substeps of the degree-m series
+    of (A - mu I)/s, each ending early once two successive terms fall below
+    the unit roundoff of the partial sum, and scaled by e^{mu/s} (Al-Mohy
+    and Higham 2011, Algorithm 3.2).  Applied to the identity, with
+    scaling and squaring in _expm, it is the package's one matrix
+    exponential: the dense path's step operators and the window
+    exponentials of the Krylov path.  Returns (advance, m, s); A = 0 gives
+    m = 0.
     """
     n = A.shape[0]
-    A = sp.csr_matrix(A)
-    mu = A.diagonal().sum() / n
-    A = A - mu * sp.identity(n, format="csr")
-    norm = abs(A).sum(axis=0).max()
+    mu = np.trace(A) / n
+    A = A - mu * np.eye(n)
+    norm = np.abs(A).sum(axis=0).max()
     if not math.isfinite(norm):
         raise ValueError(f"generator must be finite, got ||A - mu I||_1 = {norm}")
     degree, substeps = 0, 1
@@ -225,7 +354,7 @@ def _taylor_stepper(A):
             f = b
             c1 = np.abs(b).max()
             for j in range(1, degree + 1):
-                b = A.dot(b)
+                b = A @ b
                 b /= j
                 c2 = np.abs(b).max()
                 f = f + b
@@ -238,33 +367,27 @@ def _taylor_stepper(A):
     return advance, degree, substeps
 
 
-def _step(advance, block, grid, keep_states, bra=None) -> Trajectory:
+def _step(windows, psi0, grid, keep_states, bra=None) -> Trajectory:
     """Record <psi0|psi>, ||psi|| (psi, <bra|psi>) at each grid time.
 
-    block holds the states at the first w grid times as columns, psi0 first,
-    or psi0 alone as a vector (w = 1; a Taylor series steps a vector faster
-    than a column); advance maps the block at times n..n+w-1 to n+w..n+2w-1.
+    windows yields (n, V, Y) in grid order: the states at grid times n,
+    n + 1, ... are the columns of Y (V None) or of V^T Y, where V has
+    orthonormal rows (a Krylov basis).  Amplitudes and norms are then taken
+    from the short columns of Y, and states are formed only to be stored.
     """
     nt = grid.n_steps + 1
-    dim = block.shape[0]
-    w = block.size // dim
-    bra0 = block.reshape(dim, w)[:, 0].conj()
-    c_t = np.empty(nt, dtype=complex)
     norm_t = np.empty(nt)
-    states = np.empty((nt, dim), dtype=complex) if keep_states else None
-    bra_t = None if bra is None else np.empty(nt, dtype=complex)
-    bra = None if bra is None else np.conj(bra)
-    for n in range(0, nt, w):
-        if n > 0:
-            block = advance(block)
-        P = block.reshape(dim, w)[:, : nt - n]
-        c_t[n : n + w] = bra0 @ P
-        norm_t[n : n + w] = np.sqrt(np.vecdot(P, P, axis=0).real)
+    states = np.empty((nt, psi0.size), dtype=complex) if keep_states else None
+    bras = np.conj([psi0] if bra is None else [psi0, bra])
+    amps = np.empty((len(bras), nt), dtype=complex)
+    for n, V, Y in windows:
+        span = slice(n, n + Y.shape[1])
+        amps[:, span] = (bras if V is None else bras @ V.T) @ Y
+        norm_t[span] = np.sqrt(np.vecdot(Y, Y, axis=0).real)
         if states is not None:
-            states[n : n + w] = P.T
-        if bra_t is not None:
-            bra_t[n : n + w] = bra @ P
-    return Trajectory(grid=grid, c_t=c_t, norm_t=norm_t, states=states, bra_t=bra_t)
+            states[span] = (Y if V is None else V.T @ Y).T
+    bra_t = None if bra is None else amps[1]
+    return Trajectory(grid=grid, c_t=amps[0], norm_t=norm_t, states=states, bra_t=bra_t)
 
 
 def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) -> Trajectory:
@@ -384,7 +507,7 @@ def pole_decomposition(H_eff):
         return evals.astype(complex), weights.astype(complex)
     if not np.allclose(H_eff, H_eff.T, atol=1e-12):
         raise ValueError("pole decomposition expects Hermitian or complex-symmetric input")
-    evals, V = sla.eig(H_eff)
+    evals, V = np.linalg.eig(H_eff)
     norms = np.einsum("ij,ij->j", V, V)
     if np.min(np.abs(norms)) < 1e-12:
         raise RuntimeError("defective eigenvector pair in pole decomposition")

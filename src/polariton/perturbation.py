@@ -17,8 +17,9 @@ Each v0k carries one factor of g = g_sqrt_n/sqrt(N), so c_corr is O(1/N) and
 N * c_corr has an N-independent limit.  The double integral is one
 off-diagonal block of the exponential of a block upper-triangular generator
 (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), so survival_correction
-is a single propagation by fixed-degree Taylor steps chosen once per
-propagation, with no quadrature, no eigendecomposition and no stored states.
+is a single propagation by Arnoldi bases of the sparse generator, each
+covering a window of grid steps chosen once per propagation, with no
+quadrature, no eigendecomposition and no stored states.
 Cavity leakage enters every block as -i (kappa/2) n_ph.
 """
 
@@ -70,8 +71,8 @@ def survival_correction(
     """Reference amplitude c1 and leading 1/N correction for psi0 in block 0.
 
     psi0 is a normalized state over {|1>, |e_1>..|e_m>}.  One propagation,
-    by fixed-degree Taylor steps chosen once, of the block upper-triangular
-    generator
+    by the Arnoldi windows of dynamics.transition_amplitudes, of the block
+    upper-triangular generator
 
         M = [[H0, s V, 0], [0, H1, s V^T], [0, 0, H0]],   s = sqrt(N),
 

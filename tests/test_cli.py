@@ -1,11 +1,12 @@
 """Config parsing, pipeline orchestration, outputs and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polariton import dynamics
+from polariton import cli, dynamics
 from polariton.cli import ConfigError, main, parse_config, run
 
 BASE = """
@@ -150,7 +151,7 @@ def test_spectrum_run_writes_headers_and_is_deterministic(tmp_path, window):
     omega = np.loadtxt(lines[lines.index("omega,intensity") + 1 :], delimiter=",")[:, 0]
     np.testing.assert_allclose(np.diff(omega), float(header["derived.delta_omega"]), rtol=1e-9)
     assert header["derived.method"] == "dense"
-    assert not any(key.startswith("derived.taylor") for key in header)
+    assert not {"derived.krylov_dim", "derived.substeps"} & set(header)
 
 
 def run_dynamics_cuteq(tmp_path):
@@ -169,19 +170,27 @@ def test_dynamics_run_finite_N_cuteq(tmp_path):
     keys = list(header)
     assert keys[keys.index("derived.dim") + 1] == "derived.method"
     assert header["derived.method"] == "dense"
-    assert not any(key.startswith("derived.taylor") for key in keys)
+    assert not {"derived.krylov_dim", "derived.substeps"} & set(keys)
     assert not any("delta_omega" in key for key in keys)  # no frequency grid here
     assert abs(data[0, 1] - 1.0) < 1e-12  # c(0) = 1
 
 
-def test_dynamics_run_header_reports_taylor_series(tmp_path, monkeypatch):
+def test_dynamics_run_header_reports_krylov_window(tmp_path, monkeypatch):
+    (tmp_path / "dense").mkdir()
+    _, dense = run_dynamics_cuteq(tmp_path / "dense")
     monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)
     header, data = run_dynamics_cuteq(tmp_path)
+    keys = list(header)
+    i = keys.index("derived.method")
+    assert keys[i : i + 4] == [
+        "derived.method", "derived.krylov_dim", "derived.block_steps", "derived.substeps"
+    ]
     assert header["derived.method"] == "krylov"
-    assert "derived.block_steps" not in header
-    assert int(header["derived.taylor_degree"]) > 0
-    assert int(header["derived.taylor_substeps"]) >= 1
+    # dim 9 <= KRYLOV_DIM: one exact basis of all 9 states spans the 2048 steps
+    assert [int(header[key]) for key in keys[i + 1 : i + 4]] == [9, 2048, 1]
+    assert int(header["derived.dim"]) == 9
     assert abs(data[0, 1] - 1.0) < 1e-12
+    np.testing.assert_allclose(data, dense, rtol=0, atol=1e-10)
 
 
 def test_oracle_method_runs(tmp_path):
@@ -279,6 +288,19 @@ def test_validate_task_passes_at_small_N(tmp_path):
     assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
     report = (out / "validate.txt").read_text()
     assert "PASS" in report
+
+
+def test_validate_assembles_the_exact_truncation_once(tmp_path, monkeypatch):
+    # the H_sym check and the exactN amplitude share one q_max = N assembly
+    calls = []
+    assemble = cli.assemble_truncated
+    monkeypatch.setattr(
+        cli, "assemble_truncated", lambda *args, **kw: calls.append(kw) or assemble(*args, **kw)
+    )
+    config = Path(__file__).resolve().parents[1] / "configs" / "validate_n2.ini"
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert "result                          = PASS" in (tmp_path / "validate.txt").read_text()
+    assert calls == [{"q_max": 2}]
 
 
 def test_run_config_object_roundtrip(tmp_path):

@@ -214,7 +214,8 @@ def test_propagate_path_follows_dense_dim_limit(monkeypatch):
     monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 5)
     b = propagate(H, psi0, grid)
     assert (a.params["method"], b.params["method"]) == ("dense", "krylov")
-    assert "block_steps" not in b.params
+    # dim 6 <= KRYLOV_DIM: one exact basis spans the grid
+    assert [b.params[key] for key in ("krylov_dim", "block_steps", "substeps")] == [6, 20, 1]
     np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
 
 
@@ -265,7 +266,7 @@ def test_non_finite_input_rejected_before_stepping(monkeypatch, case):
         raise AssertionError("stepped on non-finite input")
 
     monkeypatch.setattr(dynamics, "_step", no_step)
-    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)  # the sparse Taylor path
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)  # the sparse Krylov path
     H = sp.csr_matrix(np.diag([0.1, 0.2]))
     psi0 = np.array([1.0, 0.0])
     kwargs = {}
@@ -305,7 +306,7 @@ def test_taylor_step_matches_expm(case, dt):
         "zero": np.zeros((3, 3)),
     }[case]
     A = -1j * dt * H_eff
-    advance, degree, substeps = dynamics._taylor_stepper(sp.csr_matrix(A))
+    advance, degree, substeps = dynamics._taylor_stepper(A)
     if case == "leaky":
         assert substeps > 1
     if case == "zero":
@@ -314,6 +315,15 @@ def test_taylor_step_matches_expm(case, dt):
     b = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
     b /= np.linalg.norm(b)
     np.testing.assert_allclose(advance(b), sla.expm(A) @ b, rtol=0, atol=1e-12)
+    # applied to the identity: the full exponential
+    np.testing.assert_allclose(advance(np.eye(len(A))), sla.expm(A), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dt", [2.0, 1000.0])
+def test_expm_scales_and_squares(dt):
+    # ||A||_1 = 23 and 1.1e4: 6 and 15 squarings of one series of degree <= 13
+    A = -1j * dt * _leaky_symmetric(8, 0.2, seed=5)
+    np.testing.assert_allclose(dynamics._expm(A), sla.expm(A), rtol=0, atol=1e-13)
 
 
 def test_defective_generator_on_sparse_path(monkeypatch):
@@ -323,9 +333,111 @@ def test_defective_generator_on_sparse_path(monkeypatch):
     jordan = propagate(H, np.array([0.0, 1.0]), grid)
     assert jordan.params["method"] == "krylov"
     np.testing.assert_allclose(jordan.norm_t, np.hypot(1.0, grid.times), rtol=0, atol=1e-12)
+    bases = []
+    arnoldi = dynamics._arnoldi
+    monkeypatch.setattr(dynamics, "_arnoldi", lambda *a: bases.append(arnoldi(*a)) or bases[-1])
     zero = propagate(sp.csr_matrix((2, 2)), np.array([0.6, 0.8]), grid)
-    assert (zero.params["taylor_degree"], zero.params["taylor_substeps"]) == (0, 1)
+    # one window spans the grid
+    assert (len(bases), zero.params["block_steps"], zero.params["substeps"]) == (1, 20, 1)
     np.testing.assert_array_equal(zero.c_t, np.ones(grid.n_steps + 1))
+
+
+def _van_loan_generator(dim, kappa, seed):
+    # [[H0, V, 0], [0, H1, V^T], [0, 0, H0]] with leakage: block upper
+    # triangular and non-normal, the shape survival_correction propagates
+    rng = np.random.default_rng(seed)
+    a = dim // 3
+    b = dim - 2 * a
+    H0, H1 = (rng.normal(size=(n, n)) for n in (a, b))
+    V = rng.normal(size=(a, b))
+    zero = np.zeros
+    M = np.block([
+        [H0 + H0.T, V, zero((a, a))],
+        [zero((b, a)), H1 + H1.T, V.T],
+        [zero((a, a + b)), H0 + H0.T],
+    ])
+    return effective_hamiltonian(M, kappa, (rng.random(dim) < 0.5).astype(float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(2, 6),
+    dim=st.integers(8, 30),
+    generator=st.sampled_from(["leaky", "van_loan"]),
+    stiff=st.booleans(),
+    kappa=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_krylov_windows_match_single_steps(data, k, dim, generator, stiff, kappa, seed):
+    # a k = 2..6 basis on dims 8..30 cannot cover the grid: W steps per
+    # basis with n_t - 1 not a multiple of W, or, at a stiff dt, s > 1
+    # bases per step, against one expm per grid step
+    H_eff = {"leaky": _leaky_symmetric, "van_loan": _van_loan_generator}[generator](
+        dim, kappa, seed
+    )
+    shifted = H_eff - np.trace(H_eff) / dim * np.eye(dim)
+    rho_per_dt = max(np.abs(shifted).sum(axis=0).max(), np.abs(shifted).sum(axis=1).max())
+    reach = dynamics._krylov_reach(k)
+    if stiff:
+        substeps = data.draw(st.integers(2, 4))
+        dt = reach * (substeps - 0.5) / rho_per_dt
+        n_steps = data.draw(st.integers(2, 20))
+        expected = {"block_steps": 1, "substeps": substeps}
+        n_bases = n_steps * substeps
+    else:
+        width = data.draw(st.integers(2, 6))
+        dt = reach / ((width + 0.5) * rho_per_dt)
+        n_steps = width * data.draw(st.integers(1, 5)) + data.draw(st.integers(1, width - 1))
+        expected = {"block_steps": width, "substeps": 1}
+        n_bases = -(-n_steps // width)
+    grid = TimeGrid(t_max=dt * n_steps, n_steps=n_steps)
+    rng = np.random.default_rng(seed + 1)
+    psi0, bra = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    psi0 /= np.linalg.norm(psi0)
+    bases = []
+    arnoldi = dynamics._arnoldi
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "KRYLOV_DIM", k)
+        mp.setattr(dynamics, "_arnoldi", lambda *a: bases.append(arnoldi(*a)) or bases[-1])
+        traj = dynamics._propagate_krylov(
+            sp.csr_matrix(H_eff), psi0, grid, keep_states=True, bra=bra
+        )
+    assert {key: traj.params[key] for key in expected} == expected
+    assert traj.params["krylov_dim"] == k
+    assert [len(V) for V, *_ in bases] == [k] * n_bases
+
+    U = sla.expm(-1j * grid.dt * H_eff)
+    ref = np.empty((n_steps + 1, dim), dtype=complex)
+    ref[0] = psi0
+    for n in range(1, n_steps + 1):
+        ref[n] = U @ ref[n - 1]
+    np.testing.assert_allclose(traj.states, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.c_t, ref @ psi0.conj(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.norm_t, np.linalg.norm(ref, axis=1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.bra_t, ref @ bra.conj(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("leaky_states", [20, 40])
+def test_krylov_path_under_strong_leakage(monkeypatch, leaky_states):
+    # kappa t = 5000: half the states leaky, so the amplitudes relative to
+    # the trace shift's mean decay grow as e^(kappa t / 4); or all of them,
+    # so the state decays to exactly 0
+    rng = np.random.default_rng(1)
+    H = 0.01 * rng.normal(size=(40, 40))
+    n_ph = (np.arange(40) < leaky_states).astype(float)
+    psi0 = np.zeros(40, dtype=complex)
+    psi0[0] = 1.0
+    grid = TimeGrid(t_max=100.0, n_steps=10)
+    dense = propagate(H + H.T, psi0, grid, kappa=50.0, n_ph=n_ph)
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 39)
+    krylov = propagate(sp.csr_matrix(H + H.T), psi0, grid, kappa=50.0, n_ph=n_ph)
+    assert (krylov.params["method"], krylov.params["krylov_dim"]) == ("krylov", 30)
+    assert krylov.params["substeps"] > 1
+    np.testing.assert_allclose(krylov.c_t, dense.c_t, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(krylov.norm_t, dense.norm_t, rtol=0, atol=1e-12)
+    if leaky_states == 40:
+        assert krylov.norm_t[-1] == 0.0
 
 
 def test_no_propagation_calls_expm_multiply(monkeypatch):

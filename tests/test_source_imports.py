@@ -1,4 +1,11 @@
-"""The package uses only the public API of numpy and scipy."""
+"""The package uses only the public API of numpy and scipy, and no scipy.linalg.
+
+Importing scipy.linalg, which scipy.sparse.linalg also imports, costs about
+8.2 MB of resident memory and 66 ms per process (on top of numpy and
+scipy.sparse).  The package needs none of it: its matrix exponentials come
+from the Taylor series in polariton.dynamics and its dense eigensolvers are
+numpy's.
+"""
 
 import ast
 from pathlib import Path
@@ -68,3 +75,49 @@ def test_private_references_are_detected():
 def test_no_private_numpy_or_scipy_imports(source):
     tree = ast.parse(source.read_text(), filename=str(source))
     assert private_references(tree) == [], f"{source.name} relies on private third-party API"
+
+
+# scipy.sparse.linalg imports scipy.linalg itself
+LINALG = ("scipy.linalg", "scipy.sparse.linalg")
+
+
+def scipy_linalg_imports(tree):
+    """The modules of LINALG a source imports, by name or from their parent."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if _in_linalg(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if _in_linalg(node.module):
+                found.append(node.module)
+            else:
+                found += [
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if f"{node.module}.{alias.name}" in LINALG
+                ]
+    return sorted(set(found))
+
+
+def _in_linalg(module):
+    return any(module == name or module.startswith(name + ".") for name in LINALG)
+
+
+def test_scipy_linalg_imports_are_detected():
+    source = (
+        "import scipy.sparse.linalg\n"
+        "import scipy.linalg as sla\n"
+        "from scipy import linalg, sparse\n"
+        "from scipy.linalg.blas import zgemm\n"
+        "from scipy.sparse import csr_matrix, linalg\n"
+    )
+    assert scipy_linalg_imports(ast.parse(source)) == [
+        "scipy.linalg", "scipy.linalg.blas", "scipy.sparse.linalg"
+    ]
+    assert scipy_linalg_imports(ast.parse("import scipy.sparse as sp\n")) == []
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_scipy_linalg_imports(source):
+    tree = ast.parse(source.read_text(), filename=str(source))
+    assert scipy_linalg_imports(tree) == [], f"{source.name} imports scipy.linalg"
