@@ -16,7 +16,7 @@ from .cute import (
     build_H1k,
     build_v0k,
 )
-from .dynamics import TimeGrid, Trajectory, filter_response, propagate, spectrum
+from .dynamics import TimeGrid, Trajectory, propagate, spectrum
 from .errors import DimensionGuardError
 from .fockspace import SymBasis, SymState, conserved_check, enumerate_basis, map_operator
 from .perturbation import ExpansionResult, radiative_pumping_rate, survival_correction
@@ -42,7 +42,6 @@ __all__ = [
     "build_vibronic",
     "conserved_check",
     "enumerate_basis",
-    "filter_response",
     "map_operator",
     "propagate",
     "radiative_pumping_rate",

@@ -12,11 +12,11 @@ step operator exp(-i H 64 dt); beyond the limit with one Arnoldi basis of
 KRYLOV_DIM vectors per window of grid steps, the window chosen once per
 propagation from Saad's error bound, so the sparse matrix is never
 densified.  Every matrix exponential, from the dense step operators down to
-the small exponentials of the Krylov windows, is one truncated Taylor
-series applied to the identity, scaled and squared.  No states are stored
-unless asked for.  spectrum evaluates the discrete transform on any uniform
-frequency grid, the default FFT bins included, through one Bluestein
-chirp-z transform.
+the small exponentials of the Krylov windows, is one degree-18 Taylor
+series evaluated by Paterson-Stockmeyer, scaled and squared.  No states
+are stored unless asked for.  spectrum evaluates the discrete transform on
+any uniform frequency grid, the default FFT bins included, through one
+Bluestein chirp-z transform.
 """
 
 from __future__ import annotations
@@ -124,12 +124,12 @@ def propagate(
     exp(-i H_eff w dt) advances each block of w states in one
     matrix-matrix product.  Above the limit one Arnoldi basis of the sparse
     matrix advances a window of grid steps (see _propagate_krylov).  Every
-    matrix exponential is _expm, the Taylor series of _taylor_stepper
-    applied to the identity, and neither path needs an eigenbasis, so
-    defective generators step exactly.  traj.params['method'] records
-    'dense' (with w as 'block_steps') or 'krylov' (with the basis size
-    'krylov_dim', the grid steps per basis 'block_steps' and the bases per
-    grid step 'substeps').  States are stored only with keep_states.
+    matrix exponential is _expm, a degree-18 Taylor series scaled and
+    squared, and neither path needs an eigenbasis, so defective generators
+    step exactly.  traj.params['method'] records 'dense' (with w as
+    'block_steps') or 'krylov' (with the basis size 'krylov_dim', the grid
+    steps per basis 'block_steps' and the bases per grid step 'substeps').
+    States are stored only with keep_states.
     Non-finite psi0, kappa or H raise ValueError before any step.
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -286,85 +286,44 @@ def _arnoldi(A, psi, k, tol):
     return V, H, beta, False
 
 
-# theta_m: the largest ||A||_1 for which the degree-m truncated Taylor series
-# of exp(A) has backward error below the unit roundoff 2^-53 (Al-Mohy and
-# Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1)
-_TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
+# 1/k! for the degree-18 Taylor polynomial of _expm
+_TAYLOR_18 = [1.0 / math.factorial(k) for k in range(19)]
 
 
 def _expm(A):
-    """exp(A) of a dense matrix by scaling and squaring.
+    """exp(A) of a dense matrix by one degree-18 Taylor series, scaled and squared.
 
-    The series of _taylor_stepper for A / 2^j is applied to the identity
-    and squared j times, j the fewest halvings that bring ||A - mu I||_1
-    below theta_13: about 13 + j matrix products, where the series' own
-    substeps would take up to 13 2^j (Higham, SIAM J. Matrix Anal. Appl.
-    26, 1179 (2005)).
+    The trace shift mu = tr(A)/n comes out first, exp(A) = e^mu exp(B) with
+    B = A - mu I: the mean energy and mean decay rate on the diagonal would
+    add to the norm and so to the squarings, yet commute with everything and
+    are applied exactly as the scalar e^mu.  B is halved j times, j the
+    fewest halvings with ||B||_1 / 2^j <= theta_18 = 1.09, where the
+    truncated series has backward error below 2^-53 (Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011)).  Paterson-Stockmeyer evaluation
+    forms B^2, B^3, B^4 and runs Horner in B^4 over polynomials of degree
+    <= 3 in B: 7 matrix products (Higham, Functions of Matrices, SIAM 2008,
+    sec. 4.4), then j squarings.  It is the package's one matrix
+    exponential: the dense path's step operators and the window
+    exponentials of the Krylov path.
     """
     n = len(A)
-    norm = np.abs(A - np.trace(A) / n * np.eye(n)).sum(axis=0).max()
-    j = max(0, math.frexp(norm / _TAYLOR_THETA[13])[1])
-    E = _taylor_stepper(A / 2**j)[0](np.eye(n))
+    mu = np.trace(A) / n
+    B = A - mu * np.eye(n)
+    norm = np.abs(B).sum(axis=0).max()
+    if not math.isfinite(norm):  # NaN compares false and would pass as j = 0
+        raise ValueError(f"generator must be finite, got ||A - mu I||_1 = {norm}")
+    j = math.ceil(math.log2(max(norm / 1.09, 1.0)))
+    B = B / 2**j
+    B2 = B @ B
+    powers = (np.eye(n), B, B2, B2 @ B)
+    B4 = B2 @ B2
+    c = _TAYLOR_18
+    E = sum(c[16 + k] * powers[k] for k in range(3))
+    for i in (12, 8, 4, 0):
+        E = E @ B4 + sum(c[i + k] * powers[k] for k in range(4))
     for _ in range(j):
         E = E @ E
-    return E
-
-
-def _taylor_stepper(A):
-    """B -> exp(A) B by one truncated Taylor series fixed for every call.
-
-    With the trace shift mu = tr(A)/n and the exact norm ||A - mu I||_1 of
-    the dense matrix A, the degree m and the substep count
-    s = ceil(||A - mu I||_1 / theta_m) are chosen once to minimise the m s
-    products per call.  Each call applies s substeps of the degree-m series
-    of (A - mu I)/s, each ending early once two successive terms fall below
-    the unit roundoff of the partial sum, and scaled by e^{mu/s} (Al-Mohy
-    and Higham 2011, Algorithm 3.2).  Applied to the identity, with
-    scaling and squaring in _expm, it is the package's one matrix
-    exponential: the dense path's step operators and the window
-    exponentials of the Krylov path.  Returns (advance, m, s); A = 0 gives
-    m = 0.
-    """
-    n = A.shape[0]
-    mu = np.trace(A) / n
-    A = A - mu * np.eye(n)
-    norm = np.abs(A).sum(axis=0).max()
-    if not math.isfinite(norm):
-        raise ValueError(f"generator must be finite, got ||A - mu I||_1 = {norm}")
-    degree, substeps = 0, 1
-    if norm > 0:
-        _, degree, substeps = min(
-            (m * math.ceil(norm / theta), m, math.ceil(norm / theta))
-            for m, theta in _TAYLOR_THETA.items()
-        )
-    A = A / substeps
-    eta = np.exp(mu / substeps)
-    tol = 2.0**-53
-
-    def advance(b):
-        for _ in range(substeps):
-            f = b
-            c1 = np.abs(b).max()
-            for j in range(1, degree + 1):
-                b = A @ b
-                b /= j
-                c2 = np.abs(b).max()
-                f = f + b
-                if c1 + c2 <= tol * np.abs(f).max():
-                    break
-                c1 = c2
-            b = eta * f
-        return b
-
-    return advance, degree, substeps
+    return np.exp(mu) * E
 
 
 def _step(windows, psi0, grid, keep_states, bra=None) -> Trajectory:
@@ -398,16 +357,6 @@ def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) ->
     n_ph = np.zeros(H0.shape[0])
     n_ph[0] = 1.0
     return propagate(H0, psi0, grid, kappa=cav.kappa, n_ph=n_ph)
-
-
-def filter_response(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) -> np.ndarray:
-    """Optical-filter field of the N->inf cavity, -i <1|exp(-i H0_eff t)|1>.
-
-    This is the effective weak driving field a molecular ensemble outside the
-    cavity would need in order to reproduce the intracavity molecular
-    dynamics; in frequency space the polaritons act as optical filters.
-    """
-    return -1j * photon_survival(vs, cav, grid).c_t
 
 
 def spectrum(

@@ -116,8 +116,8 @@ def survival_correction(
     top[: m + 1] = psi0
 
     M_eff = effective_hamiltonian(M, cav.kappa, n_ph)
-    c1_t, scaled_corr_t = transition_amplitudes(M_eff, x0, top, grid)
-    c_corr_t = scaled_corr_t / cav.n_molecules
+    c1_t, c_corr_t = transition_amplitudes(M_eff, x0, top, grid)
+    c_corr_t /= cav.n_molecules  # in place: both rows share one 2 x n_t buffer
     return ExpansionResult(grid=grid, c1_t=c1_t, c_corr_t=c_corr_t, n_molecules=cav.n_molecules)
 
 

@@ -18,7 +18,6 @@ from polariton.dynamics import (
     _window,
     dark_state_density,
     effective_hamiltonian,
-    filter_response,
     photon_survival,
     photonic_weights,
     pole_decomposition,
@@ -180,6 +179,23 @@ def test_blocked_dense_path_matches_single_steps(data, shape, kappa, seed):
     np.testing.assert_allclose(traj.norm_t, np.linalg.norm(ref, axis=1), rtol=0, atol=1e-12)
 
 
+def test_blocked_dense_norm_drift_on_fig5(monkeypatch):
+    # configs/fig5_spectrum.ini: dim 124, 65537 samples, 1024 blocks of w = 64
+    vs = build_vibronic(
+        MolecularModel(
+            electronic_gap=0.1,
+            modes=(VibrationalMode(0.01, 0.01, 2), VibrationalMode(0.001, 16, 40)),
+        )
+    )
+    cav = CavityParams(omega_c=0.1161, g_sqrt_n=0.03, n_molecules=INF, kappa=0.0015)
+    grid = TimeGrid(t_max=65536.0, n_steps=65536)
+    traj = photon_survival(vs, cav, grid)
+    assert (traj.params["dim"], traj.params["block_steps"]) == (124, 64)
+    monkeypatch.setattr(dynamics, "_expm", sla.expm)
+    ref = photon_survival(vs, cav, grid)
+    np.testing.assert_allclose(traj.norm_t, ref.norm_t, rtol=0, atol=1e-13)
+
+
 def test_krylov_path_matches_spectral():
     # the Krylov stepper against the small-dim step operator, fixed seed
     rng = np.random.default_rng(11)
@@ -299,29 +315,29 @@ def _leaky_symmetric(dim, kappa, seed):
 
 @pytest.mark.parametrize("case, dt", [("leaky", 2.0), ("jordan", 3.0), ("zero", 1.0)])
 def test_taylor_step_matches_expm(case, dt):
-    # one step of the fixed-degree series against scaling and squaring
+    # one step operator of the degree-18 series, scaled and squared, against scipy
     H_eff = {
-        "leaky": _leaky_symmetric(8, 0.2, seed=5),  # complex symmetric, ||A||_1 > theta_55
+        "leaky": _leaky_symmetric(8, 0.2, seed=5),  # complex symmetric, ||A||_1 = 23
         "jordan": np.array([[0.0, 1.0], [0.0, 0.0]]),
         "zero": np.zeros((3, 3)),
     }[case]
     A = -1j * dt * H_eff
-    advance, degree, substeps = dynamics._taylor_stepper(A)
-    if case == "leaky":
-        assert substeps > 1
-    if case == "zero":
-        assert (degree, substeps) == (0, 1)
+    E = dynamics._expm(A)
     rng = np.random.default_rng(6)
     b = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
     b /= np.linalg.norm(b)
-    np.testing.assert_allclose(advance(b), sla.expm(A) @ b, rtol=0, atol=1e-12)
-    # applied to the identity: the full exponential
-    np.testing.assert_allclose(advance(np.eye(len(A))), sla.expm(A), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(E @ b, sla.expm(A) @ b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(E, sla.expm(A), rtol=0, atol=1e-12)
+
+
+def test_expm_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        dynamics._expm(np.array([[0.0, np.nan], [1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("dt", [2.0, 1000.0])
 def test_expm_scales_and_squares(dt):
-    # ||A||_1 = 23 and 1.1e4: 6 and 15 squarings of one series of degree <= 13
+    # ||A||_1 = 23 and 1.1e4: 5 and 14 squarings of the degree-18 series
     A = -1j * dt * _leaky_symmetric(8, 0.2, seed=5)
     np.testing.assert_allclose(dynamics._expm(A), sla.expm(A), rtol=0, atol=1e-13)
 
@@ -468,10 +484,11 @@ def test_time_grid_rejects_non_finite():
 
 
 def test_filter_response_bare_cavity():
+    # the optical-filter field of the N -> inf cavity, -i <1|exp(-i H0_eff t)|1>
     vs = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav = CavityParams(omega_c=0.13, g_sqrt_n=0.0, n_molecules=INF)
     grid = TimeGrid(t_max=100.0, n_steps=100)
-    D = filter_response(vs, cav, grid)
+    D = -1j * photon_survival(vs, cav, grid).c_t
     np.testing.assert_allclose(D, -1j * np.exp(-1j * 0.13 * grid.times), atol=1e-12)
     assert D[0] == pytest.approx(-1j)
 
@@ -482,7 +499,7 @@ def test_filter_response_peaks_at_polaritons():
     )
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF, kappa=0.001)
     grid = TimeGrid(t_max=2**14, n_steps=2**14)
-    D = filter_response(vs, cav, grid)
+    D = -1j * photon_survival(vs, cav, grid).c_t
     omega = np.arange(0.06, 0.16, grid.delta_omega)
     om, A = spectrum(1j * D, grid, omega=omega, window=None)
     peaks, heights = find_peaks(om, A, min_height=0.2)

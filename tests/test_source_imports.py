@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import polariton
+
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "polariton"
 SOURCES = sorted(SRC_DIR.glob("*.py"))
 THIRD_PARTY = ("numpy", "scipy")
@@ -121,3 +123,11 @@ def test_scipy_linalg_imports_are_detected():
 def test_no_scipy_linalg_imports(source):
     tree = ast.parse(source.read_text(), filename=str(source))
     assert scipy_linalg_imports(tree) == [], f"{source.name} imports scipy.linalg"
+
+
+def test_public_api_resolves():
+    # a dangling __all__ entry fails the star import
+    namespace = {}
+    exec("from polariton import *", namespace)
+    for name in polariton.__all__:
+        assert getattr(polariton, name) is namespace[name]
