@@ -8,8 +8,8 @@ configuration.
 
     polariton <task> --config run.ini [--out DIR]
 
-Tasks: spectrum, dynamics, rate, densities, validate.  Exit codes:
-0 success, 1 numerical-guard failure, 2 config error.
+Tasks: spectrum, dynamics, rate, densities, validate.  Exit codes: 0 success,
+2 for any ValueError (bad input), 1 for a RuntimeError or LinAlgError (numerical guard).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import dynamics as dyn
 from .cute import CavityParams, assemble_truncated
-from .errors import DimensionGuardError
 from .fockspace import enumerate_basis
 from .oracle import build_full_H, oracle_survival, symmetrize
 from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate, write_rate_json
@@ -69,9 +68,15 @@ class RunConfig:
 
 
 def parse_config(path, task: str | None = None) -> RunConfig:
-    """Read and validate an INI run config; `task` must match [run] task if both given."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    """Read and validate an INI run config; `task` must match [run] task if both given.
+
+    Malformed INI raises ConfigError, a parameter the library rejects its ValueError.
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -109,19 +114,14 @@ def parse_config(path, task: str | None = None) -> RunConfig:
                 n_max=need(section, "n_max", int),
             )
         )
-    try:
-        model = MolecularModel(electronic_gap=need("molecule", "electronic_gap"), modes=tuple(modes))
-        cavity = CavityParams(
-            omega_c=need("cavity", "omega_c"),
-            g_sqrt_n=need("cavity", "g_sqrt_n"),
-            n_molecules=need("cavity", "n_molecules"),
-            kappa=float(cp["cavity"].get("kappa", "0")),
-        )
-        grid = dyn.TimeGrid(t_max=need("grid", "t_max"), n_steps=need("grid", "n_steps", int))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = MolecularModel(electronic_gap=need("molecule", "electronic_gap"), modes=tuple(modes))
+    cavity = CavityParams(
+        omega_c=need("cavity", "omega_c"),
+        g_sqrt_n=need("cavity", "g_sqrt_n"),
+        n_molecules=need("cavity", "n_molecules"),
+        kappa=convert("cavity", "kappa", float) if "kappa" in cp["cavity"] else 0.0,
+    )
+    grid = dyn.TimeGrid(t_max=need("grid", "t_max"), n_steps=need("grid", "n_steps", int))
 
     cfg_task = cp["run"].get("task") if "run" in cp else None
     if task and cfg_task and task != cfg_task:
@@ -181,12 +181,10 @@ def _omega_window(options: dict, grid: dyn.TimeGrid) -> tuple[float, float]:
 
 
 def _parse_method(method: str, N) -> tuple[str, int | None]:
-    """Normalize a method name to ('infinite'|'oracle'|'cuteq', q)."""
-    if method == "infinite":
-        return "infinite", None
+    """Normalize a method name to ('oracle'|'cuteq', q); infinite is cuteq order 0 at N = inf."""
     if method == "oracle":
         return "oracle", None
-    if method == "cute0":
+    if method in ("infinite", "cute0"):
         return "cuteq", 0
     if method == "cute1":
         return "cuteq", 1
@@ -213,10 +211,10 @@ def _validate_compatibility(cfg: RunConfig):
     if task in ("spectrum", "dynamics"):
         if method is None:
             raise ConfigError(f"task {task} requires a method")
-        kind, _ = _parse_method(method, N)
-        if kind == "infinite" and not cfg.cavity.is_infinite:
+        _parse_method(method, N)
+        if method == "infinite" and not cfg.cavity.is_infinite:
             raise ConfigError("method infinite requires n_molecules = inf")
-        if kind != "infinite" and cfg.cavity.is_infinite:
+        if method != "infinite" and cfg.cavity.is_infinite:
             raise ConfigError(f"method {method} requires finite n_molecules")
     elif task == "rate":
         if cfg.cavity.is_infinite:
@@ -251,23 +249,18 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, bh=None):
     """
     cav = cfg.cavity
     kind, q = _parse_method(cfg.method, cav.n_molecules)
-    if kind == "infinite":
-        traj = dyn.photon_survival(vs, cav, cfg.grid)
-        dim = vs.m + 1
-    elif kind == "cuteq":
+    if kind == "cuteq":
         if bh is None:
-            bh = assemble_truncated(vs, cav, q_max=min(q, int(cav.n_molecules)))
+            bh = assemble_truncated(vs, cav, q_max=q)
         psi0 = np.zeros(bh.dim, dtype=complex)
         psi0[0] = 1.0
         traj = dyn.propagate(bh.matrix, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
-        dim = bh.dim
     else:  # oracle
         N = int(cav.n_molecules)
         psi_sym = np.zeros(enumerate_basis(N, 1, vs.m, q_max=N).dim, dtype=complex)
         psi_sym[0] = 1.0
         traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid)
-        dim = traj.params["dim"]
-    extra = {"derived.dim": dim, "derived.method": traj.params["method"]}
+    extra = {"derived.dim": traj.params["dim"], "derived.method": traj.params["method"]}
     for key in ("krylov_dim", "block_steps", "substeps"):
         if key in traj.params:
             extra[f"derived.{key}"] = traj.params[key]
@@ -303,18 +296,9 @@ def _task_dynamics(cfg: RunConfig, out_dir: Path):
 
 def _task_rate(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
-    evals, weights = dyn.photonic_weights(vs, cfg.cavity)
-    if "dark_index" in cfg.options:
-        dark = cfg.options["dark_index"]
-        if not 0 <= dark < evals.size:
-            raise ConfigError(f"dark_index {dark} out of range 0..{evals.size - 1}")
-    else:
-        dark = int(np.argmin(weights))
-    if weights[dark] >= DARK_PHOTON_WEIGHT:
-        raise ConfigError(
-            f"eigenstate {dark} has photonic weight {weights[dark]:.3e} >= "
-            f"{DARK_PHOTON_WEIGHT:g}; not a dark state"
-        )
+    dark = cfg.options.get("dark_index")
+    if dark is None:
+        dark = int(np.argmin(dyn.photonic_weights(vs, cfg.cavity)[1]))
     result = radiative_pumping_rate(vs, cfg.cavity, dark)
     path = out_dir / "rate.json"
     write_rate_json(path, result, header=_header(cfg, vs))
@@ -322,7 +306,7 @@ def _task_rate(cfg: RunConfig, out_dir: Path):
     return [path]
 
 
-def _select_eigenstate(label: str, evals, weights) -> int:
+def _select_eigenstate(label: str, weights) -> int:
     if label == "lp":
         with_photon = np.where(weights >= 0.05)[0]
         if with_photon.size == 0:
@@ -334,26 +318,19 @@ def _select_eigenstate(label: str, evals, weights) -> int:
             raise ConfigError(f"no dark eigenstate (photonic weight < {DARK_PHOTON_WEIGHT:g})")
         return int(darks[0])
     try:
-        idx = int(label)
+        return int(label)
     except ValueError as exc:
         raise ConfigError(f"eigenstate must be 'lp', 'dark' or an index, got {label!r}") from exc
-    if not 0 <= idx < evals.size:
-        raise ConfigError(f"eigenstate index {idx} out of range 0..{evals.size - 1}")
-    return idx
 
 
 def _task_densities(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
-    if not cfg.model.modes:
-        raise ConfigError("task densities requires at least one vibrational mode")
     evals, weights = dyn.photonic_weights(vs, cfg.cavity)
     wanted = cfg.options.get("eigenstate")
     labels = [wanted] if wanted else ["lp", "dark"]
     paths = []
     for label in labels:
-        idx = _select_eigenstate(label, evals, weights)
-        if weights[idx] > 1.0 - 1e-12:
-            raise ConfigError(f"eigenstate {idx} has no excited-sector weight")
+        idx = _select_eigenstate(label, weights)
         name = label if label in ("lp", "dark") else f"state{idx}"
         densities = dyn.dark_state_density(vs, cfg.cavity, idx)
         for nu, dens in enumerate(densities, start=1):
@@ -437,14 +414,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config, task=args.task)
-        run(cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionGuardError, RuntimeError, ValueError) as exc:
+        run(parse_config(args.config, task=args.task), args.out)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from polariton import cli, dynamics
 from polariton.cli import ConfigError, main, parse_config, run
+from polariton.errors import DimensionGuardError
 
 BASE = """
 [molecule]
@@ -73,12 +74,32 @@ def test_parse_valid_spectrum_config(tmp_path):
          ("g_sqrt_n = 0.02", "g_sqrt_n = 0"), "no excited-sector weight"),
         ("densities", "inf", "method = infinite\neigenstate = 1",
          ("g_sqrt_n = 0.02", "g_sqrt_n = 0"), "no excited-sector weight"),
+        # malformed INI
+        ("spectrum", "inf", "method = infinite", ("[molecule]", ""), "no section headers"),
+        ("spectrum", "inf", "method = infinite", ("[cavity]", "[mode 1]\n\n[cavity]"),
+         "section 'mode 1' already exists"),
+        ("spectrum", "inf", "method = infinite",
+         ("omega_c = 0.108", "omega_c = 0.108\nomega_c = 0.1"),
+         "option 'omega_c' in section 'cavity' already exists"),
+        ("spectrum", "inf", "method = infinite", ("omega_c = 0.108", "omega_c = 0.108%"),
+         "omega_c"),
+        ("spectrum", "inf", "method = %(x)s", None, "unknown method '%(x)s'"),
+        # parameters the library rejects
+        ("spectrum", "inf", "method = infinite", ("frequency = 0.012", "frequency = -0.012"),
+         "mode frequency must be positive"),
+        ("spectrum", "inf", "method = infinite", ("huang_rhys = 0.7", "huang_rhys = nan"),
+         "mode parameters must be finite"),
+        ("spectrum", "inf", "method = infinite", ("n_max = 1", "n_max = -1"), "n_max must be >= 0"),
+        ("spectrum", "inf", "method = infinite", ("kappa = 0.0015", "kappa = abc"),
+         "bad value for 'kappa'"),
     ],
     ids=["unknown_key", "omega_min_abc", "dark_index_x", "cuteq_negative", "omega_c_nan",
          "t_max_nan", "omega_min_above_max", "omega_above_nyquist", "window_hann",
          "dark_index_99", "dark_index_negative", "eigenstate_999", "eigenstate_negative",
          "n_molecules_neg_inf", "dark_index_bright", "eigenstate_lp_uncoupled",
-         "eigenstate_photon_uncoupled"],
+         "eigenstate_photon_uncoupled", "ini_no_section_header", "ini_duplicate_section",
+         "ini_duplicate_key", "ini_percent_value", "ini_interpolation", "mode_frequency_negative",
+         "mode_huang_rhys_nan", "mode_n_max_negative", "kappa_abc"],
 )
 def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
     path = write_cfg(tmp_path, task, n=n, extra=extra)
@@ -86,6 +107,36 @@ def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
         path.write_text(path.read_text().replace(*edit))
     assert main([task, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc,code,prefix",
+    [
+        (ConfigError("boom"), 2, "config error"),
+        (ValueError("boom"), 2, "config error"),
+        (RuntimeError("boom"), 1, "error"),
+        (DimensionGuardError("boom"), 1, "error"),
+        (np.linalg.LinAlgError("boom"), 1, "error"),  # a ValueError subclass
+    ],
+    ids=["ConfigError", "ValueError", "RuntimeError", "DimensionGuardError", "LinAlgError"],
+)
+def test_exception_type_decides_exit_code(tmp_path, capsys, monkeypatch, exc, code, prefix):
+    def fail(cfg, out_dir):
+        raise exc
+
+    monkeypatch.setattr(cli, "run", fail)
+    path = write_cfg(tmp_path, "spectrum", extra="method = infinite")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+def test_vibronic_cap_is_exit_code_1(tmp_path, capsys):
+    path = write_cfg(tmp_path, "spectrum", extra="method = infinite")
+    mode2 = "[mode 2]\nfrequency = 0.02\nhuang_rhys = 0.1\nn_max = 4096\n\n[cavity]"
+    path.write_text(path.read_text().replace("[cavity]", mode2))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds cap 4096" in err
 
 
 def test_unknown_section_rejected(tmp_path):
