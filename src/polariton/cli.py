@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .cute import CavityParams, assemble_truncated
-from .fockspace import enumerate_basis
+from .fockspace import basis_size
 from .oracle import build_full_H, oracle_survival, symmetrize
 from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate, write_rate_json
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
@@ -257,7 +257,7 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, bh=None):
         traj = dyn.propagate(bh.matrix, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
     else:  # oracle
         N = int(cav.n_molecules)
-        psi_sym = np.zeros(enumerate_basis(N, 1, vs.m, q_max=N).dim, dtype=complex)
+        psi_sym = np.zeros(basis_size(N, 1, vs.m, N), dtype=complex)
         psi_sym[0] = 1.0
         traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid)
     extra = {"derived.dim": traj.params["dim"], "derived.method": traj.params["method"]}

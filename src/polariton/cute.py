@@ -36,7 +36,7 @@ from itertools import compress, islice
 import numpy as np
 import scipy.sparse as sp
 
-from .fockspace import BASIS_SIZE_CAP, SymBasis, SymState, enumerate_basis
+from .fockspace import SymBasis, SymState, enumerate_basis
 from .vibronic import VibronicStructure
 
 HERMITICITY_TOL = 1e-12
@@ -213,14 +213,14 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     return (sp.diags(diag) + M + M.T).tocsr()
 
 
-def _assemble(vs: VibronicStructure, cav: CavityParams, n_exc: int, q_max: int, size_cap: int):
+def _assemble(vs: VibronicStructure, cav: CavityParams, n_exc: int, q_max: int):
     """Basis and Hamiltonian of the n_exc manifold at quasi <= q_max.
 
     Outside the reservoir the state list is the same for every
     N >= n_exc + q_max, so N = infinity enumerates at that N.
     """
     N = n_exc + q_max if cav.is_infinite else cav.n_molecules
-    basis = enumerate_basis(N, n_exc, vs.m, q_max, size_cap)
+    basis = enumerate_basis(N, n_exc, vs.m, q_max)
     H = hamiltonian_matrix(vs, cav, basis)
     defect = abs(H - H.T).max()
     if defect > HERMITICITY_TOL:
@@ -244,7 +244,7 @@ def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> 
     if cav.is_infinite and q_max > 0:
         raise ValueError(f"at N = infinity only q_max = 0 couples to the photon, got {q_max}")
     q_eff = min(q_max, cav.n_molecules)
-    basis, H = _assemble(vs, cav, 1, q_eff, BASIS_SIZE_CAP)
+    basis, H = _assemble(vs, cav, 1, q_eff)
     return BlockHamiltonian(
         matrix=H,
         offsets=np.array([basis.block_slice(q).start for q in range(q_eff + 1)] + [basis.dim]),
@@ -253,9 +253,7 @@ def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> 
     )
 
 
-def assemble_high_excitation(
-    vs: VibronicStructure, cav: CavityParams, n_exc: int, size_cap: int = 200_000
-) -> BlockHamiltonian:
+def assemble_high_excitation(vs: VibronicStructure, cav: CavityParams, n_exc: int) -> BlockHamiltonian:
     """Zero-temperature quasi = 0 Hamiltonian of the N_exc excitation manifold.
 
     All ground-electronic molecules stay in their vibrational ground state;
@@ -270,7 +268,7 @@ def assemble_high_excitation(
         raise ValueError(f"n_exc must be >= 1, got {n_exc}")
     if not cav.is_infinite and cav.n_molecules < n_exc:
         raise ValueError(f"need N >= N_exc, got N={cav.n_molecules}, N_exc={n_exc}")
-    basis, H = _assemble(vs, cav, n_exc, 0, size_cap)
+    basis, H = _assemble(vs, cav, n_exc, 0)
     n_ph = basis.photon_numbers()
     offsets = np.r_[0, np.flatnonzero(np.diff(n_ph)) + 1, basis.dim]  # photon sectors
     return BlockHamiltonian(matrix=H, offsets=offsets, photon_numbers=n_ph)

@@ -26,6 +26,7 @@ reference the tests compare it against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,15 +102,14 @@ def _compositions_desc(total: int, slots: int):
         yield tuple(occ)
 
 
-def enumerate_basis(
-    N: int, N_exc: int, m: int, q_max: int, size_cap: int = BASIS_SIZE_CAP
-) -> SymBasis:
-    """Enumerate all states with quasi <= q_max at fixed (N, N_exc).
+def basis_size(N: int, N_exc: int, m: int, q_max: int) -> int:
+    """Number of states enumerate_basis(N, N_exc, m, q_max) builds.
 
-    Ordering is deterministic: ascending quasi block, photon-rich sectors
-    before photon-poor ones within a block, then descending lexicographic
-    occupations (molecules fill low-index vibronic states first), so the
-    quasi = 0 block reads |1>, |e1>, ..., |em>.
+    A sum over the molecular excitation count n <= min(N_exc, N): n
+    excitations go on the m excited slots in C(n + m - 1, n) ways, and at
+    most Q = min(q_max, N - n) quanta on the m - 1 vibrationally excited
+    ground slots in as many ways as exactly Q go on those plus one slack
+    slot, C(Q + m - 1, m - 1) (stars and bars; 1 when m = 1).
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -119,24 +119,39 @@ def enumerate_basis(
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 <= q_max <= N:
         raise ValueError(f"q_max must be in [0, N], got {q_max}")
+    return sum(
+        math.comb(n + m - 1, n) * math.comb(min(q_max, N - n) + m - 1, m - 1)
+        for n in range(min(N_exc, N) + 1)
+    )
+
+
+def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
+    """Enumerate all states with quasi <= q_max at fixed (N, N_exc).
+
+    Ordering is deterministic: ascending quasi block, photon-rich sectors
+    before photon-poor ones within a block, then descending lexicographic
+    occupations (molecules fill low-index vibronic states first), so the
+    quasi = 0 block reads |1>, |e1>, ..., |em>.  The size is checked against
+    BASIS_SIZE_CAP before any state is built.
+    """
+    size = basis_size(N, N_exc, m, q_max)
+    if size > BASIS_SIZE_CAP:
+        raise DimensionGuardError(
+            f"symmetric basis of {size} states exceeds cap {BASIS_SIZE_CAP} at "
+            f"(N={N}, N_exc={N_exc}, m={m}, q_max={q_max})"
+        )
 
     states: list[SymState] = []
     for q in range(q_max + 1):
         for n_ph in range(N_exc, -1, -1):
             n_exc_tot = N_exc - n_ph
             n_g0 = N - n_exc_tot - q
-            if n_exc_tot > N or n_g0 < 0:
+            if n_g0 < 0:
                 continue
             excited = list(_compositions_desc(n_exc_tot, m))
             for tail in _compositions_desc(q, m - 1):
                 n_g = (n_g0,) + tail
-                for n_e in excited:
-                    states.append(SymState(n_g=n_g, n_e=n_e, n_ph=n_ph))
-                    if len(states) > size_cap:
-                        raise DimensionGuardError(
-                            f"symmetric basis exceeds cap {size_cap} at "
-                            f"(N={N}, N_exc={N_exc}, m={m}, q_max={q_max})"
-                        )
+                states.extend(SymState(n_g=n_g, n_e=n_e, n_ph=n_ph) for n_e in excited)
 
     return SymBasis(
         states=tuple(states),

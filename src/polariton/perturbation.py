@@ -143,8 +143,8 @@ class RateResult:
     channels: list[RateChannel] = field(default_factory=list)
     diagnostic: str = ""
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "dark_index": self.dark_index,
             "E_D": self.energy,
             "photon_weight": self.photon_weight,
@@ -161,7 +161,6 @@ class RateResult:
                 for ch in self.channels
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def radiative_pumping_rate(
@@ -187,7 +186,6 @@ def radiative_pumping_rate(
         raise ValueError("radiative pumping requires finite N")
     if cav.kappa <= 0:
         raise ValueError("radiative pumping requires kappa > 0 to define outgoing channels")
-    m = vs.m
     E0, U0 = np.linalg.eigh(build_H0(vs, cav))
     if not 0 <= dark_index < E0.size:
         raise ValueError(f"dark_index {dark_index} out of range 0..{E0.size - 1}")
@@ -203,45 +201,33 @@ def radiative_pumping_rate(
 
     FA, W = np.linalg.eigh(build_A1(vs, cav))
     fc_dark = cav.g * (vs.fc[:, 1:].T @ U0[1:, dark_index])  # g fc[:, k]^T D_e, k = 2..m
-
-    channels = []
-    best_detuning = math.inf
-    for k in range(2, m + 1):
-        F = FA + vs.omega_g[k - 1]
-        coup = W[0] * fc_dark[k - 2]
-        for mu in range(F.size):
-            c2 = float(coup[mu] ** 2)
-            det = E_D - float(F[mu])
-            best_detuning = min(best_detuning, abs(det))
-            gamma = c2 * kappa / (det**2 + 0.25 * kappa**2)
-            channels.append(
-                RateChannel(k=k, mu=mu, energy=float(F[mu]), coupling_sq=c2, gamma=gamma)
-            )
-
-    if not channels or best_detuning > window:
-        return RateResult(
-            dark_index=dark_index,
-            energy=E_D,
-            photon_weight=w_ph,
-            gamma_total=0.0,
-            channels=channels,
-            diagnostic=(
-                f"no final state within window {window:.3e} of E_D "
-                f"(closest detuning {best_detuning:.3e}); rate not resolvable"
-            ),
-        )
+    # final state (k, mu) is eigenstate mu of sub-block H1k, at row k - 2
+    F = FA + vs.omega_g[1:, None]
+    c2 = (fc_dark[:, None] * W[0]) ** 2
+    det = E_D - F
+    gamma = c2 * kappa / (det**2 + 0.25 * kappa**2)
+    channels = [
+        RateChannel(k + 2, mu, float(F[k, mu]), float(c2[k, mu]), float(gamma[k, mu]))
+        for k, mu in np.ndindex(F.shape)
+    ]
+    best_detuning = float(np.abs(det).min(initial=math.inf))
+    resolved = best_detuning <= window  # no channel at all when m = 1
     return RateResult(
         dark_index=dark_index,
         energy=E_D,
         photon_weight=w_ph,
-        gamma_total=float(sum(ch.gamma for ch in channels)),
+        gamma_total=float(sum(ch.gamma for ch in channels)) if resolved else 0.0,
         channels=channels,
+        diagnostic="" if resolved else (
+            f"no final state within window {window:.3e} of E_D "
+            f"(closest detuning {best_detuning:.3e}); rate not resolvable"
+        ),
     )
 
 
 def write_rate_json(path, result: RateResult, header: dict | None = None):
     """Write a RateResult as JSON; header keys go into a '_config' block."""
-    payload = json.loads(result.to_json())
+    payload = result.to_dict()
     if header:
         payload["_config"] = {str(k): str(v) for k, v in header.items()}
     from .dynamics import atomic_write_text

@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import DimensionGuardError
 
+VIBRONIC_SIZE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class VibrationalMode:
@@ -130,7 +132,7 @@ def displaced_overlap_matrix(s: float, n_bra: int, n_ket: int) -> np.ndarray:
     return S
 
 
-def build_vibronic(model: MolecularModel, m_cap: int = 4096) -> VibronicStructure:
+def build_vibronic(model: MolecularModel) -> VibronicStructure:
     """Assemble the multi-mode vibronic structure of one molecule.
 
     Multi-mode energies are sums of per-mode quanta energies relative to the
@@ -150,14 +152,11 @@ def build_vibronic(model: MolecularModel, m_cap: int = 4096) -> VibronicStructur
             model=model,
         )
 
-    m = 1
-    for mode in modes:
-        m *= mode.n_max + 1
-        if m > m_cap:
-            raise DimensionGuardError(
-                f"vibronic basis size {m}+ exceeds cap {m_cap}; "
-                f"lower n_max or raise m_cap explicitly"
-            )
+    m = math.prod(mode.n_max + 1 for mode in modes)
+    if m > VIBRONIC_SIZE_CAP:
+        raise DimensionGuardError(
+            f"vibronic basis size {m} exceeds cap {VIBRONIC_SIZE_CAP}; lower n_max"
+        )
 
     quanta_lex = list(itertools.product(*(range(mode.n_max + 1) for mode in modes)))
     energies = np.array(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polariton import cli, dynamics
+from polariton import cli, dynamics, fockspace
 from polariton.cli import ConfigError, main, parse_config, run
 from polariton.errors import DimensionGuardError
 
@@ -137,6 +137,23 @@ def test_vibronic_cap_is_exit_code_1(tmp_path, capsys):
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds cap 4096" in err
+
+
+def test_basis_cap_is_exit_code_1_before_enumeration(tmp_path, capsys, monkeypatch):
+    def no_enumeration(total, slots):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(fockspace, "_compositions_desc", no_enumeration)
+    fig5 = (Path(__file__).resolve().parents[1] / "configs" / "fig5_spectrum.ini").read_text()
+    path = tmp_path / "fig5_cute2.ini"  # m = 123, cuteq:2 at N = 1000: 945,624 states
+    path.write_text(
+        fig5.replace("n_molecules = inf", "n_molecules = 1000").replace(
+            "method = infinite", "method = cuteq:2"
+        )
+    )
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "945624" in err
 
 
 def test_unknown_section_rejected(tmp_path):

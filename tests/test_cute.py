@@ -406,5 +406,5 @@ def test_high_excitation_guards():
     with pytest.raises(ValueError):
         assemble_high_excitation(vs, CavityParams(0.11, 0.02, 3), 5)
     with pytest.raises(DimensionGuardError):
-        assemble_high_excitation(vs, CavityParams(0.11, 0.02, INF), 2, size_cap=2)
+        assemble_high_excitation(vs, CavityParams(0.11, 0.02, INF), 1000)  # 501,501 states
 

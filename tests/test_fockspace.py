@@ -5,13 +5,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polariton import fockspace
 from polariton.errors import DimensionGuardError
 from polariton.fockspace import (
     SymState,
     _compositions_desc,
+    basis_size,
     conserved_check,
     enumerate_basis,
     map_operator,
@@ -143,7 +145,39 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         enumerate_basis(2, 1, 2, 3)
     with pytest.raises(DimensionGuardError):
-        enumerate_basis(40, 1, 6, 40, size_cap=100)
+        enumerate_basis(1000, 1, 123, 2)  # 945,624 states
+
+
+@st.composite
+def basis_shapes(draw):
+    N = draw(st.integers(1, 8))
+    return N, draw(st.integers(0, 4)), draw(st.integers(1, 5)), draw(st.integers(0, N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_shapes())
+@example((3, 2, 1, 3))  # m = 1: no vibrationally excited ground slots
+@example((4, 0, 3, 2))  # N_exc = 0
+@example((8, 4, 5, 8))  # the largest shape, q_max = N
+def test_basis_size_counts_enumeration(shape):
+    assert basis_size(*shape) == enumerate_basis(*shape).dim
+
+
+@pytest.mark.parametrize(
+    "N,m,q_max,size",
+    [(1000, 42, 1, 1806), (1000, 75, 1, 5700), (1000, 123, 1, 15252), (1000, 123, 2, 945_624)],
+)
+def test_basis_size_anchors(N, m, q_max, size):
+    assert basis_size(N, 1, m, q_max) == size
+
+
+def test_size_guard_fires_before_enumeration(monkeypatch):
+    def no_enumeration(total, slots):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(fockspace, "_compositions_desc", no_enumeration)
+    with pytest.raises(DimensionGuardError, match="945624"):
+        enumerate_basis(1000, 1, 123, 2)
 
 
 def test_map_identity_counts_molecules():

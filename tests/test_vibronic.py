@@ -141,9 +141,9 @@ def test_quanta_ordering_ties_are_lexicographic():
 
 
 def test_basis_size_guard():
-    model = MolecularModel(electronic_gap=0.1, modes=(VibrationalMode(0.01, 1.0, 99),))
+    mode = VibrationalMode(0.01, 1.0, 99)
     with pytest.raises(DimensionGuardError):
-        build_vibronic(model, m_cap=50)
+        build_vibronic(MolecularModel(electronic_gap=0.1, modes=(mode, mode)))  # m = 10,000
 
 
 @pytest.mark.parametrize(
