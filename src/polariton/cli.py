@@ -18,7 +18,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,21 +33,37 @@ from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_
 TASKS = ("spectrum", "dynamics", "rate", "densities", "validate")
 VALIDATE_TOL = 1e-8
 
-_SECTION_KEYS = {
-    "molecule": {"electronic_gap"},
-    "mode": {"frequency", "huang_rhys", "n_max"},
-    "cavity": {"omega_c", "g_sqrt_n", "n_molecules", "kappa"},
-    "grid": {"t_max", "n_steps"},
+
+def _window(w: str) -> str | None:
+    if w != "halfcos10" and w.lower() != "none":
+        raise ValueError(f"window must be halfcos10 or none, got {w!r}")
+    return None if w.lower() == "none" else w
+
+
+# section -> key -> (converter, required); every [mode <int>] section reads "mode"
+_SCHEMA = {
+    "molecule": {"electronic_gap": (float, True)},
+    "mode": {"frequency": (float, True), "huang_rhys": (float, True), "n_max": (int, True)},
+    "cavity": {
+        "omega_c": (float, True),
+        "g_sqrt_n": (float, True),
+        "n_molecules": (float, True),
+        "kappa": (float, False),
+    },
+    "grid": {"t_max": (float, True), "n_steps": (int, True)},
     "run": {
-        "task",
-        "method",
-        "omega_min",
-        "omega_max",
-        "window",
-        "dark_index",
-        "eigenstate",
+        "task": (str, False),
+        "method": (str, False),
+        "omega_min": (float, False),
+        "omega_max": (float, False),
+        "window": (_window, False),
+        "dark_index": (int, False),
+        "eigenstate": (str, False),
     },
 }
+
+# task -> the methods it accepts; spectrum and dynamics require one and accept any
+_TASK_METHODS = {"rate": ("cute1",), "densities": ("infinite", "cute0"), "validate": ("oracle",)}
 
 
 class ConfigError(ValueError):
@@ -80,71 +96,41 @@ def parse_config(path, task: str | None = None) -> RunConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    mode_sections = []
-    for section in cp.sections():
+    values, mode_sections = {}, []
+    for section in dict.fromkeys(["molecule", "cavity", "grid", "run", *cp.sections()]):
         base = "mode" if section.startswith("mode") else section
-        if base not in _SECTION_KEYS:
+        if base not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _SECTION_KEYS[base]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
         if base == "mode":
             tag = section[4:].strip()
             if not tag.isdigit():
                 raise ConfigError(f"mode sections must be named [mode <int>], got [{section}]")
             mode_sections.append((int(tag), section))
+        raw = cp[section] if cp.has_section(section) else {}
+        for key in raw:
+            if key not in _SCHEMA[base]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+        values[section] = {}
+        for key, (conv, required) in _SCHEMA[base].items():
+            if key in raw:
+                try:
+                    values[section][key] = conv(raw[key])
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for '{key}' in [{section}]: {exc}") from exc
+            elif required:
+                raise ConfigError(f"missing required key '{key}' in section [{section}]")
 
-    def need(section, key, conv=float):
-        if section not in cp or key not in cp[section]:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return convert(section, key, conv)
-
-    def convert(section, key, conv):
-        try:
-            return conv(cp[section][key])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for '{key}' in [{section}]: {exc}") from exc
-
-    modes = []
-    for _, section in sorted(mode_sections):
-        modes.append(
-            VibrationalMode(
-                frequency=need(section, "frequency"),
-                huang_rhys=need(section, "huang_rhys"),
-                n_max=need(section, "n_max", int),
-            )
-        )
-    model = MolecularModel(electronic_gap=need("molecule", "electronic_gap"), modes=tuple(modes))
-    cavity = CavityParams(
-        omega_c=need("cavity", "omega_c"),
-        g_sqrt_n=need("cavity", "g_sqrt_n"),
-        n_molecules=need("cavity", "n_molecules"),
-        kappa=convert("cavity", "kappa", float) if "kappa" in cp["cavity"] else 0.0,
-    )
-    grid = dyn.TimeGrid(t_max=need("grid", "t_max"), n_steps=need("grid", "n_steps", int))
-
-    cfg_task = cp["run"].get("task") if "run" in cp else None
+    modes = tuple(VibrationalMode(**values[section]) for _, section in sorted(mode_sections))
+    model = MolecularModel(modes=modes, **values["molecule"])
+    cavity = CavityParams(**values["cavity"])
+    grid = dyn.TimeGrid(**values["grid"])
+    options = values["run"]
+    cfg_task, method = options.pop("task", None), options.pop("method", None)
     if task and cfg_task and task != cfg_task:
         raise ConfigError(f"subcommand '{task}' conflicts with config task '{cfg_task}'")
     task = task or cfg_task
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-
-    method = cp["run"].get("method") if "run" in cp else None
-    options = {}
-    if "run" in cp:
-        for key in ("omega_min", "omega_max"):
-            if key in cp["run"]:
-                options[key] = convert("run", key, float)
-        if "window" in cp["run"]:
-            w = cp["run"]["window"].strip()
-            if w != "halfcos10" and w.lower() != "none":
-                raise ConfigError(f"window must be halfcos10 or none, got {w!r}")
-            options["window"] = None if w.lower() == "none" else w
-        if "dark_index" in cp["run"]:
-            options["dark_index"] = convert("run", "dark_index", int)
-        if "eigenstate" in cp["run"]:
-            options["eigenstate"] = cp["run"]["eigenstate"].strip()
 
     if "omega_min" in options or "omega_max" in options:
         lo, hi = _omega_window(options, grid)
@@ -156,10 +142,7 @@ def parse_config(path, task: str | None = None) -> RunConfig:
                 f"frequency pi / dt = {grid.omega_nyquist:.6g}"
             )
 
-    resolved = {}
-    for section in cp.sections():
-        for key, val in cp[section].items():
-            resolved[f"{section}.{key}"] = val
+    resolved = {f"{sec}.{key}": val for sec in cp.sections() for key, val in cp[sec].items()}
     resolved["run.task"] = task
 
     cfg = RunConfig(
@@ -180,18 +163,14 @@ def _omega_window(options: dict, grid: dyn.TimeGrid) -> tuple[float, float]:
     return options.get("omega_min", 0.0), options.get("omega_max", grid.omega_nyquist)
 
 
-def _parse_method(method: str, N) -> tuple[str, int | None]:
-    """Normalize a method name to ('oracle'|'cuteq', q); infinite is cuteq order 0 at N = inf."""
-    if method == "oracle":
-        return "oracle", None
-    if method in ("infinite", "cute0"):
-        return "cuteq", 0
-    if method == "cute1":
-        return "cuteq", 1
-    if method == "exactN":
-        if math.isinf(N):
-            raise ConfigError("method exactN requires finite n_molecules")
-        return "cuteq", int(N)
+def _cuteq_order(method: str, N) -> int | None:
+    """CUT-E order q_max of a method at N molecules, None for the oracle.
+
+    infinite is order 0 (at N = inf) and exactN is order N.
+    """
+    named = {"oracle": None, "infinite": 0, "cute0": 0, "cute1": 1, "exactN": N}
+    if method in named:
+        return named[method]
     if method.startswith("cuteq:"):
         try:
             q = int(method.split(":", 1)[1])
@@ -199,38 +178,31 @@ def _parse_method(method: str, N) -> tuple[str, int | None]:
             raise ConfigError(f"bad cuteq order in method '{method}'") from exc
         if q < 0:
             raise ConfigError(f"cuteq order must be >= 0 in method '{method}'")
-        return "cuteq", q
+        return q
     raise ConfigError(
         f"unknown method '{method}' (expected infinite, cute0, cute1, cuteq:<q>, exactN, oracle)"
     )
 
 
 def _validate_compatibility(cfg: RunConfig):
-    N = cfg.cavity.n_molecules
-    task, method = cfg.task, cfg.method
-    if task in ("spectrum", "dynamics"):
+    cav, task, method = cfg.cavity, cfg.task, cfg.method
+    allowed = _TASK_METHODS.get(task)
+    if method is not None:
+        _cuteq_order(method, cav.n_molecules)
+        if allowed and method not in allowed:
+            raise ConfigError(f"task {task} supports only method {' or '.join(allowed)}")
+    if allowed is None:  # the survival tasks run the method at the configured N
         if method is None:
             raise ConfigError(f"task {task} requires a method")
-        _parse_method(method, N)
-        if method == "infinite" and not cfg.cavity.is_infinite:
-            raise ConfigError("method infinite requires n_molecules = inf")
-        if method != "infinite" and cfg.cavity.is_infinite:
-            raise ConfigError(f"method {method} requires finite n_molecules")
-    elif task == "rate":
-        if cfg.cavity.is_infinite:
-            raise ConfigError("task rate requires finite n_molecules (infinite forbids rate)")
-        if cfg.cavity.kappa <= 0:
-            raise ConfigError("task rate requires kappa > 0")
-        if method is not None and method != "cute1":
-            raise ConfigError("task rate supports only method cute1")
-    elif task == "densities":
-        if method is not None and method not in ("infinite", "cute0"):
-            raise ConfigError("task densities supports methods infinite or cute0")
-    elif task == "validate":
-        if method is not None and method != "oracle":
-            raise ConfigError("task validate supports only method oracle")
-        if cfg.cavity.is_infinite or N > 4:
-            raise ConfigError("task validate requires finite n_molecules <= 4")
+        if (method == "infinite") != cav.is_infinite:
+            need = "n_molecules = inf" if method == "infinite" else "finite n_molecules"
+            raise ConfigError(f"method {method} requires {need}")
+    if task == "rate" and cav.is_infinite:
+        raise ConfigError("task rate requires finite n_molecules (infinite forbids rate)")
+    if task == "rate" and cav.kappa <= 0:
+        raise ConfigError("task rate requires kappa > 0")
+    if task == "validate" and cav.n_molecules > 4:
+        raise ConfigError("task validate requires finite n_molecules <= 4")
 
 
 def _header(cfg: RunConfig, vs: VibronicStructure, extra: dict | None = None) -> dict:
@@ -241,29 +213,22 @@ def _header(cfg: RunConfig, vs: VibronicStructure, extra: dict | None = None) ->
     return out
 
 
-def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, bh=None):
-    """Photon-state survival amplitude under the configured method.
-
-    A cuteq method propagates bh, its truncation, when the caller has
-    already assembled it.
-    """
+def _survival_for_method(cfg: RunConfig, vs: VibronicStructure):
+    """Photon-state survival amplitude under the configured method."""
     cav = cfg.cavity
-    kind, q = _parse_method(cfg.method, cav.n_molecules)
-    if kind == "cuteq":
-        if bh is None:
-            bh = assemble_truncated(vs, cav, q_max=q)
+    q = _cuteq_order(cfg.method, cav.n_molecules)
+    if q is not None:
+        bh = assemble_truncated(vs, cav, q_max=q)
         psi0 = np.zeros(bh.dim, dtype=complex)
         psi0[0] = 1.0
         traj = dyn.propagate(bh.matrix, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
     else:  # oracle
-        N = int(cav.n_molecules)
+        N = cav.n_molecules
         psi_sym = np.zeros(basis_size(N, 1, vs.m, N), dtype=complex)
         psi_sym[0] = 1.0
-        traj = oracle_survival(vs, cav, N, psi_sym, cfg.grid)
-    extra = {"derived.dim": traj.params["dim"], "derived.method": traj.params["method"]}
-    for key in ("krylov_dim", "block_steps", "substeps"):
-        if key in traj.params:
-            extra[f"derived.{key}"] = traj.params[key]
+        traj = oracle_survival(vs, cav, psi_sym, cfg.grid)
+    keys = ("dim", "method", "krylov_dim", "block_steps", "substeps")
+    extra = {f"derived.{key}": traj.params[key] for key in keys if key in traj.params}
     return traj, extra
 
 
@@ -357,14 +322,16 @@ def _task_densities(cfg: RunConfig, out_dir: Path):
 def _task_validate(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
     cav = cfg.cavity
-    N = int(cav.n_molecules)
-    bh = assemble_truncated(vs, cav, q_max=N)
-    _, H_sym = symmetrize(*build_full_H(vs, cav, N, 1), bh.basis)
+    bh = assemble_truncated(vs, cav, q_max=cav.n_molecules)
+    H, tb = build_full_H(vs, cav, 1)
+    T, H_sym = symmetrize(H, tb, bh.basis)
     dev_H = float(abs(H_sym - bh.matrix).max())
 
-    traj_oracle, _ = _survival_for_method(replace(cfg, method="oracle"), vs)
-    traj_cute, _ = _survival_for_method(replace(cfg, method="exactN"), vs, bh)
-    dev_c = float(np.max(np.abs(traj_oracle.c_t - traj_cute.c_t)))
+    e0 = np.zeros(bh.dim, dtype=complex)
+    e0[0] = 1.0  # the photon state, lifted to the tensor basis by T
+    c_oracle = dyn.propagate(H, T @ e0, cfg.grid, kappa=cav.kappa, n_ph=tb.photon_numbers()).c_t
+    c_cute = dyn.propagate(bh.matrix, e0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers).c_t
+    dev_c = float(np.max(np.abs(c_oracle - c_cute)))
 
     dev = max(dev_H, dev_c)
     ok = dev < VALIDATE_TOL

@@ -77,8 +77,6 @@ class CavityParams:
     @property
     def g(self) -> float:
         """Single-molecule coupling g_sqrt_n / sqrt(N); zero in the N->inf limit."""
-        if self.is_infinite:
-            return 0.0
         return self.g_sqrt_n / math.sqrt(self.n_molecules)
 
 
@@ -187,7 +185,7 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     """
     m = vs.m
     w, fc = np.concatenate([vs.omega_g, vs.omega_e]).tolist(), vs.fc.T.tolist()
-    inv_n = 0.0 if cav.is_infinite else 1.0 / cav.n_molecules
+    inv_n = 1.0 / cav.n_molecules  # 0.0 at N = inf
     diag, rows, cols, vals = [], [], [], []
     for src, s in enumerate(basis.states):
         # occupied modes outside the reservoir: g_2..g_m, then e_1..e_m
@@ -247,7 +245,7 @@ def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> 
     basis, H = _assemble(vs, cav, 1, q_eff)
     return BlockHamiltonian(
         matrix=H,
-        offsets=np.array([basis.block_slice(q).start for q in range(q_eff + 1)] + [basis.dim]),
+        offsets=basis.offsets,
         photon_numbers=basis.photon_numbers(),
         basis=None if cav.is_infinite else basis,
     )
@@ -266,7 +264,7 @@ def assemble_high_excitation(vs: VibronicStructure, cav: CavityParams, n_exc: in
     """
     if n_exc < 1:
         raise ValueError(f"n_exc must be >= 1, got {n_exc}")
-    if not cav.is_infinite and cav.n_molecules < n_exc:
+    if cav.n_molecules < n_exc:
         raise ValueError(f"need N >= N_exc, got N={cav.n_molecules}, N_exc={n_exc}")
     basis, H = _assemble(vs, cav, n_exc, 0)
     n_ph = basis.photon_numbers()

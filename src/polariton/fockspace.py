@@ -73,7 +73,7 @@ class SymBasis:
     m: int
     q_max: int
     index: dict[SymState, int] = field(repr=False)
-    block_of: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)  # block q spans offsets[q]:offsets[q + 1]
 
     @property
     def dim(self) -> int:
@@ -81,9 +81,7 @@ class SymBasis:
 
     def block_slice(self, q: int) -> slice:
         """Index range of the quasi = q block (states are ordered by quasi)."""
-        start = int(np.searchsorted(self.block_of, q, side="left"))
-        stop = int(np.searchsorted(self.block_of, q, side="right"))
-        return slice(start, stop)
+        return slice(int(self.offsets[q]), int(self.offsets[q + 1]))
 
     def photon_numbers(self) -> np.ndarray:
         return np.array([s.n_ph for s in self.states])
@@ -142,7 +140,9 @@ def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
         )
 
     states: list[SymState] = []
+    offsets = []
     for q in range(q_max + 1):
+        offsets.append(len(states))
         for n_ph in range(N_exc, -1, -1):
             n_exc_tot = N_exc - n_ph
             n_g0 = N - n_exc_tot - q
@@ -160,7 +160,7 @@ def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
         m=m,
         q_max=q_max,
         index={s: i for i, s in enumerate(states)},
-        block_of=np.array([s.quasi for s in states]),
+        offsets=np.array(offsets + [len(states)]),
     )
 
 

@@ -71,9 +71,9 @@ def tensor_basis(N: int, m: int, n_exc: int) -> TensorBasis:
 
 
 def build_full_H(
-    vs: VibronicStructure, cav: CavityParams, N: int, n_exc: int
+    vs: VibronicStructure, cav: CavityParams, n_exc: int
 ) -> tuple[sp.csr_matrix, TensorBasis]:
-    """First-quantized Hamiltonian on the tensor basis (rotating wave).
+    """First-quantized Hamiltonian of cav.n_molecules molecules (rotating wave).
 
     H = omega_c a+a + sum_i (vibronic energies) + g sum_i (FC-dressed
     raising x photon annihilation + h.c.).  Returns the sparse matrix and
@@ -84,7 +84,7 @@ def build_full_H(
     if n_exc > 2:
         raise ValueError(f"oracle restricted to N_exc <= 2, got {n_exc}")
     m = vs.m
-    basis = tensor_basis(N, m, n_exc)
+    basis = tensor_basis(cav.n_molecules, m, n_exc)
     eps = np.concatenate([vs.omega_g, vs.omega_e])
 
     diag = np.array(
@@ -174,7 +174,6 @@ def symmetrize(obj, basis: TensorBasis, sym_basis: SymBasis):
 def oracle_survival(
     vs: VibronicStructure,
     cav: CavityParams,
-    N: int,
     psi0_sym: np.ndarray,
     grid: TimeGrid,
 ) -> Trajectory:
@@ -185,8 +184,8 @@ def oracle_survival(
     propagated under the full distinguishable-molecule Hamiltonian, with
     photon leakage cav.kappa.
     """
-    H, basis = build_full_H(vs, cav, N, 1)
-    sym_basis = enumerate_basis(N, 1, vs.m, q_max=N)
+    H, basis = build_full_H(vs, cav, 1)
+    sym_basis = enumerate_basis(cav.n_molecules, 1, vs.m, q_max=cav.n_molecules)
     psi0_sym = np.asarray(psi0_sym, dtype=complex)
     if psi0_sym.shape != (sym_basis.dim,):
         raise ValueError(

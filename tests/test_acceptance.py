@@ -84,7 +84,7 @@ def test_criterion_1_oracle_equivalence():
         vs, cav = build_fixture(fx)
         N = fx["N"]
         bh = assemble_truncated(vs, cav, q_max=N)
-        H_full, tb = build_full_H(vs, cav, N, 1)
+        H_full, tb = build_full_H(vs, cav, 1)
         T = symmetrizer(tb, bh.basis)
         H_sym = (T.conj().T @ (H_full @ T)).toarray()
         worst_H = max(worst_H, float(np.max(np.abs(H_sym - bh.matrix.toarray()))))

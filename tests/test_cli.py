@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polariton import cli, dynamics, fockspace
+from polariton import cli, dynamics, fockspace, oracle
 from polariton.cli import ConfigError, main, parse_config, run
 from polariton.errors import DimensionGuardError
 
@@ -369,6 +369,29 @@ def test_validate_assembles_the_exact_truncation_once(tmp_path, monkeypatch):
     assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert "result                          = PASS" in (tmp_path / "validate.txt").read_text()
     assert calls == [{"q_max": 2}]
+
+
+def test_validate_builds_the_oracle_once(tmp_path, monkeypatch):
+    # the H_sym check and the oracle amplitude share one tensor Hamiltonian
+    calls = []
+    build = oracle.build_full_H
+    for module in (cli, oracle):
+        monkeypatch.setattr(
+            module, "build_full_H", lambda *args: calls.append(args) or build(*args)
+        )
+    config = Path(__file__).resolve().parents[1] / "configs" / "validate_n2.ini"
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert "result                          = PASS" in (tmp_path / "validate.txt").read_text()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "config", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini")),
+    ids=lambda path: path.name,
+)
+def test_shipped_config_parses(config):
+    cfg = parse_config(config)  # raises ConfigError on a bad key, value or combination
+    assert cfg.model.modes
 
 
 def test_run_config_object_roundtrip(tmp_path):

@@ -343,7 +343,7 @@ def test_high_excitation_matches_oracle_q0_restriction(N, n_exc):
     vs = vibronic_fixture(n_max=1, s=0.5)
     cav = CavityParams(omega_c=0.105, g_sqrt_n=0.02, n_molecules=N)
     bh = assemble_high_excitation(vs, cav, n_exc)
-    H, tb = build_full_H(vs, cav, N, n_exc)
+    H, tb = build_full_H(vs, cav, n_exc)
     sym = enumerate_basis(N, n_exc, vs.m, q_max=0)
     T = symmetrizer(tb, sym)
     H_sym = (T.conj().T @ (H @ T)).toarray().real

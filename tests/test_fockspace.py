@@ -123,7 +123,8 @@ def test_enumeration_matches_brute_force(N, N_exc, m, q_max):
 def test_enumeration_order_and_index_bijection():
     basis = enumerate_basis(3, 1, 3, 3)
     # ascending quasi, photon sector first within each block
-    assert list(basis.block_of) == sorted(basis.block_of)
+    quasi = [s.quasi for s in basis.states]
+    assert quasi == sorted(quasi)
     for q in range(4):
         sl = basis.block_slice(q)
         sector = [s.n_ph for s in basis.states[sl]]

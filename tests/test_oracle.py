@@ -30,7 +30,7 @@ def vibronic_fixture(s=0.7, omega=0.012, n_max=1, gap=0.1):
 def test_jaynes_cummings_splitting():
     vs = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav = CavityParams(omega_c=0.1, g_sqrt_n=0.004, n_molecules=1)
-    H, basis = build_full_H(vs, cav, 1, 1)
+    H, basis = build_full_H(vs, cav, 1)
     evals = np.linalg.eigvalsh(H.toarray())
     np.testing.assert_allclose(evals, [0.1 - cav.g, 0.1 + cav.g], atol=1e-15)
 
@@ -38,7 +38,7 @@ def test_jaynes_cummings_splitting():
 def test_hamiltonian_commutes_with_swaps():
     vs = vibronic_fixture(n_max=1)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=3)
-    H, basis = build_full_H(vs, cav, 3, 1)
+    H, basis = build_full_H(vs, cav, 1)
     for perm in itertools.permutations(range(3)):
         P = permutation_operator(basis, perm)
         assert abs(H @ P - P @ H).max() < 1e-12
@@ -82,7 +82,7 @@ def test_projected_hamiltonian_equals_cute_assembly():
     for N in (1, 2, 3):
         cav = CavityParams(omega_c=0.108, g_sqrt_n=0.025, n_molecules=N)
         bh = assemble_truncated(vs, cav, q_max=N)
-        H, tb = build_full_H(vs, cav, N, 1)
+        H, tb = build_full_H(vs, cav, 1)
         T = symmetrizer(tb, bh.basis)
         H_sym = (T.conj().T @ (H @ T)).toarray()
         np.testing.assert_allclose(H_sym, bh.matrix.toarray(), atol=1e-12)
@@ -91,7 +91,7 @@ def test_projected_hamiltonian_equals_cute_assembly():
 def test_symmetric_subspace_is_invariant_under_evolution():
     vs = vibronic_fixture(n_max=1)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=3)
-    H, tb = build_full_H(vs, cav, 3, 1)
+    H, tb = build_full_H(vs, cav, 1)
     sym = enumerate_basis(3, 1, vs.m, 3)
     T = symmetrizer(tb, sym)
     psi_sym = np.zeros(sym.dim, dtype=complex)
@@ -111,7 +111,7 @@ def test_oracle_survival_matches_truncated_propagation(N):
     psi_sym = np.zeros(bh.basis.dim, dtype=complex)
     psi_sym[0] = 1.0
     grid = TimeGrid(t_max=1000.0, n_steps=256)
-    t_orc = oracle_survival(vs, cav, N, psi_sym, grid)
+    t_orc = oracle_survival(vs, cav, psi_sym, grid)
     t_cut = propagate(bh.matrix, psi_sym, grid)
     assert np.max(np.abs(t_orc.c_t - t_cut.c_t)) < 1e-10
 
@@ -124,7 +124,7 @@ def test_oracle_jc_rabi():
     psi = np.zeros(sym.dim, dtype=complex)
     psi[0] = 1.0
     grid = TimeGrid(t_max=2 * math.pi / cav.g, n_steps=512)
-    traj = oracle_survival(vs, cav, 1, psi, grid)
+    traj = oracle_survival(vs, cav, psi, grid)
     np.testing.assert_allclose(
         np.abs(traj.c_t) ** 2, np.cos(cav.g * grid.times) ** 2, atol=1e-10
     )
@@ -135,6 +135,6 @@ def test_dimension_guards():
         tensor_basis(5, 2, 1)
     vs = vibronic_fixture()
     with pytest.raises(ValueError):
-        build_full_H(vs, CavityParams(0.11, 0.02, 3), 3, 3)
+        build_full_H(vs, CavityParams(0.11, 0.02, 3), 3)
     with pytest.raises(ValueError):
-        build_full_H(vs, CavityParams(0.11, 0.02, float("inf")), 3, 1)
+        build_full_H(vs, CavityParams(0.11, 0.02, float("inf")), 1)
