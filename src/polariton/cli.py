@@ -197,10 +197,6 @@ def _validate_compatibility(cfg: RunConfig):
         if (method == "infinite") != cav.is_infinite:
             need = "n_molecules = inf" if method == "infinite" else "finite n_molecules"
             raise ConfigError(f"method {method} requires {need}")
-    if task == "rate" and cav.is_infinite:
-        raise ConfigError("task rate requires finite n_molecules (infinite forbids rate)")
-    if task == "rate" and cav.kappa <= 0:
-        raise ConfigError("task rate requires kappa > 0")
     if task == "validate" and cav.n_molecules > 4:
         raise ConfigError("task validate requires finite n_molecules <= 4")
 
@@ -217,7 +213,9 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure):
     """Photon-state survival amplitude under the configured method."""
     cav = cfg.cavity
     q = _cuteq_order(cfg.method, cav.n_molecules)
-    if q is not None:
+    if cfg.method == "infinite":  # the dense zeroth block H0, numpy only
+        traj = dyn.photon_survival(vs, cav, cfg.grid)
+    elif q is not None:
         bh = assemble_truncated(vs, cav, q_max=q)
         psi0 = np.zeros(bh.dim, dtype=complex)
         psi0[0] = 1.0

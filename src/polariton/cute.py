@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from itertools import compress, islice
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fockspace import SymBasis, SymState, enumerate_basis
 from .vibronic import VibronicStructure
@@ -183,6 +182,7 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     g_k -> e_i, k > 1, carries g sqrt(n_g[k]) in its place.  Conjugates are
     the transpose; out-of-basis targets (quasi > q_max) are dropped.
     """
+    import scipy.sparse as sp
     m = vs.m
     w, fc = np.concatenate([vs.omega_g, vs.omega_e]).tolist(), vs.fc.T.tolist()
     inv_n = 1.0 / cav.n_molecules  # 0.0 at N = inf

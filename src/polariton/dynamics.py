@@ -13,20 +13,21 @@ KRYLOV_DIM vectors per window of grid steps, the window chosen once per
 propagation from Saad's error bound, so the sparse matrix is never
 densified.  Every matrix exponential, from the dense step operators down to
 the small exponentials of the Krylov windows, is one degree-18 Taylor
-series evaluated by Paterson-Stockmeyer, scaled and squared.  No states
-are stored unless asked for.  spectrum evaluates the discrete transform on
-any uniform frequency grid, the default FFT bins included, through one
-Bluestein chirp-z transform.
+series evaluated by Paterson-Stockmeyer, scaled and squared.  A dense
+array is stepped by numpy alone; scipy.sparse is imported only for a sparse
+input or the Krylov path.  No states are stored unless asked for.  spectrum
+evaluates the discrete transform on any uniform frequency grid, the default
+FFT bins included, through one Bluestein chirp-z transform.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cute import CavityParams, build_H0
 from .vibronic import VibronicStructure, ho_wavefunctions
@@ -88,6 +89,12 @@ class Trajectory:
     bra_t: np.ndarray | None = None
 
 
+def _issparse(H) -> bool:
+    """scipy.sparse.issparse(H) without importing scipy: a sparse H means it is loaded."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(H)
+
+
 def effective_hamiltonian(H, kappa: float, n_ph):
     """H - i (kappa/2) diag(n_ph), the leaky-cavity effective generator.
 
@@ -95,14 +102,16 @@ def effective_hamiltonian(H, kappa: float, n_ph):
     """
     if kappa != 0.0 and n_ph is None:
         raise ValueError("kappa > 0 requires the photon-number diagonal n_ph")
-    if sp.issparse(H):
+    sparse = _issparse(H)
+    if sparse:
+        import scipy.sparse as sp
         H = sp.csr_matrix(H, dtype=complex)
     else:
         H = np.array(H, dtype=complex)
     if kappa == 0.0:
         return H
     leak = 0.5j * kappa * np.asarray(n_ph, dtype=float)
-    if sp.issparse(H):
+    if sparse:
         return H - sp.diags(leak)
     H[np.diag_indices_from(H)] -= leak
     return H
@@ -141,11 +150,11 @@ def propagate(
 
     dim = psi0.size
     H_eff = effective_hamiltonian(H, kappa, n_ph)
-    if not np.all(np.isfinite(H_eff.data if sp.issparse(H_eff) else H_eff)):
+    if not np.all(np.isfinite(H_eff.data if _issparse(H_eff) else H_eff)):
         raise ValueError("H and n_ph must be finite")
     if dim <= DENSE_DIM_LIMIT:
         method = "dense"
-        dense = H_eff.toarray() if sp.issparse(H_eff) else H_eff
+        dense = H_eff.toarray() if _issparse(H_eff) else H_eff
         U = _expm(-1j * grid.dt * dense)
         nt = grid.n_steps + 1
         w = min(64, nt) if nt >= 16 * dim else 1
@@ -202,6 +211,7 @@ def _propagate_krylov(H_eff, psi0, grid, keep_states, bra=None) -> Trajectory:
     norms come from the k-vectors y_j; the full state is formed once per
     window.
     """
+    import scipy.sparse as sp
     dim = psi0.size
     H_eff = sp.csr_matrix(H_eff, dtype=complex)
     mu = H_eff.diagonal().sum() / dim

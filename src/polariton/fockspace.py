@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionGuardError
 
@@ -178,6 +177,7 @@ def map_operator(one_body, basis, photon_shift: int = 0) -> sp.csr_matrix:
     Target states outside the basis are dropped: that is exactly the
     quasi-block truncation.
     """
+    import scipy.sparse as sp
     one_body = np.asarray(one_body)
     two_m = 2 * basis.m
     if one_body.shape != (two_m, two_m):
@@ -235,6 +235,7 @@ def conserved_check(basis: SymBasis, H, max_quasi_jump: int = 1, tol: float = 1e
     its collective part, which is block-diagonal).  Returns a list of
     violations; empty means the structure is as claimed.
     """
+    import scipy.sparse as sp
     H = sp.coo_matrix(H)
     violations = []
     for r, c, v in zip(H.row, H.col, H.data):

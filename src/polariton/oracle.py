@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cute import CavityParams
 from .dynamics import TimeGrid, Trajectory, propagate
@@ -79,6 +78,7 @@ def build_full_H(
     raising x photon annihilation + h.c.).  Returns the sparse matrix and
     its basis.
     """
+    import scipy.sparse as sp
     if cav.is_infinite:
         raise ValueError("brute-force oracle requires finite N")
     if n_exc > 2:
@@ -119,6 +119,7 @@ def build_full_H(
 
 def permutation_operator(basis: TensorBasis, perm: tuple[int, ...]) -> sp.csr_matrix:
     """Molecule-swap operator P_sigma: reorders the single-molecule registers."""
+    import scipy.sparse as sp
     rows = []
     for col, (nus, n_ph) in enumerate(basis.states):
         rows.append(basis.index[(tuple(nus[p] for p in perm), n_ph)])
@@ -134,6 +135,7 @@ def symmetrizer(basis: TensorBasis, sym_basis: SymBasis) -> sp.csr_matrix:
     with coefficient sqrt(prod n_nu! / N!), so that T+ T = 1 on the
     symmetric subspace.
     """
+    import scipy.sparse as sp
     if sym_basis.N != basis.n_molecules or sym_basis.m != basis.m:
         raise ValueError("tensor and symmetric bases describe different systems")
     rows, cols, vals = [], [], []
@@ -161,6 +163,7 @@ def symmetrize(obj, basis: TensorBasis, sym_basis: SymBasis):
     Returns (T, projected) where T is the isometry from symmetrizer(); the
     projection is T+ psi for states and T+ H T for operators.
     """
+    import scipy.sparse as sp
     T = symmetrizer(basis, sym_basis)
     if not sp.issparse(obj):
         obj = np.asarray(obj)

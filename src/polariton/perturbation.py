@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cute import CavityParams, build_A1, build_H0
 from .dynamics import TimeGrid, effective_hamiltonian, transition_amplitudes
@@ -90,6 +89,7 @@ def survival_correction(
     With shifted=True A1 is replaced by H0, so H1k = H0 + omega_g[k] I
     (the N >> 1 approximation).
     """
+    import scipy.sparse as sp
     psi0 = np.asarray(psi0, dtype=complex)
     m = vs.m
     if psi0.shape != (m + 1,):

@@ -92,6 +92,7 @@ def test_parse_valid_spectrum_config(tmp_path):
         ("spectrum", "inf", "method = infinite", ("n_max = 1", "n_max = -1"), "n_max must be >= 0"),
         ("spectrum", "inf", "method = infinite", ("kappa = 0.0015", "kappa = abc"),
          "bad value for 'kappa'"),
+        ("rate", "inf", "", None, "radiative pumping requires finite N"),
     ],
     ids=["unknown_key", "omega_min_abc", "dark_index_x", "cuteq_negative", "omega_c_nan",
          "t_max_nan", "omega_min_above_max", "omega_above_nyquist", "window_hann",
@@ -99,7 +100,7 @@ def test_parse_valid_spectrum_config(tmp_path):
          "n_molecules_neg_inf", "dark_index_bright", "eigenstate_lp_uncoupled",
          "eigenstate_photon_uncoupled", "ini_no_section_header", "ini_duplicate_section",
          "ini_duplicate_key", "ini_percent_value", "ini_interpolation", "mode_frequency_negative",
-         "mode_huang_rhys_nan", "mode_n_max_negative", "kappa_abc"],
+         "mode_huang_rhys_nan", "mode_n_max_negative", "kappa_abc", "rate_infinite"],
 )
 def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
     path = write_cfg(tmp_path, task, n=n, extra=extra)
@@ -174,7 +175,6 @@ def test_missing_file_and_task_conflict(tmp_path):
 @pytest.mark.parametrize(
     "task,n,extra,msg",
     [
-        ("rate", "inf", "", "infinite"),
         ("rate", "8", "method = oracle", "cute1"),
         ("spectrum", "8", "method = infinite", "inf"),
         ("spectrum", "inf", "method = cute1", "finite"),
@@ -190,10 +190,10 @@ def test_compatibility_matrix(tmp_path, task, n, extra, msg):
         parse_config(path)
 
 
-def test_rate_requires_kappa(tmp_path):
+def test_rate_requires_kappa(tmp_path, capsys):
     path = write_cfg(tmp_path, "rate", n="8", kappa="0")
-    with pytest.raises(ConfigError, match="kappa"):
-        parse_config(path)
+    assert main(["rate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "radiative pumping requires kappa > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polariton.cli import parse_config
 from polariton.cute import (
     CavityParams,
     assemble_high_excitation,
@@ -287,16 +289,24 @@ def test_collective_amplification_sqrtN_exact():
 
 
 def test_infinite_truncation_is_H0_only():
-    # at N = inf the q >= 1 blocks decouple from the photon: only q_max = 0 is built
-    vs = vibronic_fixture(n_max=2)
-    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)
-    bh = assemble_truncated(vs, cav, q_max=0)
-    np.testing.assert_array_equal(bh.matrix.toarray(), build_H0(vs, cav))
-    assert list(bh.offsets) == [0, vs.m + 1]
-    assert list(bh.photon_numbers) == [1] + [0] * vs.m  # |1>, |e1>, ..., |em>
-    assert bh.basis is None
-    with pytest.raises(ValueError, match="q_max = 0"):
-        assemble_truncated(vs, cav, q_max=1)
+    # at N = inf the q >= 1 blocks decouple from the photon: only q_max = 0 is built,
+    # and it is build_H0 exactly, also for the fig5 molecule (m = 123) that the CLI's
+    # infinite method propagates from build_H0
+    fig5 = parse_config(Path(__file__).resolve().parents[1] / "configs" / "fig5_spectrum.ini")
+    vs_fig5 = build_vibronic(fig5.model)
+    assert vs_fig5.m == 123
+    cases = [
+        (vibronic_fixture(n_max=2), CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)),
+        (vs_fig5, fig5.cavity),
+    ]
+    for vs, cav in cases:
+        bh = assemble_truncated(vs, cav, q_max=0)
+        np.testing.assert_array_equal(bh.matrix.toarray(), build_H0(vs, cav))
+        assert list(bh.offsets) == [0, vs.m + 1]
+        assert list(bh.photon_numbers) == [1] + [0] * vs.m  # |1>, |e1>, ..., |em>
+        assert bh.basis is None
+        with pytest.raises(ValueError, match="q_max = 0"):
+            assemble_truncated(vs, cav, q_max=1)
 
 
 def test_blocks_hermitian():
