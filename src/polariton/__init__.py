@@ -18,7 +18,7 @@ from .cute import (
 )
 from .dynamics import TimeGrid, Trajectory, propagate, spectrum
 from .errors import DimensionGuardError
-from .fockspace import SymBasis, SymState, conserved_check, enumerate_basis, map_operator
+from .fockspace import SymBasis, SymState, enumerate_basis
 from .perturbation import ExpansionResult, radiative_pumping_rate, survival_correction
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
 
@@ -40,9 +40,7 @@ __all__ = [
     "build_H1k",
     "build_v0k",
     "build_vibronic",
-    "conserved_check",
     "enumerate_basis",
-    "map_operator",
     "propagate",
     "radiative_pumping_rate",
     "spectrum",

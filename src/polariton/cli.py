@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics as dyn
 from .cute import CavityParams, assemble_truncated
 from .fockspace import basis_size
-from .oracle import build_full_H, oracle_survival, symmetrize
+from .oracle import N_CAP, build_full_H, oracle_survival, symmetrizer
 from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate, write_rate_json
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
 
@@ -187,18 +187,18 @@ def _cuteq_order(method: str, N) -> int | None:
 def _validate_compatibility(cfg: RunConfig):
     cav, task, method = cfg.cavity, cfg.task, cfg.method
     allowed = _TASK_METHODS.get(task)
-    if method is not None:
+    if method is None:
+        if allowed is None:  # the survival tasks run the method at the configured N
+            raise ConfigError(f"task {task} requires a method")
+    else:
         _cuteq_order(method, cav.n_molecules)
         if allowed and method not in allowed:
             raise ConfigError(f"task {task} supports only method {' or '.join(allowed)}")
-    if allowed is None:  # the survival tasks run the method at the configured N
-        if method is None:
-            raise ConfigError(f"task {task} requires a method")
         if (method == "infinite") != cav.is_infinite:
             need = "n_molecules = inf" if method == "infinite" else "finite n_molecules"
             raise ConfigError(f"method {method} requires {need}")
-    if task == "validate" and cav.n_molecules > 4:
-        raise ConfigError("task validate requires finite n_molecules <= 4")
+    if (task == "validate" or method == "oracle") and cav.n_molecules > N_CAP:
+        raise ConfigError(f"the brute-force oracle requires n_molecules <= {N_CAP}")
 
 
 def _header(cfg: RunConfig, vs: VibronicStructure, extra: dict | None = None) -> dict:
@@ -213,7 +213,7 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure):
     """Photon-state survival amplitude under the configured method."""
     cav = cfg.cavity
     q = _cuteq_order(cfg.method, cav.n_molecules)
-    if cfg.method == "infinite":  # the dense zeroth block H0, numpy only
+    if q == 0:  # the dense zeroth block H0 at any N, numpy only
         traj = dyn.photon_survival(vs, cav, cfg.grid)
     elif q is not None:
         bh = assemble_truncated(vs, cav, q_max=q)
@@ -322,8 +322,8 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
     cav = cfg.cavity
     bh = assemble_truncated(vs, cav, q_max=cav.n_molecules)
     H, tb = build_full_H(vs, cav, 1)
-    T, H_sym = symmetrize(H, tb, bh.basis)
-    dev_H = float(abs(H_sym - bh.matrix).max())
+    T = symmetrizer(tb, bh.basis)
+    dev_H = float(abs(T.T @ (H @ T) - bh.matrix).max())
 
     e0 = np.zeros(bh.dim, dtype=complex)
     e0[0] = 1.0  # the photon state, lifted to the tensor basis by T

@@ -9,22 +9,25 @@ off-diagonal couplings v_q of strength g between neighbouring blocks.
 
 This module builds
 
-  * the (m+1) x (m+1) zeroth block H0 (photon + singly-excited states),
+  * the (m+1) x (m+1) zeroth block H0 (photon + singly-excited states), the
+    whole CUT-E order-0 model at any N and the entire N = infinity problem,
   * the arrowhead A1 shared by its quasi = 1 sub-blocks H1k = A1 + omega_g[k] I
     (coupling g*sqrt(N-1)) and the single-molecule coupling matrices v0k,
   * one bosonized assembler (reservoir eliminated, every element smooth in
-    1/N) behind the truncated block Hamiltonian at any order q_max and the
-    zero-temperature high-excitation ladder (quasi = 0, blocks indexed by
-    photon number).  The hand-written forms above are regression fixtures,
-    and fockspace.map_operator is the generic reference.
+    1/N) behind the finite-N truncated block Hamiltonian at any order q_max
+    and the zero-temperature high-excitation ladder (quasi = 0, blocks
+    indexed by photon number).  The hand-written forms above are regression
+    fixtures.
 
 Both assemblers return a BlockHamiltonian with four fields: the whole
 matrix as one real sparse CSR `matrix`, block `offsets` (block q spans
 offsets[q]:offsets[q + 1]), the photon number of every state and, for
-finite-N truncations, the SymBasis.  No dense copy is made.
+truncations, the SymBasis.  No dense copy is made.
 
 N = infinity is a first-class sentinel (math.inf), simply 1/N = 0: the
-single-molecule g and every inter-block coupling vanish, reservoir factors are 1.
+single-molecule g and every inter-block coupling vanish, reservoir factors
+are 1.  The truncation at N = infinity is build_H0 alone, so only the
+high-excitation ladder assembles there.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class BlockHamiltonian:
     Block q spans rows and columns offsets[q]:offsets[q + 1]; sub-block
     (p, q) is nonzero only for |p - q| <= 1.  photon_numbers holds the
     photon number of every state (the leakage diagonal); basis is the
-    underlying SymBasis for finite-N truncations (None otherwise).
+    underlying SymBasis of a truncation (None for the high-excitation ladder).
     """
 
     matrix: sp.csr_matrix
@@ -229,25 +232,21 @@ def _assemble(vs: VibronicStructure, cav: CavityParams, n_exc: int, q_max: int):
 def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> BlockHamiltonian:
     """Truncated block Hamiltonian at CUT-E order q_max (first excitation manifold).
 
-    Enumerate the quasi <= q_max basis and keep the assembled sparse
-    Hamiltonian as is.  Order 0 keeps collective coupling only; order 1
-    admits one action pair of the single-molecule coupling, and so on.
+    Enumerate the quasi <= q_max basis at finite N and keep the assembled
+    sparse Hamiltonian as is.  Order 0 keeps collective coupling only; order
+    1 admits one action pair of the single-molecule coupling, and so on.
 
-    N = infinity: only q_max = 0 is assembled (the single block H0) and no
-    basis is returned.  The q >= 1 blocks are decoupled shifted copies of H0
-    that no photon-initial state reaches, so higher orders raise ValueError.
+    N = infinity raises ValueError: the q >= 1 blocks are decoupled shifted
+    copies of H0 that no photon-initial state reaches, so that limit is
+    build_H0 alone.
     """
+    if cav.is_infinite:
+        raise ValueError("assemble_truncated needs finite N; at N = infinity use build_H0")
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
-    if cav.is_infinite and q_max > 0:
-        raise ValueError(f"at N = infinity only q_max = 0 couples to the photon, got {q_max}")
-    q_eff = min(q_max, cav.n_molecules)
-    basis, H = _assemble(vs, cav, 1, q_eff)
+    basis, H = _assemble(vs, cav, 1, min(q_max, cav.n_molecules))
     return BlockHamiltonian(
-        matrix=H,
-        offsets=basis.offsets,
-        photon_numbers=basis.photon_numbers(),
-        basis=None if cav.is_infinite else basis,
+        matrix=H, offsets=basis.offsets, photon_numbers=basis.photon_numbers(), basis=basis
     )
 
 

@@ -1,4 +1,4 @@
-"""Permutation-symmetric many-body basis and second-quantized operator mapping.
+"""Permutation-symmetric many-body basis, ordered by quasi block.
 
 N identical molecules are treated as bosons occupying the 2m single-molecule
 vibronic states (m ground-surface states followed by m excited-surface
@@ -17,10 +17,8 @@ is conserved by the collective part of the Hamiltonian and changed by +-1 by
 the single-molecule coupling, which makes the Hamiltonian block-tridiagonal
 in quasi and motivates truncating the basis at quasi <= q_max.
 
-map_operator second-quantizes any one-body operator directly from the
-occupations, the reservoir included.  The Hamiltonian itself is assembled in
-bosonized form by cute.hamiltonian_matrix; map_operator is the generic
-reference the tests compare it against.
+The Hamiltonian itself is assembled on this basis in bosonized form by
+cute.hamiltonian_matrix.
 """
 
 from __future__ import annotations
@@ -161,91 +159,3 @@ def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
         index={s: i for i, s in enumerate(states)},
         offsets=np.array(offsets + [len(states)]),
     )
-
-
-def map_operator(one_body, basis, photon_shift: int = 0) -> sp.csr_matrix:
-    """Second-quantize a symmetric sum of single-molecule operators.
-
-    Maps sum_k o^(k) to sum_{ij} <nu_i|o|nu_j> beta+_i beta_j, where o is the
-    (2m x 2m) one-body matrix over the single-molecule vibronic states
-    (g-manifold then e-manifold) and beta_i are the molecule bosons.  Matrix
-    elements carry the usual ladder factors sqrt(n_j) sqrt(n_i + 1).
-
-    photon_shift = -1 multiplies every term by the photon annihilator
-    (factor sqrt(n_ph)), which is how the light-matter terms B+_i b_j a are
-    assembled; their conjugates are its transpose.
-    Target states outside the basis are dropped: that is exactly the
-    quasi-block truncation.
-    """
-    import scipy.sparse as sp
-    one_body = np.asarray(one_body)
-    two_m = 2 * basis.m
-    if one_body.shape != (two_m, two_m):
-        raise ValueError(
-            f"one-body matrix must be ({two_m}, {two_m}) for m={basis.m}, "
-            f"got {one_body.shape}"
-        )
-    if photon_shift not in (-1, 0):
-        raise ValueError(f"photon_shift must be -1 or 0, got {photon_shift}")
-
-    nz_i, nz_j = np.nonzero(one_body)
-    rows, cols, vals = [], [], []
-    for jb, st in enumerate(basis.states):
-        occ = st.matter
-        if photon_shift == -1:
-            if st.n_ph == 0:
-                continue
-            ph_fac = np.sqrt(st.n_ph)
-        else:
-            ph_fac = 1.0
-        n_ph_new = st.n_ph + photon_shift
-        for vi, vj in zip(nz_i, nz_j):
-            nj = occ[vj]
-            if nj == 0:
-                continue
-            if vi == vj:
-                amp = one_body[vi, vj] * nj * ph_fac
-                new_occ = occ
-            else:
-                amp = one_body[vi, vj] * np.sqrt(nj) * np.sqrt(occ[vi] + 1) * ph_fac
-                lst = list(occ)
-                lst[vj] -= 1
-                lst[vi] += 1
-                new_occ = tuple(lst)
-            target = SymState(n_g=new_occ[: basis.m], n_e=new_occ[basis.m :], n_ph=n_ph_new)
-            ib = basis.index.get(target)
-            if ib is None:
-                continue
-            rows.append(ib)
-            cols.append(jb)
-            vals.append(amp)
-
-    dim = basis.dim
-    out = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
-
-def conserved_check(basis: SymBasis, H, max_quasi_jump: int = 1, tol: float = 1e-14) -> list[dict]:
-    """Verify conservation laws on an assembled matrix.
-
-    Every nonzero element must connect states with equal N and N_exc, and
-    with |delta quasi| <= max_quasi_jump (1 for the full Hamiltonian, 0 for
-    its collective part, which is block-diagonal).  Returns a list of
-    violations; empty means the structure is as claimed.
-    """
-    import scipy.sparse as sp
-    H = sp.coo_matrix(H)
-    violations = []
-    for r, c, v in zip(H.row, H.col, H.data):
-        if abs(v) <= tol:
-            continue
-        a, b = basis.states[r], basis.states[c]
-        if a.n_molecules != b.n_molecules:
-            violations.append({"row": int(r), "col": int(c), "value": v, "reason": "N"})
-        if a.n_excitations != b.n_excitations:
-            violations.append({"row": int(r), "col": int(c), "value": v, "reason": "N_exc"})
-        if abs(a.quasi - b.quasi) > max_quasi_jump:
-            violations.append({"row": int(r), "col": int(c), "value": v, "reason": "quasi"})
-    return violations

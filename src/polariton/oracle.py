@@ -117,16 +117,6 @@ def build_full_H(
     return H, basis
 
 
-def permutation_operator(basis: TensorBasis, perm: tuple[int, ...]) -> sp.csr_matrix:
-    """Molecule-swap operator P_sigma: reorders the single-molecule registers."""
-    import scipy.sparse as sp
-    rows = []
-    for col, (nus, n_ph) in enumerate(basis.states):
-        rows.append(basis.index[(tuple(nus[p] for p in perm), n_ph)])
-    dim = basis.dim
-    return sp.coo_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim)).tocsr()
-
-
 def symmetrizer(basis: TensorBasis, sym_basis: SymBasis) -> sp.csr_matrix:
     """Isometry T from the symmetric basis into the tensor basis.
 
@@ -157,23 +147,6 @@ def symmetrizer(basis: TensorBasis, sym_basis: SymBasis) -> sp.csr_matrix:
     ).tocsr()
 
 
-def symmetrize(obj, basis: TensorBasis, sym_basis: SymBasis):
-    """Project a tensor-basis state (1d) or operator (2d) onto the symmetric subspace.
-
-    Returns (T, projected) where T is the isometry from symmetrizer(); the
-    projection is T+ psi for states and T+ H T for operators.
-    """
-    import scipy.sparse as sp
-    T = symmetrizer(basis, sym_basis)
-    if not sp.issparse(obj):
-        obj = np.asarray(obj)
-    if obj.ndim == 1:
-        return T, T.conj().T @ obj
-    if obj.ndim == 2:
-        return T, T.conj().T @ (sp.csr_matrix(obj) @ T)
-    raise ValueError("symmetrize expects a vector or a matrix")
-
-
 def oracle_survival(
     vs: VibronicStructure,
     cav: CavityParams,
@@ -197,6 +170,4 @@ def oracle_survival(
         )
     T = symmetrizer(basis, sym_basis)
     psi0 = T @ psi0_sym
-    traj = propagate(H, psi0, grid, kappa=cav.kappa, n_ph=basis.photon_numbers())
-    traj.params["basis"] = "tensor"
-    return traj
+    return propagate(H, psi0, grid, kappa=cav.kappa, n_ph=basis.photon_numbers())

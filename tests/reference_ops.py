@@ -1,0 +1,112 @@
+"""Reference operators the tests check the package against.
+
+map_operator second-quantizes any one-body operator directly from the
+occupations, the reservoir included: the generic reference for the
+bosonized assembler cute.hamiltonian_matrix.  conserved_check lists the
+matrix elements that break a conservation law of the symmetric basis, and
+permutation_operator swaps the molecule registers of the oracle's tensor
+basis.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from polariton.fockspace import SymBasis, SymState
+from polariton.oracle import TensorBasis
+
+
+def map_operator(one_body, basis, photon_shift: int = 0) -> sp.csr_matrix:
+    """Second-quantize a symmetric sum of single-molecule operators.
+
+    Maps sum_k o^(k) to sum_{ij} <nu_i|o|nu_j> beta+_i beta_j, where o is the
+    (2m x 2m) one-body matrix over the single-molecule vibronic states
+    (g-manifold then e-manifold) and beta_i are the molecule bosons.  Matrix
+    elements carry the usual ladder factors sqrt(n_j) sqrt(n_i + 1).
+
+    photon_shift = -1 multiplies every term by the photon annihilator
+    (factor sqrt(n_ph)), which is how the light-matter terms B+_i b_j a are
+    assembled; their conjugates are its transpose.
+    Target states outside the basis are dropped: that is exactly the
+    quasi-block truncation.
+    """
+    one_body = np.asarray(one_body)
+    two_m = 2 * basis.m
+    if one_body.shape != (two_m, two_m):
+        raise ValueError(
+            f"one-body matrix must be ({two_m}, {two_m}) for m={basis.m}, "
+            f"got {one_body.shape}"
+        )
+    if photon_shift not in (-1, 0):
+        raise ValueError(f"photon_shift must be -1 or 0, got {photon_shift}")
+
+    nz_i, nz_j = np.nonzero(one_body)
+    rows, cols, vals = [], [], []
+    for jb, st in enumerate(basis.states):
+        occ = st.matter
+        if photon_shift == -1:
+            if st.n_ph == 0:
+                continue
+            ph_fac = np.sqrt(st.n_ph)
+        else:
+            ph_fac = 1.0
+        n_ph_new = st.n_ph + photon_shift
+        for vi, vj in zip(nz_i, nz_j):
+            nj = occ[vj]
+            if nj == 0:
+                continue
+            if vi == vj:
+                amp = one_body[vi, vj] * nj * ph_fac
+                new_occ = occ
+            else:
+                amp = one_body[vi, vj] * np.sqrt(nj) * np.sqrt(occ[vi] + 1) * ph_fac
+                lst = list(occ)
+                lst[vj] -= 1
+                lst[vi] += 1
+                new_occ = tuple(lst)
+            target = SymState(n_g=new_occ[: basis.m], n_e=new_occ[basis.m :], n_ph=n_ph_new)
+            ib = basis.index.get(target)
+            if ib is None:
+                continue
+            rows.append(ib)
+            cols.append(jb)
+            vals.append(amp)
+
+    dim = basis.dim
+    out = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
+    out.sum_duplicates()
+    out.sort_indices()
+    return out
+
+
+def conserved_check(basis: SymBasis, H, max_quasi_jump: int = 1, tol: float = 1e-14) -> list[dict]:
+    """Verify conservation laws on an assembled matrix.
+
+    Every nonzero element must connect states with equal N and N_exc, and
+    with |delta quasi| <= max_quasi_jump (1 for the full Hamiltonian, 0 for
+    its collective part, which is block-diagonal).  Returns a list of
+    violations; empty means the structure is as claimed.
+    """
+    H = sp.coo_matrix(H)
+    violations = []
+    for r, c, v in zip(H.row, H.col, H.data):
+        if abs(v) <= tol:
+            continue
+        a, b = basis.states[r], basis.states[c]
+        if a.n_molecules != b.n_molecules:
+            violations.append({"row": int(r), "col": int(c), "value": v, "reason": "N"})
+        if a.n_excitations != b.n_excitations:
+            violations.append({"row": int(r), "col": int(c), "value": v, "reason": "N_exc"})
+        if abs(a.quasi - b.quasi) > max_quasi_jump:
+            violations.append({"row": int(r), "col": int(c), "value": v, "reason": "quasi"})
+    return violations
+
+
+def permutation_operator(basis: TensorBasis, perm: tuple[int, ...]) -> sp.csr_matrix:
+    """Molecule-swap operator P_sigma: reorders the single-molecule registers."""
+    rows = []
+    for col, (nus, n_ph) in enumerate(basis.states):
+        rows.append(basis.index[(tuple(nus[p] for p in perm), n_ph)])
+    dim = basis.dim
+    return sp.coo_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim)).tocsr()

@@ -26,12 +26,12 @@ from polariton.dynamics import (
     propagate,
     spectrum,
 )
-from polariton.fockspace import conserved_check
 from polariton.oracle import build_full_H, symmetrizer
 from polariton.perturbation import radiative_pumping_rate, survival_correction
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
 
 from peaks import find_peaks
+from reference_ops import conserved_check
 
 INF = float("inf")
 

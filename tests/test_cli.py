@@ -8,7 +8,9 @@ import pytest
 
 from polariton import cli, dynamics, fockspace, oracle
 from polariton.cli import ConfigError, main, parse_config, run
+from polariton.cute import assemble_truncated
 from polariton.errors import DimensionGuardError
+from polariton.vibronic import build_vibronic
 
 BASE = """
 [molecule]
@@ -182,6 +184,9 @@ def test_missing_file_and_task_conflict(tmp_path):
         ("validate", "8", "", "<= 4"),
         ("spectrum", "inf", "method = warp", "unknown method"),
         ("densities", "inf", "method = oracle", "densities"),
+        ("densities", "8", "method = infinite", "inf"),
+        ("densities", "inf", "method = cute0", "finite"),
+        ("dynamics", "5", "method = oracle", "<= 4"),
     ],
 )
 def test_compatibility_matrix(tmp_path, task, n, extra, msg):
@@ -259,6 +264,31 @@ def test_dynamics_run_header_reports_krylov_window(tmp_path, monkeypatch):
     assert int(header["derived.dim"]) == 9
     assert abs(data[0, 1] - 1.0) < 1e-12
     np.testing.assert_allclose(data, dense, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("method", ["cute0", "cuteq:0"])
+def test_order_zero_dynamics_is_H0_not_the_assembler(tmp_path, monkeypatch, method):
+    # every q = 0 method propagates build_H0, which equals the q_max = 0 assembly bit for bit
+    path = write_cfg(tmp_path, "dynamics", n="8", extra=f"method = {method}")
+    cfg = parse_config(path)
+    bh = assemble_truncated(build_vibronic(cfg.model), cfg.cavity, q_max=0)
+    psi0 = np.zeros(bh.dim, dtype=complex)
+    psi0[0] = 1.0
+    want = dynamics.propagate(
+        bh.matrix, psi0, cfg.grid, kappa=cfg.cavity.kappa, n_ph=bh.photon_numbers
+    )
+    (tmp_path / "want").mkdir()
+    dynamics.write_trajectory_csv(tmp_path / "want" / "trajectory.csv", want)
+
+    calls = []
+    monkeypatch.setattr(cli, "assemble_truncated", lambda *args, **kw: calls.append(kw))
+    assert main(["dynamics", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert calls == []
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    data = [line for line in lines if not line.startswith("#")]
+    assert data == (tmp_path / "want" / "trajectory.csv").read_text().splitlines()
+    header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
+    assert header["derived.dim"] == str(bh.dim)
 
 
 def test_oracle_method_runs(tmp_path):

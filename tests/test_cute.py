@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ from polariton.cute import (
 )
 from polariton.dynamics import TimeGrid, propagate
 from polariton.errors import DimensionGuardError
-from polariton.fockspace import SymState, conserved_check, enumerate_basis, map_operator
+from polariton.fockspace import SymState, enumerate_basis
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
+from reference_ops import conserved_check, map_operator
 
 INF = float("inf")
 
@@ -289,24 +291,25 @@ def test_collective_amplification_sqrtN_exact():
 
 
 def test_infinite_truncation_is_H0_only():
-    # at N = inf the q >= 1 blocks decouple from the photon: only q_max = 0 is built,
-    # and it is build_H0 exactly, also for the fig5 molecule (m = 123) that the CLI's
-    # infinite method propagates from build_H0
+    # order 0 is build_H0 exactly at any finite N, also for the fig5 molecule (m = 123)
+    # that the CLI's q = 0 methods propagate from build_H0; at N = inf the truncation
+    # is build_H0 alone, and assemble_truncated refuses it
     fig5 = parse_config(Path(__file__).resolve().parents[1] / "configs" / "fig5_spectrum.ini")
     vs_fig5 = build_vibronic(fig5.model)
     assert vs_fig5.m == 123
     cases = [
-        (vibronic_fixture(n_max=2), CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)),
-        (vs_fig5, fig5.cavity),
+        (vibronic_fixture(n_max=2), CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)),
+        (vs_fig5, replace(fig5.cavity, n_molecules=1000)),
     ]
     for vs, cav in cases:
         bh = assemble_truncated(vs, cav, q_max=0)
         np.testing.assert_array_equal(bh.matrix.toarray(), build_H0(vs, cav))
         assert list(bh.offsets) == [0, vs.m + 1]
         assert list(bh.photon_numbers) == [1] + [0] * vs.m  # |1>, |e1>, ..., |em>
-        assert bh.basis is None
-        with pytest.raises(ValueError, match="q_max = 0"):
-            assemble_truncated(vs, cav, q_max=1)
+        assert bh.basis.dim == vs.m + 1
+        for q_max in (0, 1):
+            with pytest.raises(ValueError, match="build_H0"):
+                assemble_truncated(vs, replace(cav, n_molecules=INF), q_max=q_max)
 
 
 def test_blocks_hermitian():

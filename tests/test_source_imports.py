@@ -227,6 +227,7 @@ def test_infinite_rate_and_densities_runs_load_no_scipy(tmp_path):
         ("dynamics", config("dynamics", "inf", "task = dynamics\nmethod = infinite")),
         ("rate", str(ROOT / "configs" / "pumping_rate.ini")),
         ("densities", config("densities", "inf", "task = densities")),
+        ("dynamics", config("cute0", "8", "task = dynamics\nmethod = cute0")),  # q = 0 at finite N
     ]
     cute1 = config("cute1", "8", "task = dynamics\nmethod = cute1")
     out = subprocess.run(
