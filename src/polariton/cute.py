@@ -32,9 +32,9 @@ high-excitation ladder assembles there.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
 
 import numpy as np
 
@@ -178,38 +178,40 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     """Bosonized Hamiltonian on a symmetric basis, smooth in 1/N.
 
     The vibrational-ground-state reservoir g_1 is eliminated (Holstein-
-    Primakoff): no amplitude reads its occupation n_g[0].  Diagonal: omega_c
-    n_ph + sum_{k>1} omega_g[k] n_g[k] + sum_i omega_e[i] n_e[i].  Absorbing
-    the photon, g_1 -> e_i carries g_sqrt_n sqrt(1 - n_out/N) fc[i, 0]
-    sqrt(n_e[i] + 1) sqrt(n_ph) (n_out: molecules outside the reservoir) and
-    g_k -> e_i, k > 1, carries g sqrt(n_g[k]) in its place.  Conjugates are
-    the transpose; out-of-basis targets (quasi > q_max) are dropped.
+    Primakoff): a state lists only the slots of the molecules outside it,
+    and n_k counts the molecules in slot k.  Diagonal: omega_c n_ph +
+    sum_k w[k] n_k over the distinct slots in ascending order, with w the
+    slot energies omega_g then omega_e.  Absorbing the photon, g_1 -> e_i
+    carries g_sqrt_n sqrt(1 - len(slots)/N) fc[i, 0] sqrt(n_{m+i} + 1)
+    sqrt(n_ph), and g_k -> e_i, 0 < k < m, carries g sqrt(n_k) in place of
+    the reservoir factor; the target is slots with one k removed and m + i
+    inserted.  Conjugates are the transpose; a target outside the basis
+    (an empty reservoir) is dropped.
     """
     import scipy.sparse as sp
     m = vs.m
     w, fc = np.concatenate([vs.omega_g, vs.omega_e]).tolist(), vs.fc.T.tolist()
     inv_n = 1.0 / cav.n_molecules  # 0.0 at N = inf
     diag, rows, cols, vals = [], [], [], []
-    for src, s in enumerate(basis.states):
-        # occupied modes outside the reservoir: g_2..g_m, then e_1..e_m
-        matter = s.matter
-        occ = [(k, matter[k]) for k in compress(range(1, 2 * m), islice(matter, 1, None))]
-        diag.append(cav.omega_c * s.n_ph + sum(w[k] * n for k, n in occ))
-        if s.n_ph == 0:
+    for src, (slots, n_ph) in enumerate(basis.states):
+        occ = {k: slots.count(k) for k in slots}  # ascending slots -> molecules
+        diag.append(cav.omega_c * n_ph + sum(w[k] * n for k, n in occ.items()))
+        if n_ph == 0:
             continue
-        n_out = sum(n for _, n in occ)
-        hops = [(0, cav.g_sqrt_n * math.sqrt(1.0 - n_out * inv_n))]
-        hops += [(k, cav.g * math.sqrt(n)) for k, n in occ if k < m]
-        ph = math.sqrt(s.n_ph)
-        for k, amp in hops:
-            n_g = s.n_g[:k] + (s.n_g[k] - 1,) + s.n_g[k + 1 :]
+        hops = [(0, slots, cav.g_sqrt_n * math.sqrt(1.0 - len(slots) * inv_n))]
+        for k, n in occ.items():
+            if k < m:
+                j = slots.index(k)
+                hops.append((k, slots[:j] + slots[j + 1 :], cav.g * math.sqrt(n)))
+        ph = math.sqrt(n_ph)
+        for k, rest, amp in hops:
             for i in range(m):
-                n_e = s.n_e[:i] + (s.n_e[i] + 1,) + s.n_e[i + 1 :]
-                tgt = basis.index.get(SymState(n_g, n_e, s.n_ph - 1))
+                j = bisect.bisect(rest, m + i)
+                tgt = basis.index.get(SymState(rest[:j] + (m + i,) + rest[j:], n_ph - 1))
                 if tgt is not None:
                     rows.append(tgt)
                     cols.append(src)
-                    vals.append(amp * fc[k][i] * math.sqrt(n_e[i]) * ph)
+                    vals.append(amp * fc[k][i] * math.sqrt(rest.count(m + i) + 1) * ph)
     M = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
     return (sp.diags(diag) + M + M.T).tocsr()
 

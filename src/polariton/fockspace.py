@@ -1,24 +1,26 @@
 """Permutation-symmetric many-body basis, ordered by quasi block.
 
 N identical molecules are treated as bosons occupying the 2m single-molecule
-vibronic states (m ground-surface states followed by m excited-surface
-states), with the cavity photon as one more bosonic register.  A basis state
+vibronic states (m ground-surface states g_1..g_m followed by m
+excited-surface states e_1..e_m), with the cavity photon as one more bosonic
+register.  The vibrational-ground-state reservoir g_1 is eliminated
+(bosonization): a basis state lists only the molecules outside it,
 
-    |n_1 ... n_m, n'_1 ... n'_m, n_ph>
+    |slots; n_ph>,   slots = (k_1 <= k_2 <= ...),
 
-records how many molecules sit in each vibronic state plus the photon number.
-Two quantities are conserved exactly (molecule number N and excitation number
-N_exc = sum n' + n_ph); the number of vibrationally excited ground-electronic
-molecules
+one slot per molecule, 1..m-1 for g_2..g_m and m..2m-1 for e_1..e_m, plus
+the photon number.  The remaining N - len(slots) molecules sit in g_1.  Two
+quantities are conserved exactly (molecule number N and excitation number
+N_exc = #(excited slots) + n_ph); the number of vibrationally excited
+ground-electronic molecules
 
-    quasi = sum_{k>1} n_k
+    quasi = #(slots < m)
 
 is conserved by the collective part of the Hamiltonian and changed by +-1 by
 the single-molecule coupling, which makes the Hamiltonian block-tridiagonal
 in quasi and motivates truncating the basis at quasi <= q_max.
 
-The Hamiltonian itself is assembled on this basis in bosonized form by
-cute.hamiltonian_matrix.
+The Hamiltonian itself is assembled on this basis by cute.hamiltonian_matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,67 +37,38 @@ from .errors import DimensionGuardError
 BASIS_SIZE_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class SymState:
-    """One occupation-number basis state |n_g, n_e, n_ph>."""
+class SymState(NamedTuple):
+    """One basis state |slots; n_ph>.
 
-    n_g: tuple[int, ...]
-    n_e: tuple[int, ...]
+    slots ascends and holds one entry per molecule outside the reservoir:
+    1..m-1 for g_2..g_m, m..2m-1 for e_1..e_m.  The reservoir g_1 holds the
+    other N - len(slots) molecules; N lives on the SymBasis.
+    """
+
+    slots: tuple[int, ...]
     n_ph: int
-
-    @property
-    def n_molecules(self) -> int:
-        return sum(self.n_g) + sum(self.n_e)
-
-    @property
-    def n_excitations(self) -> int:
-        return sum(self.n_e) + self.n_ph
-
-    @property
-    def quasi(self) -> int:
-        """Number of ground-electronic molecules carrying vibrational quanta."""
-        return sum(self.n_g[1:])
-
-    @property
-    def matter(self) -> tuple[int, ...]:
-        return self.n_g + self.n_e
 
 
 @dataclass(frozen=True)
 class SymBasis:
-    """Ordered symmetric basis at fixed (N, N_exc) truncated at quasi <= q_max."""
+    """Ordered symmetric basis at fixed (N, N_exc) truncated at quasi <= q_max.
+
+    index maps each state to its position; block q (quasi = q) spans
+    offsets[q]:offsets[q + 1].
+    """
 
     states: tuple[SymState, ...]
     N: int
-    N_exc: int
     m: int
-    q_max: int
     index: dict[SymState, int] = field(repr=False)
-    offsets: np.ndarray = field(repr=False)  # block q spans offsets[q]:offsets[q + 1]
+    offsets: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
-    def block_slice(self, q: int) -> slice:
-        """Index range of the quasi = q block (states are ordered by quasi)."""
-        return slice(int(self.offsets[q]), int(self.offsets[q + 1]))
-
     def photon_numbers(self) -> np.ndarray:
         return np.array([s.n_ph for s in self.states])
-
-
-def _compositions_desc(total: int, slots: int):
-    """All ways to place `total` quanta in `slots` registers, descending lex.
-
-    Each quantum picks a slot; the slot multisets come in ascending lex
-    order, which is descending lex order of the occupation tuples.
-    """
-    for picks in itertools.combinations_with_replacement(range(slots), total):
-        occ = [0] * slots
-        for k in picks:
-            occ[k] += 1
-        yield tuple(occ)
 
 
 def basis_size(N: int, N_exc: int, m: int, q_max: int) -> int:
@@ -124,9 +98,11 @@ def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
     """Enumerate all states with quasi <= q_max at fixed (N, N_exc).
 
     Ordering is deterministic: ascending quasi block, photon-rich sectors
-    before photon-poor ones within a block, then descending lexicographic
-    occupations (molecules fill low-index vibronic states first), so the
-    quasi = 0 block reads |1>, |e1>, ..., |em>.  The size is checked against
+    before photon-poor ones within a block, then ascending lexicographic
+    slots (molecules fill low-index vibronic states first), so the quasi = 0
+    block reads |1>, |e1>, ..., |em>.  N enters only through the condition
+    that the molecules outside the reservoir fit, so the state list is the
+    same for every N >= N_exc + q_max.  The size is checked against
     BASIS_SIZE_CAP before any state is built.
     """
     size = basis_size(N, N_exc, m, q_max)
@@ -141,21 +117,17 @@ def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
     for q in range(q_max + 1):
         offsets.append(len(states))
         for n_ph in range(N_exc, -1, -1):
-            n_exc_tot = N_exc - n_ph
-            n_g0 = N - n_exc_tot - q
-            if n_g0 < 0:
+            n_up = N_exc - n_ph
+            if n_up + q > N:  # more molecules outside the reservoir than exist
                 continue
-            excited = list(_compositions_desc(n_exc_tot, m))
-            for tail in _compositions_desc(q, m - 1):
-                n_g = (n_g0,) + tail
-                states.extend(SymState(n_g=n_g, n_e=n_e, n_ph=n_ph) for n_e in excited)
+            excited = list(itertools.combinations_with_replacement(range(m, 2 * m), n_up))
+            for ground in itertools.combinations_with_replacement(range(1, m), q):
+                states.extend(SymState(ground + e, n_ph) for e in excited)
 
     return SymBasis(
         states=tuple(states),
         N=N,
-        N_exc=N_exc,
         m=m,
-        q_max=q_max,
         index={s: i for i, s in enumerate(states)},
         offsets=np.array(offsets + [len(states)]),
     )

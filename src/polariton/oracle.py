@@ -120,23 +120,24 @@ def build_full_H(
 def symmetrizer(basis: TensorBasis, sym_basis: SymBasis) -> sp.csr_matrix:
     """Isometry T from the symmetric basis into the tensor basis.
 
-    Column s is the normalized bosonic symmetrization of the occupations of
-    sym state s: every distinct arrangement of the molecule registers enters
-    with coefficient sqrt(prod n_nu! / N!), so that T+ T = 1 on the
-    symmetric subspace.
+    Column s is the normalized bosonic symmetrization of sym state s, whose
+    registers are N - len(slots) reservoir molecules (register 0) followed
+    by its slots: every distinct arrangement of the registers enters with
+    coefficient sqrt(prod n_nu! / N!), so that T+ T = 1 on the symmetric
+    subspace.
     """
     import scipy.sparse as sp
     if sym_basis.N != basis.n_molecules or sym_basis.m != basis.m:
         raise ValueError("tensor and symmetric bases describe different systems")
     rows, cols, vals = [], [], []
-    for s_idx, st in enumerate(sym_basis.states):
-        occ = st.matter
+    for s_idx, (slots, n_ph) in enumerate(sym_basis.states):
+        registers = (0,) * (basis.n_molecules - len(slots)) + slots
         norm = math.sqrt(
-            np.prod([math.factorial(n) for n in occ]) / math.factorial(basis.n_molecules)
+            np.prod([math.factorial(registers.count(nu)) for nu in set(registers)])
+            / math.factorial(basis.n_molecules)
         )
-        registers = [nu for nu, n in enumerate(occ) for _ in range(n)]
         for arrangement in set(itertools.permutations(registers)):
-            t_idx = basis.index.get((arrangement, st.n_ph))
+            t_idx = basis.index.get((arrangement, n_ph))
             if t_idx is None:
                 continue
             rows.append(t_idx)

@@ -143,10 +143,10 @@ def test_vibronic_cap_is_exit_code_1(tmp_path, capsys):
 
 
 def test_basis_cap_is_exit_code_1_before_enumeration(tmp_path, capsys, monkeypatch):
-    def no_enumeration(total, slots):
+    def no_state(slots, n_ph):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(fockspace, "_compositions_desc", no_enumeration)
+    monkeypatch.setattr(fockspace, "SymState", no_state)
     fig5 = (Path(__file__).resolve().parents[1] / "configs" / "fig5_spectrum.ini").read_text()
     path = tmp_path / "fig5_cute2.ini"  # m = 123, cuteq:2 at N = 1000: 945,624 states
     path.write_text(

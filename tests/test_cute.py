@@ -173,7 +173,7 @@ def test_assemble_q0_reproduces_H0():
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)
     bh = assemble_truncated(vs, cav, q_max=0)
     np.testing.assert_allclose(bh.block(0), build_H0(vs, cav), atol=1e-15)
-    assert bh.basis.states[0] == SymState(n_g=(5, 0, 0), n_e=(0, 0, 0), n_ph=1)  # |1>
+    assert bh.basis.states[0] == SymState((), 1)  # |1>
 
 
 def test_assemble_q1_block_sizes_and_coupling_shape():
@@ -262,8 +262,7 @@ def test_assemble_full_matches_map_operator_path(case):
     assert abs(H - ref).max() <= 1e-15 * abs(ref).max()
     assert abs(H - H.T).max() <= 1e-12
     assert conserved_check(basis, H) == []
-    spans = [slice(a, b) for a, b in zip(bh.offsets[:-1], bh.offsets[1:])]
-    assert spans == [basis.block_slice(q) for q in range(q_max + 1)]
+    np.testing.assert_array_equal(bh.offsets, basis.offsets)
     assert bh.offsets[-1] == basis.dim
 
 

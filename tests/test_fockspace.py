@@ -10,19 +10,8 @@ from hypothesis import strategies as st
 
 from polariton import fockspace
 from polariton.errors import DimensionGuardError
-from polariton.fockspace import SymState, _compositions_desc, basis_size, enumerate_basis
-from reference_ops import conserved_check, map_operator
-
-
-def recursive_compositions_desc(total, slots):
-    """Reference: the recursive descending-lex walk over compositions."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in recursive_compositions_desc(total - first, slots - 1):
-            yield (first,) + rest
+from polariton.fockspace import SymState, basis_size, enumerate_basis
+from reference_ops import conserved_check, map_operator, occupations
 
 
 @dataclass(frozen=True)
@@ -43,13 +32,12 @@ class MatterBasis:
         return len(self.states)
 
 
-def enumerate_matter_basis(N: int, m: int, size_cap: int = 500_000) -> MatterBasis:
-    """All occupations of the 2m vibronic states with sum = N, descending lex."""
-    states = []
-    for occ in _compositions_desc(N, 2 * m):
-        states.append(SymState(n_g=occ[:m], n_e=occ[m:], n_ph=0))
-        if len(states) > size_cap:
-            raise DimensionGuardError(f"matter basis exceeds cap {size_cap}")
+def enumerate_matter_basis(N: int, m: int) -> MatterBasis:
+    """All placements of N molecules on the 2m vibronic states, g_1 = slot 0 dropped."""
+    states = [
+        SymState(tuple(k for k in picks if k), 0)
+        for picks in itertools.combinations_with_replacement(range(2 * m), N)
+    ]
     return MatterBasis(
         states=tuple(states), N=N, m=m, index={s: i for i, s in enumerate(states)}
     )
@@ -72,11 +60,7 @@ def brute_force_states(N, N_exc, m, q_max):
 def test_block0_states_eq7():
     # |1>, |e1>, |e2>
     basis = enumerate_basis(3, 1, 2, 0)
-    assert basis.states == (
-        SymState(n_g=(3, 0), n_e=(0, 0), n_ph=1),
-        SymState(n_g=(2, 0), n_e=(1, 0), n_ph=0),
-        SymState(n_g=(2, 0), n_e=(0, 1), n_ph=0),
-    )
+    assert basis.states == (SymState((), 1), SymState((2,), 0), SymState((3,), 0))
 
 
 def test_first_order_block_counts():
@@ -86,21 +70,18 @@ def test_first_order_block_counts():
     basis = enumerate_basis(3, 1, 2, 1)
     assert basis.dim == 6
     assert basis.states[3:] == (  # |g2 1>, |g2 e1>, |g2 e2>
-        SymState(n_g=(2, 1), n_e=(0, 0), n_ph=1),
-        SymState(n_g=(1, 1), n_e=(1, 0), n_ph=0),
-        SymState(n_g=(1, 1), n_e=(0, 1), n_ph=0),
+        SymState((1,), 1),
+        SymState((1, 2), 0),
+        SymState((1, 3), 0),
     )
-    assert {tuple(s.n_g) + tuple(s.n_e) + (s.n_ph,) for s in basis.states} == {
+    assert {occupations(s, 3, 2) + (s.n_ph,) for s in basis.states} == {
         g + e + (p,) for g, e, p in brute_force_states(3, 1, 2, 1)
     }
 
 
 def test_jaynes_cummings_limit():
     basis = enumerate_basis(1, 1, 1, 0)
-    assert basis.states == (  # |1>, |e1>
-        SymState(n_g=(1,), n_e=(0,), n_ph=1),
-        SymState(n_g=(0,), n_e=(1,), n_ph=0),
-    )
+    assert basis.states == (SymState((), 1), SymState((1,), 0))  # |1>, |e1>
 
 
 @pytest.mark.parametrize(
@@ -109,7 +90,8 @@ def test_jaynes_cummings_limit():
 )
 def test_enumeration_matches_brute_force(N, N_exc, m, q_max):
     basis = enumerate_basis(N, N_exc, m, q_max)
-    got = {(s.n_g, s.n_e, s.n_ph) for s in basis.states}
+    occ = [occupations(s, N, m) for s in basis.states]
+    got = {(o[:m], o[m:], s.n_ph) for o, s in zip(occ, basis.states)}
     assert got == brute_force_states(N, N_exc, m, q_max)
     assert len(basis.states) == len(got)
 
@@ -117,21 +99,26 @@ def test_enumeration_matches_brute_force(N, N_exc, m, q_max):
 def test_enumeration_order_and_index_bijection():
     basis = enumerate_basis(3, 1, 3, 3)
     # ascending quasi, photon sector first within each block
-    quasi = [s.quasi for s in basis.states]
+    quasi = [sum(k < basis.m for k in s.slots) for s in basis.states]
     assert quasi == sorted(quasi)
     for q in range(4):
-        sl = basis.block_slice(q)
-        sector = [s.n_ph for s in basis.states[sl]]
+        assert set(quasi[basis.offsets[q] : basis.offsets[q + 1]]) == {q}
+        sector = [s.n_ph for s in basis.states[basis.offsets[q] : basis.offsets[q + 1]]]
         assert sector == sorted(sector, reverse=True)
     for p, state in enumerate(basis.states):
         assert basis.index[state] == p
 
 
-@given(total=st.integers(0, 5), slots=st.integers(0, 8))
-def test_compositions_match_recursive_walk(total, slots):
-    assert list(_compositions_desc(total, slots)) == list(
-        recursive_compositions_desc(total, slots)
-    )
+@pytest.mark.parametrize("N_exc,m,q_max", [(1, 2, 1), (2, 3, 2), (3, 2, 0), (1, 4, 3)])
+def test_states_are_independent_of_N_beyond_the_reservoir(N_exc, m, q_max):
+    # the premise of assembling N = infinity at N = N_exc + q_max: once the
+    # reservoir can hold every excitation and phonon, N changes no state
+    N0 = N_exc + q_max
+    ref = enumerate_basis(N0, N_exc, m, q_max)
+    for N in (N0 + 1, N0 + 2, 50, 1000):
+        basis = enumerate_basis(N, N_exc, m, q_max)
+        assert basis.states == ref.states
+        np.testing.assert_array_equal(basis.offsets, ref.offsets)
 
 
 def test_invalid_arguments():
@@ -167,10 +154,10 @@ def test_basis_size_anchors(N, m, q_max, size):
 
 
 def test_size_guard_fires_before_enumeration(monkeypatch):
-    def no_enumeration(total, slots):
+    def no_state(slots, n_ph):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(fockspace, "_compositions_desc", no_enumeration)
+    monkeypatch.setattr(fockspace, "SymState", no_state)
     with pytest.raises(DimensionGuardError, match="945624"):
         enumerate_basis(1000, 1, 123, 2)
 
@@ -188,7 +175,7 @@ def test_map_projector_counts_occupation():
     proj = np.zeros((2 * m, 2 * m))
     proj[0, 0] = 1.0
     out = map_operator(proj, basis).toarray()
-    st = SymState(n_g=(N - 1, 0), n_e=(1, 0), n_ph=0)
+    st = SymState((m,), 0)  # one molecule in e_1
     i = basis.index[st]
     assert out[i, i] == pytest.approx(N - 1)
 
@@ -201,8 +188,8 @@ def test_map_ladder_amplitude_sqrtN():
     op = np.zeros((2 * m, 2 * m))
     op[m + 1, 0] = 1.0  # e2 <- g1
     out = map_operator(op, basis).toarray()
-    src = basis.index[SymState(n_g=(N, 0), n_e=(0, 0), n_ph=0)]
-    dst = basis.index[SymState(n_g=(N - 1, 0), n_e=(0, 1), n_ph=0)]
+    src = basis.index[SymState((), 0)]
+    dst = basis.index[SymState((m + 1,), 0)]  # one molecule in e_2
     assert out[dst, src] == pytest.approx(np.sqrt(N))
     assert np.count_nonzero(out[:, src]) == 1
 
@@ -235,8 +222,8 @@ def test_photon_shift_factors():
     op = np.zeros((4, 4))
     op[2, 0] = 1.0  # e1 <- g1
     out = map_operator(op, basis, photon_shift=-1).toarray()
-    src = basis.index[SymState(n_g=(2, 0), n_e=(0, 0), n_ph=1)]
-    dst = basis.index[SymState(n_g=(1, 0), n_e=(1, 0), n_ph=0)]
+    src = basis.index[SymState((), 1)]
+    dst = basis.index[SymState((2,), 0)]  # one molecule in e_1
     # sqrt(n_ph) * sqrt(n_g1) * sqrt(n_e1 + 1) = 1 * sqrt(2) * 1
     assert out[dst, src] == pytest.approx(np.sqrt(2.0))
     for shift in (1, 2):
@@ -260,8 +247,7 @@ def test_conserved_check_clean_and_negative_control():
 
     # inject an element between quasi blocks 0 and 2
     bad = H.tolil(copy=True)
-    i0 = basis.block_slice(0).start
-    i2 = basis.block_slice(2).start
+    i0, i2 = basis.offsets[0], basis.offsets[2]
     bad[i2, i0] = 0.01
     violations = conserved_check(basis, bad.tocsr())
     assert len(violations) == 1 and violations[0]["reason"] == "quasi"

@@ -78,7 +78,7 @@ def test_symmetric_subspace_dimension_formula(N, m, n_exc):
 
 def test_projected_hamiltonian_equals_cute_assembly():
     vs = vibronic_fixture(n_max=1, s=1.2)
-    for N in (1, 2, 3):
+    for N in (1, 2, 3, 4):  # N = 4 is oracle.N_CAP: a slot held by four molecules
         cav = CavityParams(omega_c=0.108, g_sqrt_n=0.025, n_molecules=N)
         bh = assemble_truncated(vs, cav, q_max=N)
         H, tb = build_full_H(vs, cav, 1)
