@@ -209,17 +209,21 @@ def _header(cfg: RunConfig, vs: VibronicStructure, extra: dict | None = None) ->
     return out
 
 
-def _survival_for_method(cfg: RunConfig, vs: VibronicStructure):
-    """Photon-state survival amplitude under the configured method."""
+def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, evolve):
+    """Photon-state survival amplitude under the configured method.
+
+    evolve (dynamics.propagate or dynamics.autocorrelation) steps every
+    CUT-E order; the oracle always propagates.
+    """
     cav = cfg.cavity
     q = _cuteq_order(cfg.method, cav.n_molecules)
     if q == 0:  # the dense zeroth block H0 at any N, numpy only
-        traj = dyn.photon_survival(vs, cav, cfg.grid)
+        traj = dyn.photon_survival(vs, cav, cfg.grid, evolve=evolve)
     elif q is not None:
         bh = assemble_truncated(vs, cav, q_max=q)
         psi0 = np.zeros(bh.dim, dtype=complex)
         psi0[0] = 1.0
-        traj = dyn.propagate(bh.matrix, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
+        traj = evolve(bh.matrix, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
     else:  # oracle
         N = cav.n_molecules
         psi_sym = np.zeros(basis_size(N, 1, vs.m, N), dtype=complex)
@@ -232,7 +236,7 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure):
 
 def _task_spectrum(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
-    traj, extra = _survival_for_method(cfg, vs)
+    traj, extra = _survival_for_method(cfg, vs, dyn.autocorrelation)  # c(t) only
     window = cfg.options.get("window", "halfcos10")
     if "omega_min" in cfg.options or "omega_max" in cfg.options:
         lo, hi = _omega_window(cfg.options, cfg.grid)
@@ -250,7 +254,7 @@ def _task_spectrum(cfg: RunConfig, out_dir: Path):
 
 def _task_dynamics(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
-    traj, extra = _survival_for_method(cfg, vs)
+    traj, extra = _survival_for_method(cfg, vs, dyn.propagate)  # c(t) and norms
     path = out_dir / "trajectory.csv"
     dyn.write_trajectory_csv(path, traj, header=_header(cfg, vs, extra))
     print(f"wrote {path}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import SymBasis, SymState, enumerate_basis
+from .fockspace import SymBasis, enumerate_basis
 from .vibronic import VibronicStructure
 
 HERMITICITY_TOL = 1e-12
@@ -207,7 +207,8 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
         for k, rest, amp in hops:
             for i in range(m):
                 j = bisect.bisect(rest, m + i)
-                tgt = basis.index.get(SymState(rest[:j] + (m + i,) + rest[j:], n_ph - 1))
+                # a plain tuple hashes and compares equal to its SymState
+                tgt = basis.index.get((rest[:j] + (m + i,) + rest[j:], n_ph - 1))
                 if tgt is not None:
                     rows.append(tgt)
                     cols.append(src)

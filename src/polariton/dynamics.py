@@ -15,9 +15,15 @@ densified.  Every matrix exponential, from the dense step operators down to
 the small exponentials of the Krylov windows, is one degree-18 Taylor
 series evaluated by Paterson-Stockmeyer, scaled and squared.  A dense
 array is stepped by numpy alone; scipy.sparse is imported only for a sparse
-input or the Krylov path.  No states are stored unless asked for.  spectrum
-evaluates the discrete transform on any uniform frequency grid, the default
-FFT bins included, through one Bluestein chirp-z transform.
+input or the Krylov path.  No states are stored unless asked for.
+autocorrelation gives the survival amplitude alone, the input of a
+spectrum: H_eff is complex symmetric for every generator here and psi0 is
+real, so c(a + b) = psi_a^T psi_b, and up to DENSE_DIM_LIMIT about
+2 sqrt(n_t) dense steps (w = ceil(sqrt(n_t)) states stepped by
+exp(-i H dt), ceil(n_t / w) by exp(-i H w dt)) and one small product give
+all n_t samples.  spectrum evaluates the discrete transform on any uniform
+frequency grid, the default FFT bins included, through one Bluestein
+chirp-z transform done in place on a 5-smooth length.
 """
 
 from __future__ import annotations
@@ -77,13 +83,14 @@ class Trajectory:
     """Propagated amplitudes on a time grid.
 
     c_t is the survival amplitude <psi0|psi(t)>; norm_t the state norm,
-    constant without leakage and non-increasing with it; bra_t is
+    constant without leakage and non-increasing with it (None from
+    autocorrelation); bra_t is
     <bra|psi(t)> when a second bra was given (transition_amplitudes).
     """
 
     grid: TimeGrid
     c_t: np.ndarray
-    norm_t: np.ndarray
+    norm_t: np.ndarray | None
     states: np.ndarray | None = None
     params: dict = field(default_factory=dict)
     bra_t: np.ndarray | None = None
@@ -117,6 +124,28 @@ def effective_hamiltonian(H, kappa: float, n_ph):
     return H
 
 
+def _checked(H, psi0, kappa, n_ph):
+    """(psi0, H_eff) after the input checks shared by propagate and autocorrelation."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    nrm = np.linalg.norm(psi0)
+    if not abs(nrm - 1.0) <= 1e-8:  # also rejects NaN
+        raise ValueError(f"psi0 must be finite and normalized, got ||psi0|| = {nrm}")
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+    H_eff = effective_hamiltonian(H, kappa, n_ph)
+    if not np.all(np.isfinite(H_eff.data if _issparse(H_eff) else H_eff)):
+        raise ValueError("H and n_ph must be finite")
+    return psi0, H_eff
+
+
+def _finished(traj, kappa, method, dim) -> Trajectory:
+    """traj with its path recorded; non-finite amplitudes raise RuntimeError."""
+    if not np.all(np.isfinite(traj.c_t)):
+        raise RuntimeError("propagation produced non-finite amplitudes")
+    traj.params.update({"kappa": kappa, "method": method, "dim": dim})
+    return traj
+
+
 def propagate(
     H,
     psi0,
@@ -141,38 +170,63 @@ def propagate(
     States are stored only with keep_states.
     Non-finite psi0, kappa or H raise ValueError before any step.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    nrm = np.linalg.norm(psi0)
-    if not abs(nrm - 1.0) <= 1e-8:  # also rejects NaN
-        raise ValueError(f"psi0 must be finite and normalized, got ||psi0|| = {nrm}")
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-
+    psi0, H_eff = _checked(H, psi0, kappa, n_ph)
     dim = psi0.size
-    H_eff = effective_hamiltonian(H, kappa, n_ph)
-    if not np.all(np.isfinite(H_eff.data if _issparse(H_eff) else H_eff)):
-        raise ValueError("H and n_ph must be finite")
-    if dim <= DENSE_DIM_LIMIT:
-        method = "dense"
-        dense = H_eff.toarray() if _issparse(H_eff) else H_eff
-        U = _expm(-1j * grid.dt * dense)
-        nt = grid.n_steps + 1
-        w = min(64, nt) if nt >= 16 * dim else 1
-        first = [psi0]
-        for _ in range(w - 1):
-            first.append(U @ first[-1])
-        if 1 < w < nt:  # formed directly: backward stable where squaring U is not
-            U = _expm(-1j * (w * grid.dt) * dense)
-        traj = _step(_blocks(U, np.stack(first, axis=1), nt), psi0, grid, keep_states)
-        traj.params["block_steps"] = w
-    else:
-        method = "krylov"
-        traj = _propagate_krylov(H_eff, psi0, grid, keep_states)
+    if dim > DENSE_DIM_LIMIT:
+        return _finished(_propagate_krylov(H_eff, psi0, grid, keep_states), kappa, "krylov", dim)
+    dense = H_eff.toarray() if _issparse(H_eff) else H_eff
+    U = _expm(-1j * grid.dt * dense)
+    nt = grid.n_steps + 1
+    w = min(64, nt) if nt >= 16 * dim else 1
+    first = [psi0]
+    for _ in range(w - 1):
+        first.append(U @ first[-1])
+    if 1 < w < nt:  # formed directly: backward stable where squaring U is not
+        U = _expm(-1j * (w * grid.dt) * dense)
+    traj = _step(_blocks(U, np.stack(first, axis=1), nt), psi0, grid, keep_states)
+    traj.params["block_steps"] = w
+    return _finished(traj, kappa, "dense", dim)
 
-    if not np.all(np.isfinite(traj.c_t)):
-        raise RuntimeError("propagation produced non-finite amplitudes")
-    traj.params.update({"kappa": kappa, "method": method, "dim": dim})
-    return traj
+
+def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> Trajectory:
+    """The survival amplitude c(t) = psi0^T exp(-i H_eff t) psi0 alone, no norms.
+
+    H_eff = H - i (kappa/2) diag(n_ph) must equal its transpose and psi0 be
+    real, else ValueError (besides propagate's checks).  Then
+    exp(-i H_eff t)^T = exp(-i H_eff t), so with psi_n = exp(-i H_eff n dt)
+    psi0 exactly c((a + b) dt) = psi_a^T psi_b, defective generators
+    included.  Up to DENSE_DIM_LIMIT, with w = ceil(sqrt(n_t)), the baby
+    states F = [psi_0 .. psi_{w-1}] are stepped by U = exp(-i H_eff dt) and
+    the giant states G = [psi_0, psi_w, psi_2w, ..] by exp(-i H_eff w dt),
+    each exponential formed directly by _expm; c(t_{jw+i}) = (G^T F)[j, i],
+    so about 2 sqrt(n_t) matrix-vector products and one small product give
+    all n_t samples.  traj.params records method 'split' and w as
+    'block_steps'.  Above the limit the amplitude is propagate's Krylov one.
+    traj.norm_t is None.
+    """
+    psi0, H_eff = _checked(H, psi0, kappa, n_ph)
+    if np.any(psi0.imag):
+        raise ValueError("autocorrelation needs a real psi0")
+    if abs(H_eff - H_eff.T).max() != 0:
+        raise ValueError("autocorrelation needs a complex-symmetric H_eff = H_eff^T")
+    dim = psi0.size
+    if dim > DENSE_DIM_LIMIT:
+        traj = _propagate_krylov(H_eff, psi0, grid, keep_states=False)
+        traj.norm_t = None
+        return _finished(traj, kappa, "krylov", dim)
+    dense = H_eff.toarray() if _issparse(H_eff) else H_eff
+    nt = grid.n_steps + 1
+    w = math.isqrt(nt - 1) + 1  # ceil(sqrt(n_t)), < n_t as n_t >= 3
+    F = np.empty((dim, w), dtype=complex)
+    G = np.empty((dim, -(-nt // w)), dtype=complex)
+    F[:, 0] = G[:, 0] = psi0
+    for states, step in ((F, grid.dt), (G, w * grid.dt)):
+        U = _expm(-1j * step * dense)  # formed directly: backward stable where U^w is not
+        for j in range(1, states.shape[1]):
+            states[:, j] = U @ states[:, j - 1]
+    c_t = (G.T @ F).ravel()[:nt]
+    traj = Trajectory(grid=grid, c_t=c_t, norm_t=None, params={"block_steps": w})
+    return _finished(traj, kappa, "split", dim)
 
 
 def transition_amplitudes(H_eff, psi0, bra, grid: TimeGrid):
@@ -359,14 +413,20 @@ def _step(windows, psi0, grid, keep_states, bra=None) -> Trajectory:
     return Trajectory(grid=grid, c_t=amps[0], norm_t=norm_t, states=states, bra_t=bra_t)
 
 
-def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) -> Trajectory:
-    """Survival amplitude of the bare photon state under the zeroth block."""
+def photon_survival(
+    vs: VibronicStructure, cav: CavityParams, grid: TimeGrid, evolve=None
+) -> Trajectory:
+    """Survival amplitude of the bare photon state under the zeroth block.
+
+    evolve is propagate (None, the default: amplitudes and norms) or
+    autocorrelation (the amplitude alone, about 2 sqrt(n_t) steps).
+    """
     H0 = build_H0(vs, cav)
     psi0 = np.zeros(H0.shape[0], dtype=complex)
     psi0[0] = 1.0
     n_ph = np.zeros(H0.shape[0])
     n_ph[0] = 1.0
-    return propagate(H0, psi0, grid, kappa=cav.kappa, n_ph=n_ph)
+    return (evolve or propagate)(H0, psi0, grid, kappa=cav.kappa, n_ph=n_ph)
 
 
 def spectrum(
@@ -425,17 +485,40 @@ def _chirp_z(x: np.ndarray, phi0: float, dphi: float, n_out: int) -> np.ndarray:
 
     With nk = (n^2 + k^2 - (k - n)^2) / 2 the sum becomes a convolution of
     x_n e^{i phi0 n} e^{i dphi n^2 / 2} with the chirp e^{-i dphi j^2 / 2},
-    done by zero-padded FFTs of length >= n + n_out - 1.
+    done by zero-padded FFTs of the smallest 5-smooth length >= n + n_out - 1.
+    The signal and the filter are transformed in place in one buffer each,
+    and the filter is freed before the inverse transform.
     """
     n = x.size
     idx = np.arange(max(n, n_out), dtype=float)
     chirp = np.exp(0.5j * dphi * idx**2)
-    size = 1 << (n + n_out - 2).bit_length()
-    y = np.fft.fft(x * np.exp(1j * phi0 * idx[:n]) * chirp[:n], size)
+    size = _fft_size(n + n_out - 1)
+    y = np.zeros(size, dtype=complex)
+    y[:n] = x
+    y[:n] *= np.exp(1j * phi0 * idx[:n])
+    y[:n] *= chirp[:n]
+    np.fft.fft(y, out=y)
     h = np.zeros(size, dtype=complex)
-    h[:n_out] = chirp[:n_out].conj()
-    h[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
-    return chirp[:n_out] * np.fft.ifft(y * np.fft.fft(h))[:n_out]
+    np.conjugate(chirp[:n_out], out=h[:n_out])
+    np.conjugate(chirp[n - 1 : 0 : -1], out=h[size - n + 1 :])
+    y *= np.fft.fft(h, out=h)
+    del h
+    np.fft.ifft(y, out=y)
+    return chirp[:n_out] * y[:n_out]
+
+
+def _fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _window(window: str | None, nt: int) -> np.ndarray:

@@ -8,6 +8,7 @@ report.  Every tolerance is pinned here; fixtures are fixed parameter sets
 import math
 
 import numpy as np
+import pytest
 
 from polariton.cute import (
     CavityParams,
@@ -17,6 +18,7 @@ from polariton.cute import (
 )
 from polariton.dynamics import (
     TimeGrid,
+    autocorrelation,
     dark_state_density,
     effective_hamiltonian,
     photon_survival,
@@ -212,10 +214,11 @@ FIG5_MODEL = MolecularModel(
 FIG5_CAV = CavityParams(omega_c=0.1161, g_sqrt_n=0.03, n_molecules=INF, kappa=0.0015)
 
 
-def test_criterion_5_vibronic_spectrum_vs_pole_oracle():
+@pytest.mark.parametrize("evolve", [propagate, autocorrelation], ids=["propagate", "split"])
+def test_criterion_5_vibronic_spectrum_vs_pole_oracle(evolve):
     vs = build_vibronic(FIG5_MODEL)
     grid = TimeGrid(t_max=2.0**16, n_steps=2**16)
-    traj = photon_survival(vs, FIG5_CAV, grid)
+    traj = photon_survival(vs, FIG5_CAV, grid, evolve=evolve)
     omega = np.arange(0.05, 0.2, grid.delta_omega)
     om, A = spectrum(traj.c_t, grid, omega=omega, window=None)
 

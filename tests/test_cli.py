@@ -223,7 +223,7 @@ def test_spectrum_run_writes_headers_and_is_deterministic(tmp_path, window):
     header = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("#"))
     omega = np.loadtxt(lines[lines.index("omega,intensity") + 1 :], delimiter=",")[:, 0]
     np.testing.assert_allclose(np.diff(omega), float(header["derived.delta_omega"]), rtol=1e-9)
-    assert header["derived.method"] == "dense"
+    assert header["derived.method"] == "split"
     assert not {"derived.krylov_dim", "derived.substeps"} & set(header)
 
 
@@ -289,6 +289,23 @@ def test_order_zero_dynamics_is_H0_not_the_assembler(tmp_path, monkeypatch, meth
     assert data == (tmp_path / "want" / "trajectory.csv").read_text().splitlines()
     header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
     assert header["derived.dim"] == str(bh.dim)
+
+
+def test_spectrum_cute_methods_take_the_split_route(tmp_path):
+    # the assembled sparse matrix at N = 3 (exactN) against the oracle, which propagates
+    rows, header = {}, {}
+    for method in ("exactN", "oracle"):
+        path = write_cfg(tmp_path, "spectrum", n="3", extra=f"method = {method}\nwindow = none")
+        out = tmp_path / method
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "spectrum.csv").read_text().splitlines()
+        header[method] = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("#"))
+        rows[method] = np.loadtxt(lines[lines.index("omega,intensity") + 1 :], delimiter=",")
+    assert (header["exactN"]["derived.method"], header["oracle"]["derived.method"]) == (
+        "split", "dense"
+    )
+    assert header["exactN"]["derived.block_steps"] == "46"  # ceil(sqrt(2049))
+    np.testing.assert_allclose(rows["exactN"], rows["oracle"], rtol=0, atol=1e-10)
 
 
 def test_oracle_method_runs(tmp_path):
@@ -452,10 +469,10 @@ def test_benchmark_spectrum_has_two_polariton_bands(tmp_path):
     idx = np.argsort(A)[-2:]
     lo, hi = np.sort(om[idx])
     assert lo < 0.1161 < hi
-    # dim 124 with 8193 >= 16 dim samples: the dense path steps in blocks of 64
+    # dim 124, n_t = 8193: the split amplitude steps w = ceil(sqrt(8193)) = 91 states a side
     keys = [l[2:].split(" = ", 1)[0] for l in lines if l.startswith("#")]
     i = keys.index("derived.method")
-    assert lines[i : i + 2] == ["# derived.method = dense", "# derived.block_steps = 64"]
+    assert lines[i : i + 2] == ["# derived.method = split", "# derived.block_steps = 91"]
 
 
 def test_import_and_parse_leave_scipy_signal_unloaded():

@@ -16,6 +16,7 @@ from polariton.cute import CavityParams, assemble_truncated, build_H0
 from polariton.dynamics import (
     TimeGrid,
     _window,
+    autocorrelation,
     dark_state_density,
     effective_hamiltonian,
     photon_survival,
@@ -243,6 +244,84 @@ def test_defective_generator_steps_exactly():
         jordan = propagate(J, np.array([0.0, 1.0]), grid)
         assert (jordan.params["method"], jordan.params["block_steps"]) == ("dense", block_steps)
         np.testing.assert_allclose(jordan.norm_t, np.hypot(1.0, grid.times), atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 40),
+    n_steps=st.sampled_from([2, 3, 17, 1000]),
+    kappa=st.floats(0.0, 1.0),
+    dt=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_autocorrelation_matches_propagate(dim, n_steps, kappa, dt, seed):
+    # n_t = 3, 4, 18, 1001 against w = 2, 2, 5, 32: only n_t = 4 fills the last giant row
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(dim, dim))
+    H = (H + H.T) / 2
+    psi0 = rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    n_ph = (rng.random(dim) < 0.5).astype(float)
+    grid = TimeGrid(t_max=dt * n_steps, n_steps=n_steps)
+    split = autocorrelation(H, psi0, grid, kappa=kappa, n_ph=n_ph)
+    ref = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph)
+    assert split.params["method"] == "split" and split.norm_t is None
+    assert split.params["block_steps"] == math.ceil(math.sqrt(n_steps + 1))
+    np.testing.assert_allclose(split.c_t, ref.c_t, rtol=0, atol=1e-13)
+
+
+def test_autocorrelation_above_the_limit_is_the_krylov_amplitude(monkeypatch):
+    rng = np.random.default_rng(13)
+    H = rng.normal(size=(6, 6))
+    H = sp.csr_matrix(H + H.T)
+    psi0 = np.eye(6)[0]
+    n_ph = psi0.copy()
+    grid = TimeGrid(t_max=10.0, n_steps=20)
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 5)
+    split = autocorrelation(H, psi0, grid, kappa=0.1, n_ph=n_ph)
+    ref = propagate(H, psi0, grid, kappa=0.1, n_ph=n_ph)
+    assert (split.params["method"], split.norm_t) == ("krylov", None)
+    np.testing.assert_array_equal(split.c_t, ref.c_t)
+
+
+def test_autocorrelation_of_nilpotent_complex_symmetric_generator():
+    # N = [[1, i], [i, -1]] has N^2 = 0 and no eigenbasis: exp(-i N t) = I - i N t
+    N = np.array([[1.0, 1j], [1j, -1.0]])
+    for grid in (TimeGrid(10.0, 20), TimeGrid(50.0, 200)):  # n_t = 21, 201: w = 5, 15
+        traj = autocorrelation(N, np.array([1.0, 0.0]), grid)
+        np.testing.assert_allclose(traj.c_t, 1.0 - 1j * grid.times, rtol=0, atol=1e-10)
+
+
+def test_autocorrelation_input_validation():
+    grid = TimeGrid(t_max=1.0, n_steps=2)
+    H = np.diag([0.1, 0.2])
+    with pytest.raises(ValueError, match="complex-symmetric"):
+        autocorrelation(np.array([[0.1, 0.3], [0.0, 0.2]]), np.array([1.0, 0.0]), grid)
+    with pytest.raises(ValueError, match="real psi0"):
+        autocorrelation(H, np.array([1.0, 1j]) / math.sqrt(2), grid)
+    with pytest.raises(ValueError, match="normalized"):
+        autocorrelation(H, np.array([2.0, 0.0]), grid)
+
+
+def test_autocorrelation_forms_two_exponentials_on_fig5(monkeypatch):
+    # configs/fig5_spectrum.ini: dim 124, n_t = 65537, w = 257 baby and 256 giant states
+    vs = build_vibronic(
+        MolecularModel(
+            electronic_gap=0.1,
+            modes=(VibrationalMode(0.01, 0.01, 2), VibrationalMode(0.001, 16, 40)),
+        )
+    )
+    cav = CavityParams(omega_c=0.1161, g_sqrt_n=0.03, n_molecules=INF, kappa=0.0015)
+    calls, expm = [], dynamics._expm
+
+    def counted(A):
+        calls.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(dynamics, "_expm", counted)
+    traj = photon_survival(vs, cav, TimeGrid(t_max=65536.0, n_steps=65536), evolve=autocorrelation)
+    assert calls == [(124, 124)] * 2
+    assert [traj.params[key] for key in ("method", "block_steps", "dim")] == ["split", 257, 124]
 
 
 def test_propagate_peak_memory_below_one_dense_copy():
@@ -578,6 +657,20 @@ def test_spectrum_default_grid_and_window():
         spectrum(c_t, grid, omega=np.array([0.1, 0.2, 0.4]))
     with pytest.raises(ValueError, match="non-empty"):
         spectrum(c_t, grid, omega=np.array([]))
+
+
+def test_fft_size_is_the_next_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(1, 3000):
+        size = dynamics._fft_size(n)
+        assert size >= n and smooth(size)
+        assert not any(smooth(k) for k in range(n, size))
+    assert dynamics._fft_size(65537 + 1565 - 1) == 67500  # the fig5 transform
 
 
 @pytest.mark.parametrize("t_max, n_steps", [(700.0, 1000), (700.0, 1001), (25.0, 25)])
