@@ -8,8 +8,12 @@ configuration.
 
     polariton <task> --config run.ini [--out DIR]
 
-Tasks: spectrum, dynamics, rate, densities, validate.  Exit codes: 0 success,
-2 for any ValueError (bad input), 1 for a RuntimeError or LinAlgError (numerical guard).
+Tasks: spectrum, dynamics, rate, densities, validate.  A method (infinite,
+cute0, cute1, cuteq:<q>, exactN, oracle) gives one generator (H, psi0, n_ph)
+and the task alone picks the stepper: dynamics.autocorrelation for
+spectrum, dynamics.propagate for dynamics.  Exit codes: 0 success, 2 for
+any ValueError (bad input), 1 for a RuntimeError or LinAlgError (numerical
+guard).
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics as dyn
-from .cute import CavityParams, assemble_truncated
-from .fockspace import basis_size
-from .oracle import N_CAP, build_full_H, oracle_survival, symmetrizer
+from .cute import CavityParams, assemble_truncated, build_H0
+from .oracle import N_CAP, oracle_generator
 from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate, write_rate_json
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
 
@@ -209,26 +212,27 @@ def _header(cfg: RunConfig, vs: VibronicStructure, extra: dict | None = None) ->
     return out
 
 
-def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, evolve):
+def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, step):
     """Photon-state survival amplitude under the configured method.
 
-    evolve (dynamics.propagate or dynamics.autocorrelation) steps every
-    CUT-E order; the oracle always propagates.
+    The method gives the generator (H, psi0, n_ph): the dense zeroth block
+    H0 at order 0 (numpy only, at any N), assemble_truncated at order q, and
+    the oracle's tensor Hamiltonian with the photon state lifted by T[:, 0].
+    step, the task's stepper (dynamics.autocorrelation or
+    dynamics.propagate), then runs once.
     """
     cav = cfg.cavity
     q = _cuteq_order(cfg.method, cav.n_molecules)
-    if q == 0:  # the dense zeroth block H0 at any N, numpy only
-        traj = dyn.photon_survival(vs, cav, cfg.grid, evolve=evolve)
+    if q == 0:
+        H = build_H0(vs, cav)
+        psi0 = n_ph = np.eye(1, H.shape[0]).ravel()
     elif q is not None:
         bh = assemble_truncated(vs, cav, q_max=q)
-        psi0 = np.zeros(bh.dim, dtype=complex)
-        psi0[0] = 1.0
-        traj = evolve(bh.matrix, psi0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
-    else:  # oracle
-        N = cav.n_molecules
-        psi_sym = np.zeros(basis_size(N, 1, vs.m, N), dtype=complex)
-        psi_sym[0] = 1.0
-        traj = oracle_survival(vs, cav, psi_sym, cfg.grid)
+        H, psi0, n_ph = bh.matrix, np.eye(1, bh.dim).ravel(), bh.photon_numbers
+    else:
+        H, T, n_ph = oracle_generator(vs, cav)
+        psi0 = T[:, [0]].toarray().ravel()
+    traj = step(H, psi0, cfg.grid, kappa=cav.kappa, n_ph=n_ph)
     keys = ("dim", "method", "krylov_dim", "block_steps", "substeps")
     extra = {f"derived.{key}": traj.params[key] for key in keys if key in traj.params}
     return traj, extra
@@ -236,7 +240,7 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, evolve):
 
 def _task_spectrum(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
-    traj, extra = _survival_for_method(cfg, vs, dyn.autocorrelation)  # c(t) only
+    traj, extra = _survival_for_method(cfg, vs, dyn.autocorrelation)
     window = cfg.options.get("window", "halfcos10")
     if "omega_min" in cfg.options or "omega_max" in cfg.options:
         lo, hi = _omega_window(cfg.options, cfg.grid)
@@ -254,7 +258,7 @@ def _task_spectrum(cfg: RunConfig, out_dir: Path):
 
 def _task_dynamics(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
-    traj, extra = _survival_for_method(cfg, vs, dyn.propagate)  # c(t) and norms
+    traj, extra = _survival_for_method(cfg, vs, dyn.propagate)
     path = out_dir / "trajectory.csv"
     dyn.write_trajectory_csv(path, traj, header=_header(cfg, vs, extra))
     print(f"wrote {path}")
@@ -325,13 +329,11 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
     cav = cfg.cavity
     bh = assemble_truncated(vs, cav, q_max=cav.n_molecules)
-    H, tb = build_full_H(vs, cav, 1)
-    T = symmetrizer(tb, bh.basis)
+    H, T, n_ph = oracle_generator(vs, cav)
     dev_H = float(abs(T.T @ (H @ T) - bh.matrix).max())
 
-    e0 = np.zeros(bh.dim, dtype=complex)
-    e0[0] = 1.0  # the photon state, lifted to the tensor basis by T
-    c_oracle = dyn.propagate(H, T @ e0, cfg.grid, kappa=cav.kappa, n_ph=tb.photon_numbers()).c_t
+    e0 = np.eye(1, bh.dim).ravel()  # the photon state, lifted to the tensor basis by T
+    c_oracle = dyn.propagate(H, T @ e0, cfg.grid, kappa=cav.kappa, n_ph=n_ph).c_t
     c_cute = dyn.propagate(bh.matrix, e0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers).c_t
     dev_c = float(np.max(np.abs(c_oracle - c_cute)))
 

@@ -21,9 +21,12 @@ spectrum: H_eff is complex symmetric for every generator here and psi0 is
 real, so c(a + b) = psi_a^T psi_b, and up to DENSE_DIM_LIMIT about
 2 sqrt(n_t) dense steps (w = ceil(sqrt(n_t)) states stepped by
 exp(-i H dt), ceil(n_t / w) by exp(-i H w dt)) and one small product give
-all n_t samples.  spectrum evaluates the discrete transform on any uniform
-frequency grid, the default FFT bins included, through one Bluestein
-chirp-z transform done in place on a 5-smooth length.
+all n_t samples.  transition_amplitudes adds a second bra on the Krylov
+path, for the 1/N correction.  All three run the same input checks
+(_checked) and output check (_finished).  spectrum evaluates the discrete
+transform on any uniform frequency grid, the default FFT bins included,
+through one Bluestein chirp-z transform done in place on a 5-smooth length.
+A TimeGrid holds at most GRID_SIZE_CAP samples.
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cute import CavityParams, build_H0
+from .errors import DimensionGuardError
 from .vibronic import VibronicStructure, ho_wavefunctions
 
 DENSE_DIM_LIMIT = 512
+# samples per time grid (64x the fig5 grid), checked before any per-sample array exists
+GRID_SIZE_CAP = 2**22
 # vectors per Arnoldi basis of the sparse path; its window follows from Saad's bound
 KRYLOV_DIM = 30
 
@@ -60,6 +66,10 @@ class TimeGrid:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 2:
             raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps!r}")
+        if self.n_steps + 1 > GRID_SIZE_CAP:
+            raise DimensionGuardError(
+                f"n_steps = {self.n_steps} gives more than {GRID_SIZE_CAP} time samples"
+            )
 
     @property
     def dt(self) -> float:
@@ -125,7 +135,7 @@ def effective_hamiltonian(H, kappa: float, n_ph):
 
 
 def _checked(H, psi0, kappa, n_ph):
-    """(psi0, H_eff) after the input checks shared by propagate and autocorrelation."""
+    """(psi0, H_eff) after the input checks shared by every stepping entry point."""
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
     if not abs(nrm - 1.0) <= 1e-8:  # also rejects NaN
@@ -140,8 +150,9 @@ def _checked(H, psi0, kappa, n_ph):
 
 def _finished(traj, kappa, method, dim) -> Trajectory:
     """traj with its path recorded; non-finite amplitudes raise RuntimeError."""
-    if not np.all(np.isfinite(traj.c_t)):
-        raise RuntimeError("propagation produced non-finite amplitudes")
+    for amps in (traj.c_t, traj.bra_t):
+        if amps is not None and not np.all(np.isfinite(amps)):
+            raise RuntimeError("propagation produced non-finite amplitudes")
     traj.params.update({"kappa": kappa, "method": method, "dim": dim})
     return traj
 
@@ -229,14 +240,19 @@ def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> T
     return _finished(traj, kappa, "split", dim)
 
 
-def transition_amplitudes(H_eff, psi0, bra, grid: TimeGrid):
-    """<psi0|psi(t)> and <bra|psi(t)>, psi(t) = exp(-i H_eff t) psi0, on the grid.
+def transition_amplitudes(
+    H, psi0, bra, grid: TimeGrid, kappa: float = 0.0, n_ph=None
+) -> Trajectory:
+    """<psi0|psi(t)> as traj.c_t and <bra|psi(t)> as traj.bra_t on the grid.
 
-    H_eff is used as given (leakage included) at any dimension, stepped by
-    the Arnoldi windows of _propagate_krylov; no state is stored.
+    psi(t) = exp(-i H_eff t) psi0 with H_eff = H - i (kappa/2) diag(n_ph),
+    stepped by the Arnoldi windows of _propagate_krylov at any dimension;
+    no state is stored.  Inputs are checked as in propagate (ValueError),
+    and non-finite amplitudes in either row raise RuntimeError.
     """
+    psi0, H_eff = _checked(H, psi0, kappa, n_ph)
     traj = _propagate_krylov(H_eff, psi0, grid, keep_states=False, bra=bra)
-    return traj.c_t, traj.bra_t
+    return _finished(traj, kappa, "krylov", psi0.size)
 
 
 def _blocks(U, block, nt):
@@ -271,8 +287,8 @@ def _propagate_krylov(H_eff, psi0, grid, keep_states, bra=None) -> Trajectory:
     mu = H_eff.diagonal().sum() / dim
     A = -1j * grid.dt * (H_eff - mu * sp.identity(dim, format="csr"))
     rho = max(abs(A).sum(axis=0).max(), abs(A).sum(axis=1).max())
-    if not math.isfinite(rho):
-        raise ValueError(f"generator must be finite, got max(||A||_1, ||A||_inf) = {rho}")
+    if not math.isfinite(rho):  # finite entries (_checked) can still overflow the norm
+        raise ValueError(f"generator norm overflows: max(||A||_1, ||A||_inf) = {rho}")
     k = min(KRYLOV_DIM, dim)
     reach = _krylov_reach(k) if dim > k else math.inf
     width, substeps = grid.n_steps, 1
@@ -413,20 +429,12 @@ def _step(windows, psi0, grid, keep_states, bra=None) -> Trajectory:
     return Trajectory(grid=grid, c_t=amps[0], norm_t=norm_t, states=states, bra_t=bra_t)
 
 
-def photon_survival(
-    vs: VibronicStructure, cav: CavityParams, grid: TimeGrid, evolve=None
-) -> Trajectory:
-    """Survival amplitude of the bare photon state under the zeroth block.
-
-    evolve is propagate (None, the default: amplitudes and norms) or
-    autocorrelation (the amplitude alone, about 2 sqrt(n_t) steps).
-    """
+def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) -> Trajectory:
+    """Survival amplitude and norm of the bare photon state under the zeroth block."""
     H0 = build_H0(vs, cav)
-    psi0 = np.zeros(H0.shape[0], dtype=complex)
-    psi0[0] = 1.0
-    n_ph = np.zeros(H0.shape[0])
-    n_ph[0] = 1.0
-    return (evolve or propagate)(H0, psi0, grid, kappa=cav.kappa, n_ph=n_ph)
+    e0 = np.zeros(H0.shape[0])
+    e0[0] = 1.0  # the photon state, also the photon-number diagonal
+    return propagate(H0, e0, grid, kappa=cav.kappa, n_ph=e0)
 
 
 def spectrum(

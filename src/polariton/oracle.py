@@ -4,10 +4,10 @@ Each of the N molecules keeps its own register over the 2m single-molecule
 vibronic states (indices 0..m-1 ground manifold, m..2m-1 excited manifold),
 plus a photon register restricted to the chosen excitation number.  The
 Hamiltonian is assembled molecule by molecule in first quantization with
-FC-dressed rotating-wave light-matter terms, propagated exactly, and
-projected onto the permutation-symmetric subspace for comparison with the
-bosonized construction.  Exponential cost: this exists to validate, not to
-scale (hard cap N <= 4).
+FC-dressed rotating-wave light-matter terms and handed, with the
+symmetrizer onto the permutation-symmetric subspace, to the same steppers
+as the bosonized construction it checks.  Exponential cost: this exists to
+validate, not to scale (hard cap N <= 4).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cute import CavityParams
-from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import DimensionGuardError
 from .fockspace import SymBasis, enumerate_basis
 from .vibronic import VibronicStructure
@@ -148,27 +147,14 @@ def symmetrizer(basis: TensorBasis, sym_basis: SymBasis) -> sp.csr_matrix:
     ).tocsr()
 
 
-def oracle_survival(
-    vs: VibronicStructure,
-    cav: CavityParams,
-    psi0_sym: np.ndarray,
-    grid: TimeGrid,
-) -> Trajectory:
-    """Exact survival amplitude with psi0 given on the symmetric basis.
+def oracle_generator(vs: VibronicStructure, cav: CavityParams):
+    """(H, T, n_ph) of the first excitation manifold of cav.n_molecules molecules.
 
-    psi0 lives in the first excitation manifold.  The symmetric state is
-    lifted into the tensor basis through the symmetrizer isometry and
-    propagated under the full distinguishable-molecule Hamiltonian, with
-    photon leakage cav.kappa.
+    H is build_full_H's tensor-basis Hamiltonian, n_ph its photon-number
+    diagonal and T the symmetrizer from the exact-N symmetric basis, whose
+    first column T[:, 0] lifts the photon state.  A task steps H from that
+    state like any other generator; T^T H T is the bosonized matrix.
     """
     H, basis = build_full_H(vs, cav, 1)
     sym_basis = enumerate_basis(cav.n_molecules, 1, vs.m, q_max=cav.n_molecules)
-    psi0_sym = np.asarray(psi0_sym, dtype=complex)
-    if psi0_sym.shape != (sym_basis.dim,):
-        raise ValueError(
-            f"psi0_sym must have the symmetric-basis dimension {sym_basis.dim}, "
-            f"got {psi0_sym.shape}"
-        )
-    T = symmetrizer(basis, sym_basis)
-    psi0 = T @ psi0_sym
-    return propagate(H, psi0, grid, kappa=cav.kappa, n_ph=basis.photon_numbers())
+    return H, symmetrizer(basis, sym_basis), basis.photon_numbers()

@@ -214,17 +214,17 @@ FIG5_MODEL = MolecularModel(
 FIG5_CAV = CavityParams(omega_c=0.1161, g_sqrt_n=0.03, n_molecules=INF, kappa=0.0015)
 
 
-@pytest.mark.parametrize("evolve", [propagate, autocorrelation], ids=["propagate", "split"])
-def test_criterion_5_vibronic_spectrum_vs_pole_oracle(evolve):
+@pytest.mark.parametrize("step", [propagate, autocorrelation], ids=["propagate", "split"])
+def test_criterion_5_vibronic_spectrum_vs_pole_oracle(step):
     vs = build_vibronic(FIG5_MODEL)
     grid = TimeGrid(t_max=2.0**16, n_steps=2**16)
-    traj = photon_survival(vs, FIG5_CAV, grid, evolve=evolve)
+    H0 = build_H0(vs, FIG5_CAV)
+    n_ph = np.zeros(H0.shape[0])
+    n_ph[0] = 1.0  # the photon state, also the photon-number diagonal
+    traj = step(H0, n_ph, grid, kappa=FIG5_CAV.kappa, n_ph=n_ph)
     omega = np.arange(0.05, 0.2, grid.delta_omega)
     om, A = spectrum(traj.c_t, grid, omega=omega, window=None)
 
-    H0 = build_H0(vs, FIG5_CAV)
-    n_ph = np.zeros(H0.shape[0])
-    n_ph[0] = 1.0
     lam, w = pole_decomposition(effective_hamiltonian(H0, FIG5_CAV.kappa, n_ph))
     A_oracle = pole_spectrum(lam, w, om, grid)
 

@@ -292,7 +292,7 @@ def test_order_zero_dynamics_is_H0_not_the_assembler(tmp_path, monkeypatch, meth
 
 
 def test_spectrum_cute_methods_take_the_split_route(tmp_path):
-    # the assembled sparse matrix at N = 3 (exactN) against the oracle, which propagates
+    # the assembled sparse matrix at N = 3 (exactN) against the oracle's tensor Hamiltonian
     rows, header = {}, {}
     for method in ("exactN", "oracle"):
         path = write_cfg(tmp_path, "spectrum", n="3", extra=f"method = {method}\nwindow = none")
@@ -302,10 +302,41 @@ def test_spectrum_cute_methods_take_the_split_route(tmp_path):
         header[method] = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("#"))
         rows[method] = np.loadtxt(lines[lines.index("omega,intensity") + 1 :], delimiter=",")
     assert (header["exactN"]["derived.method"], header["oracle"]["derived.method"]) == (
-        "split", "dense"
+        "split", "split"
     )
     assert header["exactN"]["derived.block_steps"] == "46"  # ceil(sqrt(2049))
     np.testing.assert_allclose(rows["exactN"], rows["oracle"], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("method", ["infinite", "cute0", "cute1", "cuteq:2", "exactN", "oracle"])
+@pytest.mark.parametrize("task", ["spectrum", "dynamics"])
+def test_task_picks_the_stepper(tmp_path, monkeypatch, task, method):
+    # spectrum reads c(t) alone from autocorrelation, dynamics propagates: for every method
+    calls = []
+
+    def counted(name):
+        step = getattr(dynamics, name)
+        return lambda *args, **kwargs: calls.append(name) or step(*args, **kwargs)
+
+    for name in ("autocorrelation", "propagate"):
+        monkeypatch.setattr(dynamics, name, counted(name))
+    n = "inf" if method == "infinite" else "3"
+    path = write_cfg(tmp_path, task, n=n, extra=f"method = {method}")
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert calls == [{"spectrum": "autocorrelation", "dynamics": "propagate"}[task]]
+
+
+def test_grid_cap_is_exit_code_1_before_allocating(tmp_path, capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped past the grid cap")
+
+    monkeypatch.setattr(dynamics, "_step", no_step)
+    path = write_cfg(tmp_path, "dynamics", extra="method = infinite")
+    path.write_text(path.read_text().replace("n_steps = 2048", f"n_steps = {2**22}"))
+    assert main(["dynamics", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"n_steps = {2**22}" in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_oracle_method_runs(tmp_path):
@@ -422,10 +453,7 @@ def test_validate_builds_the_oracle_once(tmp_path, monkeypatch):
     # the H_sym check and the oracle amplitude share one tensor Hamiltonian
     calls = []
     build = oracle.build_full_H
-    for module in (cli, oracle):
-        monkeypatch.setattr(
-            module, "build_full_H", lambda *args: calls.append(args) or build(*args)
-        )
+    monkeypatch.setattr(oracle, "build_full_H", lambda *args: calls.append(args) or build(*args))
     config = Path(__file__).resolve().parents[1] / "configs" / "validate_n2.ini"
     assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert "result                          = PASS" in (tmp_path / "validate.txt").read_text()

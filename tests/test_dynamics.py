@@ -28,6 +28,7 @@ from polariton.dynamics import (
     write_spectrum_csv,
     write_trajectory_csv,
 )
+from polariton.errors import DimensionGuardError
 from polariton.perturbation import survival_correction
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
 
@@ -319,7 +320,9 @@ def test_autocorrelation_forms_two_exponentials_on_fig5(monkeypatch):
         return expm(A)
 
     monkeypatch.setattr(dynamics, "_expm", counted)
-    traj = photon_survival(vs, cav, TimeGrid(t_max=65536.0, n_steps=65536), evolve=autocorrelation)
+    H0 = build_H0(vs, cav)
+    e0 = np.eye(1, H0.shape[0]).ravel()
+    traj = autocorrelation(H0, e0, TimeGrid(t_max=65536.0, n_steps=65536), cav.kappa, e0)
     assert calls == [(124, 124)] * 2
     assert [traj.params[key] for key in ("method", "block_steps", "dim")] == ["split", 257, 124]
 
@@ -375,6 +378,38 @@ def test_non_finite_input_rejected_before_stepping(monkeypatch, case):
         H = sp.csr_matrix(np.array([[0.1, np.inf], [np.inf, 0.2]]))
     with pytest.raises(ValueError, match="finite"):
         propagate(H, psi0, TimeGrid(t_max=1.0, n_steps=2), **kwargs)
+
+
+def test_transition_amplitudes_apply_leakage():
+    rng = np.random.default_rng(3)
+    H = rng.normal(size=(6, 6))
+    H = sp.csr_matrix(H + H.T)
+    psi0, bra = np.eye(6)[0], np.eye(6)[2]
+    n_ph = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    grid = TimeGrid(t_max=10.0, n_steps=40)
+    traj = dynamics.transition_amplitudes(H, psi0, bra, grid, kappa=0.3, n_ph=n_ph)
+    ref = propagate(H, psi0, grid, kappa=0.3, n_ph=n_ph, keep_states=True)
+    np.testing.assert_allclose(traj.c_t, ref.c_t, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.bra_t, ref.states @ bra, rtol=0, atol=1e-12)
+    assert (traj.params["kappa"], traj.params["method"], traj.params["dim"]) == (0.3, "krylov", 6)
+    with pytest.raises(ValueError, match="n_ph"):
+        dynamics.transition_amplitudes(H, psi0, bra, grid, kappa=0.3)
+
+
+def test_transition_amplitudes_input_and_output_checks():
+    grid = TimeGrid(t_max=10.0, n_steps=10)
+    H = np.diag([0.1, 0.2])
+    with pytest.raises(ValueError, match="normalized"):
+        dynamics.transition_amplitudes(H, np.array([2.0, 0.0]), np.array([1.0, 0.0]), grid)
+    e1, e0 = np.array([0.0, 1.0]), np.eye(40)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a gain of 1000 per unit time overflows exp(1000 t) long before t = 10
+        with pytest.raises(RuntimeError, match="non-finite amplitudes"):
+            dynamics.transition_amplitudes(np.diag([0.1, 1000j]), e1, e1, grid)
+        # finite entries whose norm overflows, on a basis smaller than the space
+        huge = sp.diags(np.r_[1e308, -1e308, np.zeros(38)])
+        with pytest.raises(ValueError, match="overflows"):
+            dynamics.transition_amplitudes(huge, e0, e0, TimeGrid(t_max=20.0, n_steps=2))
 
 
 def test_transition_amplitudes_reject_non_finite_generator():
@@ -560,6 +595,20 @@ def test_time_grid_rejects_non_finite():
     with pytest.raises(ValueError, match="n_steps"):
         TimeGrid(t_max=10.0, n_steps=100.5)
     assert TimeGrid(t_max=10.0, n_steps=np.int64(50)).dt == 0.2
+
+
+def test_time_grid_cap_raises_before_allocating():
+    cap = dynamics.GRID_SIZE_CAP
+    tracemalloc.start()
+    try:
+        for n_steps in (cap, 10**12):
+            with pytest.raises(DimensionGuardError, match=f"n_steps = {n_steps}"):
+                TimeGrid(t_max=1.0, n_steps=n_steps)
+        assert TimeGrid(t_max=1.0, n_steps=cap - 1).n_steps + 1 == cap  # the largest grid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # far below one array of cap samples
 
 
 def test_filter_response_bare_cavity():
