@@ -1,39 +1,32 @@
 """Time propagation, survival amplitudes, spectra and vibronic densities.
 
-Cavity leakage enters as a non-Hermitian term -i (kappa/2) * n_ph added to
-the Hamiltonian (in the first excitation manifold this reproduces the
-quantum-jump description of survival amplitudes, and linewidths are all the
-absorption spectrum needs).  propagate takes a dense array or a sparse
-matrix such as BlockHamiltonian.matrix and steps psi0 over the uniform grid
-in one loop, window by window: up to DENSE_DIM_LIMIT with a dense step
-operator exp(-i H dt) formed once, which on a dense grid of n_t >= 16 dim
-samples advances 64 grid times per matrix-matrix product with a second
-step operator exp(-i H 64 dt); beyond the limit with one Arnoldi basis of
-KRYLOV_DIM vectors per window of grid steps, the window chosen once per
-propagation from Saad's error bound, so the sparse matrix is never
-densified.  Every matrix exponential, from the dense step operators down to
-the small exponentials of the Krylov windows, is one degree-18 Taylor
-series evaluated by Paterson-Stockmeyer, scaled and squared.  A dense
-array is stepped by numpy alone; scipy.sparse is imported only for a sparse
-input or the Krylov path.  No states are stored unless asked for.
-autocorrelation gives the survival amplitude alone, the input of a
-spectrum: H_eff is complex symmetric for every generator here and psi0 is
-real, so c(a + b) = psi_a^T psi_b, and up to DENSE_DIM_LIMIT about
-2 sqrt(n_t) dense steps (w = ceil(sqrt(n_t)) states stepped by
-exp(-i H dt), ceil(n_t / w) by exp(-i H w dt)) and one small product give
-all n_t samples.  transition_amplitudes adds a second bra on the Krylov
-path, for the 1/N correction.  All three run the same input checks
-(_checked) and output check (_finished).  spectrum evaluates the discrete
-transform on any uniform frequency grid, the default FFT bins included,
-through one Bluestein chirp-z transform done in place on a 5-smooth length.
-A TimeGrid holds at most GRID_SIZE_CAP samples.
+Cavity leakage enters as the non-Hermitian term -i (kappa/2) n_ph added to
+the Hamiltonian, which in the first excitation manifold reproduces the
+quantum-jump survival amplitudes.  The steppers take a dense array or a
+sparse matrix (one with a toarray method, such as BlockHamiltonian.matrix)
+and, from their shared input check _checked, the vector leak =
+(kappa/2) n_ph; each path subtracts i leak once, where it builds its own
+operator.  Up to DENSE_DIM_LIMIT, _baby_steps forms the dense H_eff once,
+steps the first w states by exp(-i H_eff dt) and forms exp(-i H_eff w dt):
+propagate then advances w = 64 states per matrix product on grids of
+n_t >= 16 dim samples, and autocorrelation, the survival amplitude of a
+spectrum, splits c(a + b) = psi_a^T psi_b (H_eff complex symmetric, psi0
+real) with w = ceil(sqrt(n_t)), so about 2 sqrt(n_t) states are stepped.
+Above the limit, and in transition_amplitudes (the 1/N correction's
+stepper), Arnoldi bases of KRYLOV_DIM vectors step one complex CSR matrix,
+a window of grid steps each, chosen once from Saad's error bound.  Every
+matrix exponential is _expm, one degree-18 Taylor series scaled and
+squared; scipy.sparse is imported by the Krylov path alone, and no states
+are stored unless asked for.  spectrum evaluates the discrete transform on
+any uniform frequency grid through one Bluestein chirp-z transform done in
+place on a 5-smooth length.  A TimeGrid, and the Krylov substep grid, hold
+at most GRID_SIZE_CAP samples.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,46 +99,24 @@ class Trajectory:
     bra_t: np.ndarray | None = None
 
 
-def _issparse(H) -> bool:
-    """scipy.sparse.issparse(H) without importing scipy: a sparse H means it is loaded."""
-    sp = sys.modules.get("scipy.sparse")
-    return sp is not None and sp.issparse(H)
-
-
-def effective_hamiltonian(H, kappa: float, n_ph):
-    """H - i (kappa/2) diag(n_ph), the leaky-cavity effective generator.
-
-    Complex result; sparse input stays sparse (CSR), dense input dense.
-    """
-    if kappa != 0.0 and n_ph is None:
-        raise ValueError("kappa > 0 requires the photon-number diagonal n_ph")
-    sparse = _issparse(H)
-    if sparse:
-        import scipy.sparse as sp
-        H = sp.csr_matrix(H, dtype=complex)
-    else:
-        H = np.array(H, dtype=complex)
-    if kappa == 0.0:
-        return H
-    leak = 0.5j * kappa * np.asarray(n_ph, dtype=float)
-    if sparse:
-        return H - sp.diags(leak)
-    H[np.diag_indices_from(H)] -= leak
-    return H
-
-
 def _checked(H, psi0, kappa, n_ph):
-    """(psi0, H_eff) after the input checks shared by every stepping entry point."""
+    """(psi0, leak) after the input checks shared by every stepping entry point.
+
+    leak = (kappa/2) n_ph, or 0.0 without leakage; a sparse H has a toarray method.
+    """
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
     if not abs(nrm - 1.0) <= 1e-8:  # also rejects NaN
         raise ValueError(f"psi0 must be finite and normalized, got ||psi0|| = {nrm}")
     if not (math.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    H_eff = effective_hamiltonian(H, kappa, n_ph)
-    if not np.all(np.isfinite(H_eff.data if _issparse(H_eff) else H_eff)):
+    if kappa != 0.0 and n_ph is None:
+        raise ValueError("kappa > 0 requires the photon-number diagonal n_ph")
+    leak = 0.5 * kappa * np.asarray(n_ph, dtype=float) if kappa else 0.0
+    entries = H.data if hasattr(H, "toarray") else H
+    if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(leak))):
         raise ValueError("H and n_ph must be finite")
-    return psi0, H_eff
+    return psi0, leak
 
 
 def _finished(traj, kappa, method, dim) -> Trajectory:
@@ -167,34 +138,25 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under H (plus optional photon leakage) over the grid.
 
-    Up to DENSE_DIM_LIMIT every step applies the same dense
-    U = exp(-i H_eff dt); once n_t >= 16 dim samples repay a second
-    exponential, U fills the first w = min(64, n_t) states and
-    exp(-i H_eff w dt) advances each block of w states in one
-    matrix-matrix product.  Above the limit one Arnoldi basis of the sparse
-    matrix advances a window of grid steps (see _propagate_krylov).  Every
-    matrix exponential is _expm, a degree-18 Taylor series scaled and
-    squared, and neither path needs an eigenbasis, so defective generators
-    step exactly.  traj.params['method'] records 'dense' (with w as
-    'block_steps') or 'krylov' (with the basis size 'krylov_dim', the grid
-    steps per basis 'block_steps' and the bases per grid step 'substeps').
-    States are stored only with keep_states.
-    Non-finite psi0, kappa or H raise ValueError before any step.
+    Up to DENSE_DIM_LIMIT the two step operators of _baby_steps advance
+    w = min(64, n_t) states per matrix-matrix product once n_t >= 16 dim
+    samples repay the second exponential, else w = 1; above it Arnoldi
+    windows step one complex CSR matrix (_propagate_krylov).  Neither path
+    needs an eigenbasis, so defective generators step exactly.
+    traj.params['method'] records 'dense' (with w as 'block_steps') or
+    'krylov' (with the basis size 'krylov_dim', the grid steps per basis
+    'block_steps' and the bases per grid step 'substeps').  States are
+    stored only with keep_states.  Non-finite psi0, kappa, H or n_ph raise
+    ValueError before any step.
     """
-    psi0, H_eff = _checked(H, psi0, kappa, n_ph)
+    psi0, leak = _checked(H, psi0, kappa, n_ph)
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
-        return _finished(_propagate_krylov(H_eff, psi0, grid, keep_states), kappa, "krylov", dim)
-    dense = H_eff.toarray() if _issparse(H_eff) else H_eff
-    U = _expm(-1j * grid.dt * dense)
+        return _finished(_propagate_krylov(H, leak, psi0, grid, keep_states), kappa, "krylov", dim)
     nt = grid.n_steps + 1
     w = min(64, nt) if nt >= 16 * dim else 1
-    first = [psi0]
-    for _ in range(w - 1):
-        first.append(U @ first[-1])
-    if 1 < w < nt:  # formed directly: backward stable where squaring U is not
-        U = _expm(-1j * (w * grid.dt) * dense)
-    traj = _step(_blocks(U, np.stack(first, axis=1), nt), psi0, grid, keep_states)
+    F, U = _baby_steps(H, leak, psi0, grid.dt, w)
+    traj = _step(_blocks(U, F, nt), psi0, grid, keep_states)
     traj.params["block_steps"] = w
     return _finished(traj, kappa, "dense", dim)
 
@@ -202,39 +164,34 @@ def propagate(
 def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> Trajectory:
     """The survival amplitude c(t) = psi0^T exp(-i H_eff t) psi0 alone, no norms.
 
-    H_eff = H - i (kappa/2) diag(n_ph) must equal its transpose and psi0 be
-    real, else ValueError (besides propagate's checks).  Then
-    exp(-i H_eff t)^T = exp(-i H_eff t), so with psi_n = exp(-i H_eff n dt)
-    psi0 exactly c((a + b) dt) = psi_a^T psi_b, defective generators
-    included.  Up to DENSE_DIM_LIMIT, with w = ceil(sqrt(n_t)), the baby
-    states F = [psi_0 .. psi_{w-1}] are stepped by U = exp(-i H_eff dt) and
-    the giant states G = [psi_0, psi_w, psi_2w, ..] by exp(-i H_eff w dt),
-    each exponential formed directly by _expm; c(t_{jw+i}) = (G^T F)[j, i],
-    so about 2 sqrt(n_t) matrix-vector products and one small product give
-    all n_t samples.  traj.params records method 'split' and w as
-    'block_steps'.  Above the limit the amplitude is propagate's Krylov one.
-    traj.norm_t is None.
+    H_eff = H - i (kappa/2) diag(n_ph) must equal its transpose (H = H^T,
+    the leak being diagonal) and psi0 be real, else ValueError (besides
+    propagate's checks).  Then with psi_n = exp(-i H_eff n dt) psi0 exactly
+    c((a + b) dt) = psi_a^T psi_b, defective generators included.  Up to
+    DENSE_DIM_LIMIT, with w = ceil(sqrt(n_t)), _baby_steps gives the baby
+    states F = [psi_0 .. psi_{w-1}] and exp(-i H_eff w dt) steps the giant
+    states G = [psi_0, psi_w, ..]; c(t_{jw+i}) = (G^T F)[j, i], so about
+    2 sqrt(n_t) matrix-vector products give all n_t samples.  traj.params
+    records method 'split' and w as 'block_steps'.  Above the limit the
+    amplitude is propagate's Krylov one.  traj.norm_t is None.
     """
-    psi0, H_eff = _checked(H, psi0, kappa, n_ph)
+    psi0, leak = _checked(H, psi0, kappa, n_ph)
     if np.any(psi0.imag):
         raise ValueError("autocorrelation needs a real psi0")
-    if abs(H_eff - H_eff.T).max() != 0:
+    if abs(H - H.T).max() != 0:  # the leak is diagonal
         raise ValueError("autocorrelation needs a complex-symmetric H_eff = H_eff^T")
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
-        traj = _propagate_krylov(H_eff, psi0, grid, keep_states=False)
+        traj = _propagate_krylov(H, leak, psi0, grid, keep_states=False)
         traj.norm_t = None
         return _finished(traj, kappa, "krylov", dim)
-    dense = H_eff.toarray() if _issparse(H_eff) else H_eff
     nt = grid.n_steps + 1
     w = math.isqrt(nt - 1) + 1  # ceil(sqrt(n_t)), < n_t as n_t >= 3
-    F = np.empty((dim, w), dtype=complex)
+    F, U = _baby_steps(H, leak, psi0, grid.dt, w)
     G = np.empty((dim, -(-nt // w)), dtype=complex)
-    F[:, 0] = G[:, 0] = psi0
-    for states, step in ((F, grid.dt), (G, w * grid.dt)):
-        U = _expm(-1j * step * dense)  # formed directly: backward stable where U^w is not
-        for j in range(1, states.shape[1]):
-            states[:, j] = U @ states[:, j - 1]
+    G[:, 0] = psi0
+    for j in range(1, G.shape[1]):
+        G[:, j] = U @ G[:, j - 1]
     c_t = (G.T @ F).ravel()[:nt]
     traj = Trajectory(grid=grid, c_t=c_t, norm_t=None, params={"block_steps": w})
     return _finished(traj, kappa, "split", dim)
@@ -250,9 +207,26 @@ def transition_amplitudes(
     no state is stored.  Inputs are checked as in propagate (ValueError),
     and non-finite amplitudes in either row raise RuntimeError.
     """
-    psi0, H_eff = _checked(H, psi0, kappa, n_ph)
-    traj = _propagate_krylov(H_eff, psi0, grid, keep_states=False, bra=bra)
+    psi0, leak = _checked(H, psi0, kappa, n_ph)
+    traj = _propagate_krylov(H, leak, psi0, grid, keep_states=False, bra=bra)
     return _finished(traj, kappa, "krylov", psi0.size)
+
+
+def _baby_steps(H, leak, psi0, dt, w):
+    """(F, U_w): the baby states F = [psi_0 .. psi_{w-1}] and exp(-i H_eff w dt).
+
+    The dense H_eff = H - i diag(leak) is formed once; its step operator
+    exp(-i H_eff dt) fills the columns of F, and U_w is formed directly by
+    _expm, backward stable where the w-th power of the step operator is not.
+    """
+    H_eff = np.array(H.toarray() if hasattr(H, "toarray") else H, dtype=complex)
+    H_eff[np.diag_indices_from(H_eff)] -= 1j * leak
+    U = _expm(-1j * dt * H_eff)
+    F = np.empty((psi0.size, w), dtype=complex)
+    F[:, 0] = psi0
+    for j in range(1, w):
+        F[:, j] = U @ F[:, j - 1]
+    return F, U if w == 1 else _expm(-1j * (w * dt) * H_eff)
 
 
 def _blocks(U, block, nt):
@@ -264,28 +238,31 @@ def _blocks(U, block, nt):
         yield n, None, block[:, : nt - n]
 
 
-def _propagate_krylov(H_eff, psi0, grid, keep_states, bra=None) -> Trajectory:
-    """Step psi0 by Arnoldi bases of the sparse H_eff, a window of grid steps each.
+def _propagate_krylov(H, leak, psi0, grid, keep_states, bra=None) -> Trajectory:
+    """Step psi0 by Arnoldi bases of H_eff = H - i diag(leak), a window of grid steps each.
 
-    With the trace shift mu = tr(H_eff)/dim and A = -i dt (H_eff - mu I),
-    each window builds a basis V of k = min(KRYLOV_DIM, dim) vectors from
-    the current state psi and steps the k x k projection H of A by
-    E = exp(H / s) e^(-i mu dt / s): y_j = E^j ||psi|| e_1 stands for the
+    With the trace shift mu = tr(H_eff)/dim, A = -i dt (H_eff - mu I) is
+    one complex CSR matrix built from the sparse or dense H as
+    -i dt (H - diag(i leak + mu)), the only copy of H the path makes.  Each
+    window builds a basis V of k = min(KRYLOV_DIM, dim) vectors from the
+    current state psi and steps the k x k projection T of A by
+    E = exp(T / s) e^(-i mu dt / s): y_j = E^j ||psi|| e_1 stands for the
     state V^T y_j (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The window
     of W grid steps and the s substeps per grid step are chosen once: the
     largest W with Saad's error bound 2 (rho W)^k e^(rho W) / k! <= 2^-53,
     where rho = max(||A||_1, ||A||_inf) >= ||A||_2, else W = 1 and the
-    smallest s that meets the bound with rho / s, one basis per substep.
-    An invariant basis (dim <= k, or a happy breakdown) is exact, so it
-    covers the rest of the grid and no bound is applied.  Amplitudes and
-    norms come from the k-vectors y_j; the full state is formed once per
-    window.
+    smallest s that meets the bound with rho / s, one basis per substep; a
+    substep grid of more than GRID_SIZE_CAP samples raises
+    DimensionGuardError before any basis is built.  An invariant basis
+    (dim <= k, or a happy breakdown) is exact, so it covers the rest of the
+    grid and no bound is applied.  Amplitudes and norms come from the
+    k-vectors y_j; the full state is formed once per window.
     """
     import scipy.sparse as sp
     dim = psi0.size
-    H_eff = sp.csr_matrix(H_eff, dtype=complex)
-    mu = H_eff.diagonal().sum() / dim
-    A = -1j * grid.dt * (H_eff - mu * sp.identity(dim, format="csr"))
+    H = sp.csr_matrix(H)
+    mu = (H.diagonal() - 1j * leak).sum() / dim
+    A = -1j * grid.dt * (H - sp.diags(np.broadcast_to(1j * leak + mu, dim)))
     rho = max(abs(A).sum(axis=0).max(), abs(A).sum(axis=1).max())
     if not math.isfinite(rho):  # finite entries (_checked) can still overflow the norm
         raise ValueError(f"generator norm overflows: max(||A||_1, ||A||_inf) = {rho}")
@@ -297,6 +274,9 @@ def _propagate_krylov(H_eff, psi0, grid, keep_states, bra=None) -> Trajectory:
             width = int(reach / rho)
         else:
             width, substeps = 1, math.ceil(rho / reach)
+    if grid.n_steps * substeps + 1 > GRID_SIZE_CAP:  # the substep grid is a time grid
+        msg = f"{substeps:.3g} Arnoldi bases per step give more than {GRID_SIZE_CAP}"
+        raise DimensionGuardError(f"{msg} substep samples (generator norm {rho:.3g} per step)")
     phase = np.exp(-1j * grid.dt * mu / substeps)  # E carries the trace shift
 
     def windows(psi):

@@ -108,28 +108,43 @@ def displaced_overlap_matrix(s: float, n_bra: int, n_ket: int) -> np.ndarray:
     """Overlaps S[m, n] = <m; displaced | n> between equal-frequency oscillators.
 
     The bra oscillator is displaced by +sqrt(2 s / omega) in coordinate, i.e.
-    by beta = sqrt(s) in dimensionless ladder units.  Built by the stable
-    two-term recurrences obtained from a = a_displaced + beta:
+    by beta = sqrt(s) in ladder units.  Along each diagonal a = |m - n|,
+    S[k + a, k] = (-1)^a t_k and S[k, k + a] = t_k with the normalized
+    Laguerre function t_k = sqrt(k! / (k + a)!) beta^a e^(-s/2) L_k^(a)(s),
+    stepped for all diagonals at once by
 
-        S[0, 0]    = exp(-s / 2)
-        S[m+1, n]  = (sqrt(n) S[m, n-1] - beta S[m, n]) / sqrt(m+1)
-        S[m, n+1]  = (sqrt(m) S[m-1, n] + beta S[m, n]) / sqrt(n+1)
+        t_0     = e^(-s/2) beta^a / sqrt(a!)
+        t_(k+1) = ((2k + 1 + a - s) t_k - sqrt(k (k + a)) t_(k-1)) / sqrt((k + 1) (k + 1 + a)),
 
-    Rows are the displaced (excited) states 0..n_bra, columns the undisplaced
-    (ground) states 0..n_ket.
+    which keeps the small overlaps a row recurrence loses at large s and n.
+    A log scale per diagonal (_rescaled) lets t_0 underflow; |S| <= 1.
+    Rows are the displaced (excited) states 0..n_bra, columns the
+    undisplaced (ground) states 0..n_ket.
     """
-    beta = math.sqrt(s)
-    S = np.zeros((n_bra + 1, n_ket + 1))
-    S[0, 0] = math.exp(-0.5 * s)
-    for n in range(n_ket):
-        S[0, n + 1] = beta * S[0, n] / math.sqrt(n + 1)
-    for m in range(n_bra):
-        for n in range(n_ket + 1):
-            acc = -beta * S[m, n]
-            if n > 0:
-                acc += math.sqrt(n) * S[m, n - 1]
-            S[m + 1, n] = acc / math.sqrt(m + 1)
+    if s == 0:
+        return np.eye(n_bra + 1, n_ket + 1)
+    S = np.empty((n_bra + 1, n_ket + 1))
+    a = np.arange(max(n_bra, n_ket) + 1)
+    log_scale = 0.5 * (a * math.log(s) - s - np.array([math.lgamma(x + 1.0) for x in a]))
+    sign, t, prev = (-1.0) ** a, np.ones(a.size), np.zeros(a.size)
+    for k in range(min(n_bra, n_ket) + 1):
+        value = t * np.exp(log_scale)
+        S[k:, k] = (sign * value)[: n_bra + 1 - k]
+        S[k, k:] = value[: n_ket + 1 - k]
+        t, prev = ((2 * k + 1 + a - s) * t - np.sqrt(k * (k + a)) * prev) / np.sqrt(
+            (k + 1) * (k + 1 + a)
+        ), t
+        t, prev, log_scale = _rescaled(t, prev, log_scale)
     return S
+
+
+def _rescaled(t, prev, log_scale):
+    """A recurrence pair (t, prev) with 2^500 moved exactly into log_scale where |t| passes it."""
+    big = np.abs(t) > 2.0**500
+    if not big.any():
+        return t, prev, log_scale
+    shrink = np.where(big, 2.0**-500, 1.0)
+    return t * shrink, prev * shrink, log_scale + big * (500 * math.log(2.0))
 
 
 def build_vibronic(model: MolecularModel) -> VibronicStructure:
@@ -183,15 +198,19 @@ def ho_wavefunctions(n_max: int, q: np.ndarray, omega: float, center: float = 0.
 
     Returns an array of shape (n_max + 1, len(q)); mass-weighted coordinates,
     hbar = 1.  Uses the normalized three-term recurrence
-    phi_{n+1} = (sqrt(2) x phi_n - sqrt(n) phi_{n-1}) / sqrt(n+1),
-    which is stable for the basis sizes used here.
+    phi_{n+1} = (sqrt(2) x phi_n - sqrt(n) phi_{n-1}) / sqrt(n+1)
+    on phi_n e^(-L) with a per-point log scale L = min(0, 600 - x^2/2),
+    raised by _rescaled: e^(-x^2/2) alone is 0 beyond |x| = 38.6, inside
+    the classical region of n >~ 745.
     """
     q = np.asarray(q, dtype=float)
     x = math.sqrt(omega) * (q - center)
-    out = np.zeros((n_max + 1, len(x)))
-    out[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = (math.sqrt(2.0) * x * out[n] - math.sqrt(n) * out[n - 1]) / math.sqrt(n + 1)
+    out = np.empty((n_max + 1, x.size))
+    log_scale = np.minimum(0.0, 600.0 - 0.5 * x * x)
+    p = (omega / math.pi) ** 0.25 * np.exp(-0.5 * x * x - log_scale)
+    prev = np.zeros(x.size)
+    for n in range(n_max + 1):
+        out[n] = p * np.exp(log_scale)
+        p, prev = (math.sqrt(2.0) * x * p - math.sqrt(n) * prev) / math.sqrt(n + 1), p
+        p, prev, log_scale = _rescaled(p, prev, log_scale)
     return out

@@ -18,7 +18,6 @@ from polariton.dynamics import (
     _window,
     autocorrelation,
     dark_state_density,
-    effective_hamiltonian,
     photon_survival,
     photonic_weights,
     pole_decomposition,
@@ -171,7 +170,7 @@ def test_blocked_dense_path_matches_single_steps(data, shape, kappa, seed):
     traj = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph, keep_states=True)
     assert traj.params["block_steps"] == min(64, n_t)
 
-    U = sla.expm(-1j * grid.dt * effective_hamiltonian(H, kappa, n_ph))
+    U = sla.expm(-1j * grid.dt * (H - 0.5j * kappa * np.diag(n_ph)))
     ref = np.empty((n_t, dim), dtype=complex)
     ref[0] = psi0
     for n in range(1, n_t):
@@ -209,9 +208,9 @@ def test_krylov_path_matches_spectral():
     n_ph = np.zeros(12)
     n_ph[0] = 1.0
     for kappa in (0.0, 0.05):  # Hermitian, then with leakage
-        H_eff = effective_hamiltonian(H, kappa, n_ph)
+        H_eff = H - 0.5j * kappa * np.diag(n_ph)
         a = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph)
-        b = dynamics._propagate_krylov(sp.csc_matrix(H_eff), psi0, grid, keep_states=False)
+        b = dynamics._propagate_krylov(sp.csc_matrix(H_eff), 0.0, psi0, grid, keep_states=False)
         assert a.params["method"] == "dense"
         np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
         np.testing.assert_allclose(a.norm_t, b.norm_t, atol=1e-10)
@@ -412,6 +411,46 @@ def test_transition_amplitudes_input_and_output_checks():
             dynamics.transition_amplitudes(huge, e0, e0, TimeGrid(t_max=20.0, n_steps=2))
 
 
+def test_krylov_substeps_are_capped_like_a_time_grid(monkeypatch):
+    e0 = np.eye(40)[0]
+    grid = TimeGrid(t_max=1.0, n_steps=1000)
+    # rho = 1e3 per step: 321 substeps of the reach 3.12, 321000 in all
+    stiff = sp.diags(np.r_[1e6, -1e6, np.zeros(38)])
+    traj = dynamics.transition_amplitudes(stiff, e0, e0, grid)
+    assert (traj.params["block_steps"], traj.params["substeps"]) == (1, 321)
+
+    def no_basis(*args):
+        raise AssertionError("built a basis past the substep cap")
+
+    monkeypatch.setattr(dynamics, "_arnoldi", no_basis)
+    huge = sp.diags(np.r_[1e300, -1e300, np.zeros(38)])
+    with pytest.raises(DimensionGuardError, match="substep samples"):
+        dynamics.transition_amplitudes(huge, e0, e0, grid)
+
+
+def test_krylov_propagate_holds_one_complex_copy_of_H():
+    # the Krylov path builds one complex CSR, A = -i dt (H_eff - mu I),
+    # straight from the real H: with a CSR that dwarfs the Arnoldi basis the
+    # traced peak stays below the basis plus A and the one it is scaled from
+    rng = np.random.default_rng(21)
+    dim = 600
+    M = sp.random(dim, dim, density=0.1, random_state=rng) + sp.diags(rng.normal(size=dim))
+    H = sp.csr_matrix(M + M.T)
+    n_ph = (rng.random(dim) < 0.5).astype(float)
+    psi0 = np.eye(1, dim).ravel()
+    complex_csr = H.nnz * (16 + H.indices.itemsize) + H.indptr.nbytes
+    basis = dynamics.KRYLOV_DIM * dim * 16
+    assert complex_csr > 4 * basis
+    tracemalloc.start()
+    try:
+        traj = propagate(H, psi0, TimeGrid(t_max=0.2, n_steps=2), kappa=0.1, n_ph=n_ph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.params["method"] == "krylov"
+    assert peak < basis + 2 * complex_csr, (peak, basis, complex_csr)
+
+
 def test_transition_amplitudes_reject_non_finite_generator():
     # NaN > 0 is False: without the check a NaN norm would pick the identity step
     H = sp.csr_matrix(np.array([[0.1, np.nan], [np.nan, 0.2]]))
@@ -424,7 +463,7 @@ def _leaky_symmetric(dim, kappa, seed):
     rng = np.random.default_rng(seed)
     H = rng.normal(size=(dim, dim))
     n_ph = (rng.random(dim) < 0.5).astype(float)
-    return effective_hamiltonian(H + H.T, kappa, n_ph)
+    return H + H.T - 0.5j * kappa * np.diag(n_ph)
 
 
 @pytest.mark.parametrize("case, dt", [("leaky", 2.0), ("jordan", 3.0), ("zero", 1.0)])
@@ -486,7 +525,7 @@ def _van_loan_generator(dim, kappa, seed):
         [zero((b, a)), H1 + H1.T, V.T],
         [zero((a, a + b)), H0 + H0.T],
     ])
-    return effective_hamiltonian(M, kappa, (rng.random(dim) < 0.5).astype(float))
+    return M - 0.5j * kappa * np.diag((rng.random(dim) < 0.5).astype(float))
 
 
 @settings(max_examples=60, deadline=None)
@@ -531,7 +570,7 @@ def test_krylov_windows_match_single_steps(data, k, dim, generator, stiff, kappa
         mp.setattr(dynamics, "KRYLOV_DIM", k)
         mp.setattr(dynamics, "_arnoldi", lambda *a: bases.append(arnoldi(*a)) or bases[-1])
         traj = dynamics._propagate_krylov(
-            sp.csr_matrix(H_eff), psi0, grid, keep_states=True, bra=bra
+            sp.csr_matrix(H_eff), 0.0, psi0, grid, keep_states=True, bra=bra
         )
     assert {key: traj.params[key] for key in expected} == expected
     assert traj.params["krylov_dim"] == k
@@ -682,7 +721,7 @@ def test_spectrum_matches_pole_oracle():
     H0 = build_H0(vs, cav)
     n_ph = np.zeros(H0.shape[0])
     n_ph[0] = 1.0
-    lam, w = pole_decomposition(effective_hamiltonian(H0, cav.kappa, n_ph))
+    lam, w = pole_decomposition(H0 - 0.5j * cav.kappa * np.diag(n_ph))
     A_o = pole_spectrum(lam, w, om, grid)
 
     pa, ha = find_peaks(om, A, min_height=0.05)

@@ -1,6 +1,7 @@
 """Vibronic structure: Franck-Condon factors against quadrature oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,42 @@ def test_overlaps_match_quadrature(s):
     S = displaced_overlap_matrix(s, 8, 8)
     quad = fc_quadrature(s, 8, 8)
     np.testing.assert_allclose(S, quad, atol=1e-10)
+
+
+def exact_overlap(s, m, n):
+    """<m; displaced | n> from the closed-form sum, summed in exact rationals.
+
+    S = e^(-s/2) sqrt(m! n!) sum_j (-1)^(m-j) beta^(m+n-2j) / (j! (m-j)! (n-j)!),
+    so S^2 e^s is a rational in s, rounded to a float once.
+    """
+    fs, parity = Fraction(s), (m + n) % 2
+    total = sum(
+        (-1) ** (m - j) * fs ** ((m + n - parity) // 2 - j)
+        * math.comb(m, j) * math.comb(n, j) * math.factorial(j)
+        for j in range(min(m, n) + 1)
+    )
+    square = total**2 * fs**parity / (math.factorial(m) * math.factorial(n))
+    return math.copysign(math.sqrt(float(square)) * math.exp(-0.5 * s), total)
+
+
+@pytest.mark.parametrize("s, n_max", [(16.0, 40), (50.0, 30)])
+def test_overlaps_match_exact_rationals_at_large_displacement(s, n_max):
+    # fig5's slow mode is (16, 40): a row recurrence loses 1.9e-3 at (40, 40)
+    S = displaced_overlap_matrix(s, n_max, n_max)
+    ref = [[exact_overlap(s, m, n) for n in range(n_max + 1)] for m in range(n_max + 1)]
+    np.testing.assert_allclose(S, ref, rtol=0, atol=1e-14)
+
+
+def test_overlaps_stay_bounded_where_the_first_overlap_underflows():
+    # e^(-s/2) = 0 in double precision at s = 1500; column 0 is the Poisson
+    # amplitude (-1)^m e^(-s/2) beta^m / sqrt(m!), a unit vector inside the basis
+    s, n_max = 1500.0, 1900
+    S = displaced_overlap_matrix(s, n_max, n_max)
+    assert np.all(np.isfinite(S)) and np.abs(S).max() <= 1.0
+    m = np.arange(n_max + 1)
+    log_poisson = 0.5 * (m * math.log(s) - s - np.array([math.lgamma(k + 1.0) for k in m]))
+    np.testing.assert_allclose(S[:, 0], (-1.0) ** m * np.exp(log_poisson), rtol=0, atol=1e-13)
+    assert abs(S[:, 0] @ S[:, 0] - 1.0) < 1e-12
 
 
 def test_two_mode_fc_is_tensor_product_of_modes():
@@ -173,3 +210,14 @@ def test_ho_wavefunctions_match_scipy():
     chi = ho_wavefunctions(6, q, omega=0.37, center=1.3)
     for n in (0, 3, 6):
         np.testing.assert_allclose(chi[n], ho_psi(n, q, 0.37, 1.3), atol=1e-12)
+
+
+def test_ho_wavefunctions_keep_their_norm_beyond_exp_underflow():
+    # the top state of n_max = 800 reaches |x| = 40 > 38.6, where
+    # e^(-x^2/2) alone underflows to 0; phi^2 is even, so the half line
+    # to 1.5 turning radii holds half of each norm
+    omega, n_max = 0.001, 800
+    q = np.linspace(0.0, 1.5 * math.sqrt((2 * n_max + 1) / omega), 4001)
+    chi = ho_wavefunctions(n_max, q, omega)
+    assert np.all(np.isfinite(chi))
+    np.testing.assert_allclose(2 * np.trapezoid(chi[-3:] ** 2, q, axis=1), 1.0, rtol=0, atol=1e-9)
