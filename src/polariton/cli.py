@@ -2,9 +2,11 @@
 
 Runs are described by a single INI-style config (sections [molecule],
 [mode k], [cavity], [grid], [run]) and are fully deterministic: no
-environment variables, no random state, fixed summation orders.  Every
-output file starts with a '#'-prefixed block echoing the resolved
-configuration.
+environment variables, no random state, fixed summation orders.  This
+module owns every artifact format and writes every file, atomically and
+with the permissions open() would give; the library modules only compute.
+Each CSV or text artifact starts with a '#'-prefixed block echoing the
+resolved configuration, and rate.json carries the same block as "_config".
 
     polariton <task> --config run.ini [--out DIR]
 
@@ -13,14 +15,16 @@ cute0, cute1, cuteq:<q>, exactN, oracle) gives one generator (H, psi0, n_ph)
 and the task alone picks the stepper: dynamics.autocorrelation for
 spectrum, dynamics.propagate for dynamics.  Exit codes: 0 success, 2 for
 any ValueError (bad input), 1 for a RuntimeError or LinAlgError (numerical
-guard).
+guard) or an OSError (an unusable --out directory or a failed write).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +34,7 @@ import numpy as np
 from . import dynamics as dyn
 from .cute import CavityParams, assemble_truncated, build_H0
 from .oracle import N_CAP, oracle_generator
-from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate, write_rate_json
+from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
 
 TASKS = ("spectrum", "dynamics", "rate", "densities", "validate")
@@ -205,11 +209,36 @@ def _validate_compatibility(cfg: RunConfig):
 
 
 def _header(cfg: RunConfig, vs: VibronicStructure, extra: dict | None = None) -> dict:
-    out = dict(cfg.resolved)
-    out["derived.m"] = vs.m
-    if extra:
-        out.update(extra)
-    return out
+    """The resolved configuration plus derived values, echoed by every artifact."""
+    return {**cfg.resolved, "derived.m": vs.m, **(extra or {})}
+
+
+def _comments(header: dict) -> list[str]:
+    return [f"# {key} = {val}" for key, val in header.items()]
+
+
+def _write(path: Path, text: str):
+    """Write text to path atomically: a sibling temp file renamed over it.
+
+    The temp file is created like open() creates a file, mode 0o666 less the
+    umask, and removed if anything fails, so no artifact is ever half-written.
+    """
+    tmp = path.with_name(f".tmp_{os.urandom(6).hex()}_{path.name}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_csv(path: Path, header: dict, names: str, *columns):
+    """One row per sample of the float columns, each value at %.17g (round-trip exact)."""
+    row = ",".join(["%.17g"] * len(columns))
+    rows = [row % values for values in zip(*(np.asarray(col).tolist() for col in columns))]
+    _write(path, "\n".join([*_comments(header), names, *rows]) + "\n")
 
 
 def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, step):
@@ -251,7 +280,7 @@ def _task_spectrum(cfg: RunConfig, out_dir: Path):
     omega, A = dyn.spectrum(traj.c_t, cfg.grid, omega=omega, window=window)
     extra["derived.delta_omega"] = f"{d_omega:.17g}"
     path = out_dir / "spectrum.csv"
-    dyn.write_spectrum_csv(path, omega, A, header=_header(cfg, vs, extra))
+    _write_csv(path, _header(cfg, vs, extra), "omega,intensity", omega, A)
     print(f"wrote {path}")
     return [path]
 
@@ -260,7 +289,9 @@ def _task_dynamics(cfg: RunConfig, out_dir: Path):
     vs = build_vibronic(cfg.model)
     traj, extra = _survival_for_method(cfg, vs, dyn.propagate)
     path = out_dir / "trajectory.csv"
-    dyn.write_trajectory_csv(path, traj, header=_header(cfg, vs, extra))
+    c = traj.c_t
+    columns = (traj.grid.times, c.real, c.imag, traj.norm_t)
+    _write_csv(path, _header(cfg, vs, extra), "t,re_c,im_c,norm", *columns)
     print(f"wrote {path}")
     return [path]
 
@@ -271,8 +302,21 @@ def _task_rate(cfg: RunConfig, out_dir: Path):
     if dark is None:
         dark = int(np.argmin(dyn.photonic_weights(vs, cfg.cavity)[1]))
     result = radiative_pumping_rate(vs, cfg.cavity, dark)
+    channels = [
+        {"k": ch.k, "mu": ch.mu, "E_f": ch.energy, "coupling_sq": ch.coupling_sq, "gamma": ch.gamma}
+        for ch in result.channels
+    ]
+    payload = {
+        "dark_index": result.dark_index,
+        "E_D": result.energy,
+        "photon_weight": result.photon_weight,
+        "Gamma_total": result.gamma_total,
+        "diagnostic": result.diagnostic,
+        "channels": channels,
+        "_config": {key: str(val) for key, val in _header(cfg, vs).items()},
+    }
     path = out_dir / "rate.json"
-    write_rate_json(path, result, header=_header(cfg, vs))
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path} (Gamma_total = {result.gamma_total:.6e})")
     return [path]
 
@@ -316,10 +360,7 @@ def _task_densities(cfg: RunConfig, out_dir: Path):
                     "derived.mode_displacement": f"{dens.displacement:.17g}",
                 },
             )
-            lines = [f"# {k} = {v}" for k, v in header.items()]
-            lines.append("q,density")
-            lines.extend(f"{q:.17g},{r:.17g}" for q, r in zip(dens.q, dens.rho))
-            dyn.atomic_write_text(path, "\n".join(lines) + "\n")
+            _write_csv(path, header, "q,density", dens.q, dens.rho)
             paths.append(path)
             print(f"wrote {path}")
     return paths
@@ -347,8 +388,7 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
         f"result                          = {'PASS' if ok else 'FAIL'}",
     ]
     path = out_dir / "validate.txt"
-    header = [f"# {k} = {v}" for k, v in _header(cfg, vs).items()]
-    dyn.atomic_write_text(path, "\n".join(header + report) + "\n")
+    _write(path, "\n".join(_comments(_header(cfg, vs)) + report) + "\n")
     print("\n".join(report))
     print(f"wrote {path}")
     if not ok:
@@ -386,7 +426,7 @@ def main(argv=None) -> int:
 
     try:
         run(parse_config(args.config, task=args.task), args.out)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    except (RuntimeError, OSError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

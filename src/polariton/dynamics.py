@@ -40,6 +40,9 @@ DENSE_DIM_LIMIT = 512
 GRID_SIZE_CAP = 2**22
 # vectors per Arnoldi basis of the sparse path; its window follows from Saad's bound
 KRYLOV_DIM = 30
+# dark_state_density: the fewest grid points of a mode, and the points per
+# block of oscillator functions
+DENSITY_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -600,8 +603,15 @@ def dark_state_density(
     over excited-surface oscillator functions chi displaced by d, normalized
     to unit integral.  Polariton states give densities near the ground-
     surface minimum (Franck-Condon region); relaxed dark states sit at the
-    displaced (Stokes-shifted) minimum.  Each mode's grid has 2048 points
-    spanning both minima plus 1.5 classical turning radii of its top level.
+    displaced (Stokes-shifted) minimum.  In x = sqrt(omega) q, each mode's
+    grid spans both minima plus 1.5 classical turning radii
+    sqrt(2 n_max + 1) of its top level and 6 more, where every level's
+    tail has decayed, at a spacing of at most pi / (2 sqrt(2 n_max + 1)),
+    a quarter of the top level's shortest wavelength, and at least
+    DENSITY_CHUNK points; the trapezoid rule then gives every chi_n unit
+    norm to about 1e-13.  The oscillator functions are evaluated
+    DENSITY_CHUNK points at a time, so they never hold more than
+    (n_max + 1) x DENSITY_CHUNK values.
     """
     modes = vs.model.modes
     if not modes:
@@ -622,54 +632,19 @@ def dark_state_density(
     out = []
     for ax, mode in enumerate(modes):
         d = mode.displacement
-        turning = math.sqrt((2 * mode.n_max + 1) / mode.frequency)
-        lo = min(0.0, d) - 1.5 * turning
-        hi = max(0.0, d) + 1.5 * turning
-        q = np.linspace(lo, hi, 2048)
-        chi = ho_wavefunctions(mode.n_max, q, mode.frequency, center=d)
-        amp = np.tensordot(chi, np.moveaxis(tensor, ax, 0), axes=(0, 0))
-        rho = np.sum(np.abs(amp.reshape(q.size, -1)) ** 2, axis=1)
+        radius = math.sqrt(2 * mode.n_max + 1)
+        reach = (1.5 * radius + 6.0) / math.sqrt(mode.frequency)
+        lo, hi = min(0.0, d) - reach, max(0.0, d) + reach
+        spacing = math.pi / (2.0 * radius * math.sqrt(mode.frequency))
+        q = np.linspace(lo, hi, max(DENSITY_CHUNK, math.ceil((hi - lo) / spacing) + 1))
+        rest = np.moveaxis(tensor, ax, 0).reshape(shape[ax], -1)
+        rho = np.empty(q.size)
+        for i in range(0, q.size, DENSITY_CHUNK):
+            chi = ho_wavefunctions(mode.n_max, q[i : i + DENSITY_CHUNK], mode.frequency, center=d)
+            rho[i : i + DENSITY_CHUNK] = np.sum((chi.T @ rest) ** 2, axis=1)
         norm = np.trapezoid(rho, q)
         if norm > 0:
             rho = rho / norm
-        marg = np.sum(
-            np.abs(np.moveaxis(tensor, ax, 0).reshape(shape[ax], -1)) ** 2, axis=1
-        )
-        marg = marg / weight
+        marg = np.sum(rest**2, axis=1) / weight
         out.append(ModeDensity(q=q, rho=rho, quanta_marginal=marg, displacement=d))
     return out
-
-
-def write_trajectory_csv(path, traj: Trajectory, header: dict | None = None):
-    """CSV columns t, re_c, im_c, norm with a '#'-prefixed parameter header."""
-    lines = [f"# {k} = {v}" for k, v in (header or {}).items()]
-    lines.append("t,re_c,im_c,norm")
-    for t, c, n in zip(traj.grid.times, traj.c_t, traj.norm_t):
-        lines.append(f"{t:.17g},{c.real:.17g},{c.imag:.17g},{n:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_spectrum_csv(path, omega, intensity, header: dict | None = None):
-    """CSV columns omega, intensity with a '#'-prefixed parameter header."""
-    lines = [f"# {k} = {v}" for k, v in (header or {}).items()]
-    lines.append("omega,intensity")
-    for w, a in zip(omega, intensity):
-        lines.append(f"{w:.17g},{a:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def atomic_write_text(path, text: str):
-    """Write via a temp file and rename, so outputs are never half-written."""
-    import os
-    import tempfile
-
-    path = str(path)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise

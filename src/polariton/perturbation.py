@@ -25,7 +25,6 @@ Cavity leakage enters every block as -i (kappa/2) n_ph.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -139,25 +138,6 @@ class RateResult:
     channels: list[RateChannel] = field(default_factory=list)
     diagnostic: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "dark_index": self.dark_index,
-            "E_D": self.energy,
-            "photon_weight": self.photon_weight,
-            "Gamma_total": self.gamma_total,
-            "diagnostic": self.diagnostic,
-            "channels": [
-                {
-                    "k": ch.k,
-                    "mu": ch.mu,
-                    "E_f": ch.energy,
-                    "coupling_sq": ch.coupling_sq,
-                    "gamma": ch.gamma,
-                }
-                for ch in self.channels
-            ],
-        }
-
 
 def radiative_pumping_rate(
     vs: VibronicStructure,
@@ -219,13 +199,3 @@ def radiative_pumping_rate(
             f"(closest detuning {best_detuning:.3e}); rate not resolvable"
         ),
     )
-
-
-def write_rate_json(path, result: RateResult, header: dict | None = None):
-    """Write a RateResult as JSON; header keys go into a '_config' block."""
-    payload = result.to_dict()
-    if header:
-        payload["_config"] = {str(k): str(v) for k, v in header.items()}
-    from .dynamics import atomic_write_text
-
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

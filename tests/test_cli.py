@@ -1,6 +1,8 @@
 """Config parsing, pipeline orchestration, outputs and exit codes."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -120,8 +122,10 @@ def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
         (RuntimeError("boom"), 1, "error"),
         (DimensionGuardError("boom"), 1, "error"),
         (np.linalg.LinAlgError("boom"), 1, "error"),  # a ValueError subclass
+        (PermissionError("boom"), 1, "error"),  # an OSError
     ],
-    ids=["ConfigError", "ValueError", "RuntimeError", "DimensionGuardError", "LinAlgError"],
+    ids=["ConfigError", "ValueError", "RuntimeError", "DimensionGuardError", "LinAlgError",
+         "OSError"],
 )
 def test_exception_type_decides_exit_code(tmp_path, capsys, monkeypatch, exc, code, prefix):
     def fail(cfg, out_dir):
@@ -131,6 +135,85 @@ def test_exception_type_decides_exit_code(tmp_path, capsys, monkeypatch, exc, co
     path = write_cfg(tmp_path, "spectrum", extra="method = infinite")
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["existing_file", "path_under_a_file"])
+def test_unusable_out_is_exit_code_1(tmp_path, capsys, under):
+    path = write_cfg(tmp_path, "spectrum", extra="method = infinite")
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / under if under else blocker
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
+RATE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "pumping_rate.ini"
+
+# task -> (write_cfg arguments, or None for RATE_CONFIG; its artifacts):
+# together the five artifact kinds
+_ARTIFACTS = {
+    "spectrum": ({"extra": "method = infinite"}, ["spectrum.csv"]),
+    "dynamics": ({"extra": "method = infinite"}, ["trajectory.csv"]),
+    "rate": (None, ["rate.json"]),
+    "densities": ({"extra": "eigenstate = lp"}, ["density_lp_mode1.csv"]),
+    "validate": ({"n": "2"}, ["validate.txt"]),
+}
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+@pytest.mark.parametrize("task", sorted(_ARTIFACTS))
+def test_artifacts_follow_the_umask(tmp_path, task, umask, mode):
+    kwargs, names = _ARTIFACTS[task]
+    path = RATE_CONFIG if kwargs is None else write_cfg(tmp_path, task, **kwargs)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main([task, "--config", str(path), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in out.iterdir()) == names  # no temp file left behind
+    assert {stat.S_IMODE((out / name).stat().st_mode) for name in names} == {mode}
+
+
+def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    out = tmp_path / "out"
+    assert main(["rate", "--config", str(RATE_CONFIG), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert list(out.iterdir()) == []
+
+
+def test_trajectory_and_spectrum_csv_roundtrip(tmp_path):
+    cfg_text = (
+        "[molecule]\nelectronic_gap = 0.1\n\n"
+        "[cavity]\nomega_c = 0.1\ng_sqrt_n = 0.01\nn_molecules = inf\nkappa = 0.001\n\n"
+        "[grid]\nt_max = 100\nn_steps = 10\n\n"
+        "[run]\nmethod = infinite\nwindow = none\n"
+    )
+    path = tmp_path / "run.ini"
+    path.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "# molecule.electronic_gap = 0.1"
+    n_header = sum(line.startswith("# ") for line in lines)
+    assert lines[n_header] == "t,re_c,im_c,norm"
+    data = np.loadtxt(lines[n_header + 1 :], delimiter=",")
+    assert data.shape == (11, 4)
+    cfg = parse_config(path, task="dynamics")
+    traj = dynamics.photon_survival(build_vibronic(cfg.model), cfg.cavity, cfg.grid)
+    np.testing.assert_allclose(data[:, 1] + 1j * data[:, 2], traj.c_t, atol=1e-15)
+
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "# molecule.electronic_gap = 0.1"
+    assert lines[sum(line.startswith("# ") for line in lines)] == "omega,intensity"
 
 
 def test_vibronic_cap_is_exit_code_1(tmp_path, capsys):
@@ -277,8 +360,6 @@ def test_order_zero_dynamics_is_H0_not_the_assembler(tmp_path, monkeypatch, meth
     want = dynamics.propagate(
         bh.matrix, psi0, cfg.grid, kappa=cfg.cavity.kappa, n_ph=bh.photon_numbers
     )
-    (tmp_path / "want").mkdir()
-    dynamics.write_trajectory_csv(tmp_path / "want" / "trajectory.csv", want)
 
     calls = []
     monkeypatch.setattr(cli, "assemble_truncated", lambda *args, **kw: calls.append(kw))
@@ -286,7 +367,10 @@ def test_order_zero_dynamics_is_H0_not_the_assembler(tmp_path, monkeypatch, meth
     assert calls == []
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     data = [line for line in lines if not line.startswith("#")]
-    assert data == (tmp_path / "want" / "trajectory.csv").read_text().splitlines()
+    assert data[0] == "t,re_c,im_c,norm"
+    # %.17g round-trips every float64, so equal parsed values are equal bits
+    columns = (want.grid.times, want.c_t.real, want.c_t.imag, want.norm_t)
+    np.testing.assert_array_equal(np.loadtxt(data[1:], delimiter=","), np.column_stack(columns))
     header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
     assert header["derived.dim"] == str(bh.dim)
 

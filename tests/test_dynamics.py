@@ -24,12 +24,10 @@ from polariton.dynamics import (
     pole_spectrum,
     propagate,
     spectrum,
-    write_spectrum_csv,
-    write_trajectory_csv,
 )
 from polariton.errors import DimensionGuardError
 from polariton.perturbation import survival_correction
-from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
+from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic, ho_wavefunctions
 
 from peaks import find_peaks
 
@@ -847,20 +845,21 @@ def test_density_marginals_normalized_and_errors():
         dark_state_density(vs, cav, 999)
 
 
-def test_trajectory_csv_roundtrip(tmp_path):
-    vs = build_vibronic(MolecularModel(electronic_gap=0.1))
-    cav = CavityParams(omega_c=0.1, g_sqrt_n=0.01, n_molecules=INF, kappa=0.001)
-    grid = TimeGrid(t_max=100.0, n_steps=10)
-    traj = photon_survival(vs, cav, grid)
-    p = tmp_path / "traj.csv"
-    write_trajectory_csv(p, traj, header={"alpha": 1, "beta": "x"})
-    lines = p.read_text().splitlines()
-    assert lines[0] == "# alpha = 1"
-    assert lines[2] == "t,re_c,im_c,norm"
-    data = np.loadtxt(lines[3:], delimiter=",")
-    assert data.shape == (11, 4)
-    np.testing.assert_allclose(data[:, 1] + 1j * data[:, 2], traj.c_t, atol=1e-15)
-
-    p2 = tmp_path / "spec.csv"
-    write_spectrum_csv(p2, np.array([0.1, 0.2]), np.array([1.0, 0.5]), header={"k": "v"})
-    assert p2.read_text().splitlines()[1] == "omega,intensity"
+@pytest.mark.parametrize(
+    "modes",
+    [((0.01, 0.01, 2), (0.001, 16.0, 40)), ((0.001, 16.0, 1100),)],
+    ids=["fig5", "slow_n_max_1100"],
+)
+def test_density_grid_resolves_every_level(modes):
+    # the window must reach past the tails of the fast mode's low levels and
+    # the spacing must resolve the top level at n_max = 1100; rho's own
+    # renormalization would hide either loss, so each chi_n is integrated
+    vs = build_vibronic(
+        MolecularModel(electronic_gap=0.1, modes=tuple(VibrationalMode(*m) for m in modes))
+    )
+    cav = CavityParams(omega_c=0.1161, g_sqrt_n=0.03, n_molecules=INF)
+    densities = dark_state_density(vs, cav, 1)
+    assert len(densities) == len(modes)
+    for mode, dens in zip(vs.model.modes, densities):
+        chi = ho_wavefunctions(mode.n_max, dens.q, mode.frequency, center=dens.displacement)
+        np.testing.assert_allclose(np.trapezoid(chi**2, dens.q, axis=1), 1.0, rtol=0, atol=1e-12)
