@@ -3,10 +3,13 @@
 Runs are described by a single INI-style config (sections [molecule],
 [mode k], [cavity], [grid], [run]) and are fully deterministic: no
 environment variables, no random state, fixed summation orders.  This
-module owns every artifact format and writes every file, atomically and
-with the permissions open() would give; the library modules only compute.
-Each CSV or text artifact starts with a '#'-prefixed block echoing the
-resolved configuration, and rate.json carries the same block as "_config".
+module owns every artifact format; the library modules only compute.  Each
+task is a generator that computes and formats, yielding (file name, text),
+and run is the one loop with side effects: it builds the vibronic structure
+once, writes each yielded artifact atomically with the permissions open()
+would give, and prints its path.  Each CSV or text artifact starts with a
+'#'-prefixed block echoing the resolved configuration, and rate.json
+carries the same block as "_config".
 
     polariton <task> --config run.ini [--out DIR]
 
@@ -37,7 +40,6 @@ from .oracle import N_CAP, oracle_generator
 from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
 
-TASKS = ("spectrum", "dynamics", "rate", "densities", "validate")
 VALIDATE_TOL = 1e-8
 
 
@@ -234,11 +236,11 @@ def _write(path: Path, text: str):
         raise
 
 
-def _write_csv(path: Path, header: dict, names: str, *columns):
+def _csv(header: dict, names: str, *columns) -> str:
     """One row per sample of the float columns, each value at %.17g (round-trip exact)."""
     row = ",".join(["%.17g"] * len(columns))
     rows = [row % values for values in zip(*(np.asarray(col).tolist() for col in columns))]
-    _write(path, "\n".join([*_comments(header), names, *rows]) + "\n")
+    return "\n".join([*_comments(header), names, *rows]) + "\n"
 
 
 def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, step):
@@ -267,8 +269,7 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, step):
     return traj, extra
 
 
-def _task_spectrum(cfg: RunConfig, out_dir: Path):
-    vs = build_vibronic(cfg.model)
+def _task_spectrum(cfg: RunConfig, vs: VibronicStructure):
     traj, extra = _survival_for_method(cfg, vs, dyn.autocorrelation)
     window = cfg.options.get("window", "halfcos10")
     if "omega_min" in cfg.options or "omega_max" in cfg.options:
@@ -279,25 +280,17 @@ def _task_spectrum(cfg: RunConfig, out_dir: Path):
         omega, d_omega = None, 2.0 * math.pi / ((cfg.grid.n_steps + 1) * cfg.grid.dt)
     omega, A = dyn.spectrum(traj.c_t, cfg.grid, omega=omega, window=window)
     extra["derived.delta_omega"] = f"{d_omega:.17g}"
-    path = out_dir / "spectrum.csv"
-    _write_csv(path, _header(cfg, vs, extra), "omega,intensity", omega, A)
-    print(f"wrote {path}")
-    return [path]
+    yield "spectrum.csv", _csv(_header(cfg, vs, extra), "omega,intensity", omega, A)
 
 
-def _task_dynamics(cfg: RunConfig, out_dir: Path):
-    vs = build_vibronic(cfg.model)
+def _task_dynamics(cfg: RunConfig, vs: VibronicStructure):
     traj, extra = _survival_for_method(cfg, vs, dyn.propagate)
-    path = out_dir / "trajectory.csv"
     c = traj.c_t
     columns = (traj.grid.times, c.real, c.imag, traj.norm_t)
-    _write_csv(path, _header(cfg, vs, extra), "t,re_c,im_c,norm", *columns)
-    print(f"wrote {path}")
-    return [path]
+    yield "trajectory.csv", _csv(_header(cfg, vs, extra), "t,re_c,im_c,norm", *columns)
 
 
-def _task_rate(cfg: RunConfig, out_dir: Path):
-    vs = build_vibronic(cfg.model)
+def _task_rate(cfg: RunConfig, vs: VibronicStructure):
     dark = cfg.options.get("dark_index")
     if dark is None:
         dark = int(np.argmin(dyn.photonic_weights(vs, cfg.cavity)[1]))
@@ -315,10 +308,8 @@ def _task_rate(cfg: RunConfig, out_dir: Path):
         "channels": channels,
         "_config": {key: str(val) for key, val in _header(cfg, vs).items()},
     }
-    path = out_dir / "rate.json"
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path} (Gamma_total = {result.gamma_total:.6e})")
-    return [path]
+    print(f"Gamma_total = {result.gamma_total:.6e}")
+    yield "rate.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _select_eigenstate(label: str, weights) -> int:
@@ -338,18 +329,15 @@ def _select_eigenstate(label: str, weights) -> int:
         raise ConfigError(f"eigenstate must be 'lp', 'dark' or an index, got {label!r}") from exc
 
 
-def _task_densities(cfg: RunConfig, out_dir: Path):
-    vs = build_vibronic(cfg.model)
+def _task_densities(cfg: RunConfig, vs: VibronicStructure):
     evals, weights = dyn.photonic_weights(vs, cfg.cavity)
     wanted = cfg.options.get("eigenstate")
     labels = [wanted] if wanted else ["lp", "dark"]
-    paths = []
     for label in labels:
         idx = _select_eigenstate(label, weights)
         name = label if label in ("lp", "dark") else f"state{idx}"
         densities = dyn.dark_state_density(vs, cfg.cavity, idx)
         for nu, dens in enumerate(densities, start=1):
-            path = out_dir / f"density_{name}_mode{nu}.csv"
             header = _header(
                 cfg,
                 vs,
@@ -360,14 +348,10 @@ def _task_densities(cfg: RunConfig, out_dir: Path):
                     "derived.mode_displacement": f"{dens.displacement:.17g}",
                 },
             )
-            _write_csv(path, header, "q,density", dens.q, dens.rho)
-            paths.append(path)
-            print(f"wrote {path}")
-    return paths
+            yield f"density_{name}_mode{nu}.csv", _csv(header, "q,density", dens.q, dens.rho)
 
 
-def _task_validate(cfg: RunConfig, out_dir: Path):
-    vs = build_vibronic(cfg.model)
+def _task_validate(cfg: RunConfig, vs: VibronicStructure):
     cav = cfg.cavity
     bh = assemble_truncated(vs, cav, q_max=cav.n_molecules)
     H, T, n_ph = oracle_generator(vs, cav)
@@ -387,15 +371,13 @@ def _task_validate(cfg: RunConfig, out_dir: Path):
         f"tolerance                       = {VALIDATE_TOL:.1e}",
         f"result                          = {'PASS' if ok else 'FAIL'}",
     ]
-    path = out_dir / "validate.txt"
-    _write(path, "\n".join(_comments(_header(cfg, vs)) + report) + "\n")
     print("\n".join(report))
-    print(f"wrote {path}")
-    if not ok:
+    yield "validate.txt", "\n".join(_comments(_header(cfg, vs)) + report) + "\n"
+    if not ok:  # the report is written first
         raise RuntimeError(f"validation failed: max deviation {dev:.3e} >= {VALIDATE_TOL:.1e}")
-    return [path]
 
 
+# task -> generator (cfg, vs) -> (file name, text) of each artifact, in write order
 _TASK_RUNNERS = {
     "spectrum": _task_spectrum,
     "dynamics": _task_dynamics,
@@ -403,13 +385,25 @@ _TASK_RUNNERS = {
     "densities": _task_densities,
     "validate": _task_validate,
 }
+TASKS = tuple(_TASK_RUNNERS)
 
 
 def run(cfg: RunConfig, out_dir=".") -> list[Path]:
-    """Execute one validated run config, writing artifacts into out_dir."""
+    """Execute one validated run config, writing each artifact its task yields into out_dir.
+
+    Each artifact is written before the task resumes, so one computed before
+    a failure is kept.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _TASK_RUNNERS[cfg.task](cfg, out)
+    vs = build_vibronic(cfg.model)
+    paths = []
+    for name, text in _TASK_RUNNERS[cfg.task](cfg, vs):
+        path = out / name
+        _write(path, text)
+        print(f"wrote {path}")
+        paths.append(path)
+    return paths
 
 
 def main(argv=None) -> int:

@@ -132,11 +132,9 @@ def build_A1(vs: VibronicStructure, cav: CavityParams) -> np.ndarray:
     N = infinity A1 = H0.
     """
     A = build_H0(vs, cav)
-    if not cav.is_infinite:
-        N = cav.n_molecules
-        scale = math.sqrt((N - 1) / N)
-        A[0, 1:] *= scale
-        A[1:, 0] *= scale
+    scale = math.sqrt(1.0 - 1.0 / cav.n_molecules)  # 1 at N = inf, where 1/N = 0
+    A[0, 1:] *= scale
+    A[1:, 0] *= scale
     return A
 
 

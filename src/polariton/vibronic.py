@@ -158,15 +158,6 @@ def build_vibronic(model: MolecularModel) -> VibronicStructure:
     energy, ties keeping lexicographic order.
     """
     modes = model.modes
-    if not modes:
-        return VibronicStructure(
-            omega_g=np.zeros(1),
-            omega_e=np.array([model.electronic_gap]),
-            fc=np.ones((1, 1)),
-            quanta=((),),
-            model=model,
-        )
-
     m = math.prod(mode.n_max + 1 for mode in modes)
     if m > VIBRONIC_SIZE_CAP:
         raise DimensionGuardError(
@@ -175,7 +166,7 @@ def build_vibronic(model: MolecularModel) -> VibronicStructure:
 
     quanta_lex = list(itertools.product(*(range(mode.n_max + 1) for mode in modes)))
     energies = np.array(
-        [sum(n * mode.frequency for n, mode in zip(q, modes)) for q in quanta_lex]
+        [sum(n * mode.frequency for n, mode in zip(q, modes)) for q in quanta_lex], dtype=float
     )
     order = np.argsort(energies, kind="stable")
 

@@ -189,10 +189,8 @@ def test_criterion_4_radiative_pumping():
     psi0 = np.zeros(bh.dim, dtype=complex)
     psi0[: U0.shape[0]] = U0[:, PUMP_DARK]
     grid = TimeGrid(t_max=2.5 / gamma, n_steps=4096)
-    traj = propagate(
-        bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers, keep_states=True
-    )
-    pop = np.abs(traj.states @ psi0.conj()) ** 2
+    traj = propagate(bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
+    pop = np.abs(traj.c_t) ** 2
     lo, hi = int(0.05 * pop.size), int(0.8 * pop.size)
     fit = -np.polyfit(grid.times[lo:hi], np.log(pop[lo:hi]), 1)[0]
     fit_dev = abs(fit - gamma) / gamma

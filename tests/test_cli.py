@@ -520,6 +520,16 @@ def test_validate_task_passes_at_small_N(tmp_path):
     assert "PASS" in report
 
 
+def test_failed_validate_writes_its_report_then_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "VALIDATE_TOL", 0.0)  # no deviation is below 0
+    path = write_cfg(tmp_path, "validate", n="2", extra="")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: validation failed: max deviation ")
+    report = (out / "validate.txt").read_text()
+    assert report.endswith("result                          = FAIL\n")
+
+
 def test_validate_assembles_the_exact_truncation_once(tmp_path, monkeypatch):
     # the H_sym check and the exactN amplitude share one q_max = N assembly
     calls = []

@@ -406,26 +406,3 @@ def test_rate_window_diagnostic():
     assert res.gamma_total == 0.0
     assert "window" in res.diagnostic
 
-
-def test_rate_matches_trajectory_fit():
-    # quantum-trajectory oracle: propagate the dark state under the one-phonon
-    # truncation with photon leakage and fit the exponential decay of its
-    # population
-    vs = build_vibronic(PUMP_MODEL)
-    cav = CavityParams(omega_c=PUMP_WC, g_sqrt_n=2.5e-4, n_molecules=8, kappa=PUMP_KAPPA)
-    res = radiative_pumping_rate(vs, cav, PUMP_DARK)
-    gamma = res.gamma_total
-
-    bh = assemble_truncated(vs, cav, q_max=1)
-    E0, U0 = np.linalg.eigh(bh.block(0))
-    psi0 = np.zeros(bh.dim, dtype=complex)
-    psi0[: U0.shape[0]] = U0[:, PUMP_DARK]
-    grid = TimeGrid(t_max=2.5 / gamma, n_steps=4096)
-    traj = propagate(
-        bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers, keep_states=True
-    )
-    pop = np.abs(traj.states @ psi0.conj()) ** 2
-    lo, hi = int(0.05 * pop.size), int(0.8 * pop.size)
-    slope = np.polyfit(grid.times[lo:hi], np.log(pop[lo:hi]), 1)[0]
-    assert -slope == pytest.approx(gamma, rel=0.15)
-

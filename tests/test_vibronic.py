@@ -165,6 +165,9 @@ def test_two_level_limit():
     assert vs.m == 1
     assert vs.fc[0, 0] == 1.0
     assert vs.omega_e[0] == 0.25
+    assert vs.omega_g.dtype == np.float64
+    np.testing.assert_array_equal(vs.omega_g, [0.0])
+    assert vs.quanta == ((),)
 
 
 def test_quanta_ordering_ties_are_lexicographic():
