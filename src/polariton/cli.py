@@ -105,7 +105,7 @@ def parse_config(path, task: str | None = None) -> RunConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    values, mode_sections = {}, []
+    values, mode_sections = {}, {}  # mode number -> section name
     for section in dict.fromkeys(["molecule", "cavity", "grid", "run", *cp.sections()]):
         base = "mode" if section.startswith("mode") else section
         if base not in _SCHEMA:
@@ -114,7 +114,10 @@ def parse_config(path, task: str | None = None) -> RunConfig:
             tag = section[4:].strip()
             if not tag.isdigit():
                 raise ConfigError(f"mode sections must be named [mode <int>], got [{section}]")
-            mode_sections.append((int(tag), section))
+            nu = int(tag)
+            if nu in mode_sections:
+                raise ConfigError(f"[{mode_sections[nu]}] and [{section}] both define mode {nu}")
+            mode_sections[nu] = section
         raw = cp[section] if cp.has_section(section) else {}
         for key in raw:
             if key not in _SCHEMA[base]:
@@ -129,7 +132,7 @@ def parse_config(path, task: str | None = None) -> RunConfig:
             elif required:
                 raise ConfigError(f"missing required key '{key}' in section [{section}]")
 
-    modes = tuple(VibrationalMode(**values[section]) for _, section in sorted(mode_sections))
+    modes = tuple(VibrationalMode(**values[mode_sections[nu]]) for nu in sorted(mode_sections))
     model = MolecularModel(modes=modes, **values["molecule"])
     cavity = CavityParams(**values["cavity"])
     grid = dyn.TimeGrid(**values["grid"])

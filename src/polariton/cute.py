@@ -101,12 +101,6 @@ class BlockHamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def block(self, p: int, q: int | None = None) -> np.ndarray:
-        """Dense sub-block (p, q); the diagonal block p when q is omitted."""
-        q = p if q is None else q
-        o = self.offsets
-        return self.matrix[o[p] : o[p + 1], o[q] : o[q + 1]].toarray()
-
 
 def build_H0(vs: VibronicStructure, cav: CavityParams) -> np.ndarray:
     """Zeroth block over {|1>, |e_1>, ..., |e_m>}: the collective arrowhead.

@@ -7,11 +7,11 @@ sparse matrix (one with a toarray method, such as BlockHamiltonian.matrix)
 and, from their shared input check _checked, the vector leak =
 (kappa/2) n_ph; each path subtracts i leak once, where it builds its own
 operator.  Up to DENSE_DIM_LIMIT, _baby_steps forms the dense H_eff once,
-steps the first w states by exp(-i H_eff dt) and forms exp(-i H_eff w dt):
-propagate then advances w = 64 states per matrix product on grids of
-n_t >= 16 dim samples, and autocorrelation, the survival amplitude of a
-spectrum, splits c(a + b) = psi_a^T psi_b (H_eff complex symmetric, psi0
-real) with w = ceil(sqrt(n_t)), so about 2 sqrt(n_t) states are stepped.
+steps the first w = ceil(sqrt(n_t)) states by exp(-i H_eff dt) and forms
+exp(-i H_eff w dt): propagate then advances w states per matrix product,
+and autocorrelation, the survival amplitude of a spectrum, splits
+c(a + b) = psi_a^T psi_b (H_eff complex symmetric, psi0 real), so about
+2 sqrt(n_t) states are stepped.
 Above the limit, and in transition_amplitudes (the 1/N correction's
 stepper), Arnoldi bases of KRYLOV_DIM vectors step one complex CSR matrix,
 a window of grid steps each, chosen once from Saad's error bound.  Every
@@ -142,8 +142,7 @@ def propagate(
     """Evolve psi0 under H (plus optional photon leakage) over the grid.
 
     Up to DENSE_DIM_LIMIT the two step operators of _baby_steps advance
-    w = min(64, n_t) states per matrix-matrix product once n_t >= 16 dim
-    samples repay the second exponential, else w = 1; above it Arnoldi
+    w = ceil(sqrt(n_t)) states per matrix-matrix product; above it Arnoldi
     windows step one complex CSR matrix (_propagate_krylov).  Neither path
     needs an eigenbasis, so defective generators step exactly.
     traj.params['method'] records 'dense' (with w as 'block_steps') or
@@ -156,11 +155,9 @@ def propagate(
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
         return _finished(_propagate_krylov(H, leak, psi0, grid, keep_states), kappa, "krylov", dim)
-    nt = grid.n_steps + 1
-    w = min(64, nt) if nt >= 16 * dim else 1
-    F, U = _baby_steps(H, leak, psi0, grid.dt, w)
-    traj = _step(_blocks(U, F, nt), psi0, grid, keep_states)
-    traj.params["block_steps"] = w
+    F, U = _baby_steps(H, leak, psi0, grid)
+    traj = _step(_blocks(U, F, grid.n_steps + 1), psi0, grid, keep_states)
+    traj.params["block_steps"] = F.shape[1]
     return _finished(traj, kappa, "dense", dim)
 
 
@@ -189,8 +186,8 @@ def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> T
         traj.norm_t = None
         return _finished(traj, kappa, "krylov", dim)
     nt = grid.n_steps + 1
-    w = math.isqrt(nt - 1) + 1  # ceil(sqrt(n_t)), < n_t as n_t >= 3
-    F, U = _baby_steps(H, leak, psi0, grid.dt, w)
+    F, U = _baby_steps(H, leak, psi0, grid)
+    w = F.shape[1]
     G = np.empty((dim, -(-nt // w)), dtype=complex)
     G[:, 0] = psi0
     for j in range(1, G.shape[1]):
@@ -215,21 +212,24 @@ def transition_amplitudes(
     return _finished(traj, kappa, "krylov", psi0.size)
 
 
-def _baby_steps(H, leak, psi0, dt, w):
+def _baby_steps(H, leak, psi0, grid):
     """(F, U_w): the baby states F = [psi_0 .. psi_{w-1}] and exp(-i H_eff w dt).
 
-    The dense H_eff = H - i diag(leak) is formed once; its step operator
-    exp(-i H_eff dt) fills the columns of F, and U_w is formed directly by
-    _expm, backward stable where the w-th power of the step operator is not.
+    w = ceil(sqrt(n_t)), the dense path's one width: 2 <= w < n_t as
+    n_t >= 3.  The dense H_eff = H - i diag(leak) is formed once; its step
+    operator exp(-i H_eff dt) fills the columns of F, and U_w is formed
+    directly by _expm, backward stable where the w-th power of the step
+    operator is not.
     """
+    w = math.isqrt(grid.n_steps) + 1  # ceil(sqrt(n_steps + 1))
     H_eff = np.array(H.toarray() if hasattr(H, "toarray") else H, dtype=complex)
     H_eff[np.diag_indices_from(H_eff)] -= 1j * leak
-    U = _expm(-1j * dt * H_eff)
+    U = _expm(-1j * grid.dt * H_eff)
     F = np.empty((psi0.size, w), dtype=complex)
     F[:, 0] = psi0
     for j in range(1, w):
         F[:, j] = U @ F[:, j - 1]
-    return F, U if w == 1 else _expm(-1j * (w * dt) * H_eff)
+    return F, _expm(-1j * (w * grid.dt) * H_eff)
 
 
 def _blocks(U, block, nt):
@@ -410,14 +410,6 @@ def _step(windows, psi0, grid, keep_states, bra=None) -> Trajectory:
             states[span] = (Y if V is None else V.T @ Y).T
     bra_t = None if bra is None else amps[1]
     return Trajectory(grid=grid, c_t=amps[0], norm_t=norm_t, states=states, bra_t=bra_t)
-
-
-def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) -> Trajectory:
-    """Survival amplitude and norm of the bare photon state under the zeroth block."""
-    H0 = build_H0(vs, cav)
-    e0 = np.zeros(H0.shape[0])
-    e0[0] = 1.0  # the photon state, also the photon-number diagonal
-    return propagate(H0, e0, grid, kappa=cav.kappa, n_ph=e0)
 
 
 def spectrum(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ class VibrationalMode:
             raise ValueError(f"mode frequency must be positive, got {self.frequency}")
         if self.huang_rhys < 0:
             raise ValueError(f"huang_rhys must be >= 0, got {self.huang_rhys}")
+        if not isinstance(self.n_max, numbers.Integral):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 

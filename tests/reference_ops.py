@@ -5,7 +5,9 @@ occupation vector of each state (occupations, the reservoir included): the
 generic reference for the bosonized assembler cute.hamiltonian_matrix.
 conserved_check lists the matrix elements that break a conservation law of
 the symmetric basis, and permutation_operator swaps the molecule registers
-of the oracle's tensor basis.
+of the oracle's tensor basis.  block reads one dense sub-block of a
+BlockHamiltonian, and photon_survival propagates the bare photon state under
+the zeroth block.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from polariton.cute import BlockHamiltonian, CavityParams, build_H0
+from polariton.dynamics import TimeGrid, Trajectory, propagate
 from polariton.fockspace import SymBasis, SymState
 from polariton.oracle import TensorBasis
+from polariton.vibronic import VibronicStructure
 
 
 def occupations(state: SymState, N: int, m: int) -> tuple[int, ...]:
@@ -122,3 +127,18 @@ def permutation_operator(basis: TensorBasis, perm: tuple[int, ...]) -> sp.csr_ma
         rows.append(basis.index[(tuple(nus[p] for p in perm), n_ph)])
     dim = basis.dim
     return sp.coo_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim)).tocsr()
+
+
+def block(bh: BlockHamiltonian, p: int, q: int | None = None) -> np.ndarray:
+    """Dense sub-block (p, q) of bh; the diagonal block p when q is omitted."""
+    q = p if q is None else q
+    o = bh.offsets
+    return bh.matrix[o[p] : o[p + 1], o[q] : o[q + 1]].toarray()
+
+
+def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) -> Trajectory:
+    """Survival amplitude and norm of the bare photon state under the zeroth block."""
+    H0 = build_H0(vs, cav)
+    e0 = np.zeros(H0.shape[0])
+    e0[0] = 1.0  # the photon state, also the photon-number diagonal
+    return propagate(H0, e0, grid, kappa=cav.kappa, n_ph=e0)

@@ -14,6 +14,8 @@ from polariton.cute import assemble_truncated
 from polariton.errors import DimensionGuardError
 from polariton.vibronic import build_vibronic
 
+from reference_ops import photon_survival
+
 BASE = """
 [molecule]
 electronic_gap = 0.1
@@ -83,6 +85,9 @@ def test_parse_valid_spectrum_config(tmp_path):
         ("spectrum", "inf", "method = infinite", ("[cavity]", "[mode 1]\n\n[cavity]"),
          "section 'mode 1' already exists"),
         ("spectrum", "inf", "method = infinite",
+         ("[cavity]", "[mode 01]\nfrequency = 0.02\nhuang_rhys = 0.1\nn_max = 1\n\n[cavity]"),
+         "[mode 1] and [mode 01] both define mode 1"),
+        ("spectrum", "inf", "method = infinite",
          ("omega_c = 0.108", "omega_c = 0.108\nomega_c = 0.1"),
          "option 'omega_c' in section 'cavity' already exists"),
         ("spectrum", "inf", "method = infinite", ("omega_c = 0.108", "omega_c = 0.108%"),
@@ -103,8 +108,9 @@ def test_parse_valid_spectrum_config(tmp_path):
          "dark_index_99", "dark_index_negative", "eigenstate_999", "eigenstate_negative",
          "n_molecules_neg_inf", "dark_index_bright", "eigenstate_lp_uncoupled",
          "eigenstate_photon_uncoupled", "ini_no_section_header", "ini_duplicate_section",
-         "ini_duplicate_key", "ini_percent_value", "ini_interpolation", "mode_frequency_negative",
-         "mode_huang_rhys_nan", "mode_n_max_negative", "kappa_abc", "rate_infinite"],
+         "mode_duplicate_number", "ini_duplicate_key", "ini_percent_value", "ini_interpolation",
+         "mode_frequency_negative", "mode_huang_rhys_nan", "mode_n_max_negative", "kappa_abc",
+         "rate_infinite"],
 )
 def test_bad_config_is_exit_code_2(tmp_path, capsys, task, n, extra, edit, msg):
     path = write_cfg(tmp_path, task, n=n, extra=extra)
@@ -207,7 +213,7 @@ def test_trajectory_and_spectrum_csv_roundtrip(tmp_path):
     data = np.loadtxt(lines[n_header + 1 :], delimiter=",")
     assert data.shape == (11, 4)
     cfg = parse_config(path, task="dynamics")
-    traj = dynamics.photon_survival(build_vibronic(cfg.model), cfg.cavity, cfg.grid)
+    traj = photon_survival(build_vibronic(cfg.model), cfg.cavity, cfg.grid)
     np.testing.assert_allclose(data[:, 1] + 1j * data[:, 2], traj.c_t, atol=1e-15)
 
     assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0

@@ -18,7 +18,6 @@ from polariton.dynamics import (
     _window,
     autocorrelation,
     dark_state_density,
-    photon_survival,
     photonic_weights,
     pole_decomposition,
     pole_spectrum,
@@ -30,6 +29,7 @@ from polariton.perturbation import survival_correction
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic, ho_wavefunctions
 
 from peaks import find_peaks
+from reference_ops import photon_survival
 
 INF = float("inf")
 
@@ -144,20 +144,16 @@ def test_dense_and_krylov_paths_agree(dim, kappa, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    data=st.data(),
-    shape=st.sampled_from(["below_w", "w", "kw", "kw_plus_1"]),
+    dim=st.integers(1, 12),
+    w=st.integers(2, 12),
+    full=st.booleans(),
     kappa=st.floats(0.0, 0.1),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_dense_path_matches_single_steps(data, shape, kappa, seed):
-    # n_t >= 16 dim: blocks of w = min(64, n_t) states against one step at a time
-    dim = data.draw(st.integers(1, {"below_w": 3, "w": 4}.get(shape, 12)))
-    if shape == "below_w":
-        n_t = data.draw(st.integers(16 * dim, 63))
-    elif shape == "w":
-        n_t = 64
-    else:
-        n_t = 64 * data.draw(st.integers(-(-16 * dim // 64), 6)) + (shape == "kw_plus_1")
+def test_blocked_dense_path_matches_single_steps(dim, w, full, kappa, seed):
+    # windows of w = ceil(sqrt(n_t)) states against one step at a time: n_t = w^2
+    # fills the last window, n_t = w^2 - w + 1 leaves one state in it
+    n_t = w * w if full else w * w - w + 1
     rng = np.random.default_rng(seed)
     H = rng.normal(size=(dim, dim))
     H = H + H.T
@@ -166,7 +162,7 @@ def test_blocked_dense_path_matches_single_steps(data, shape, kappa, seed):
     psi0 /= np.linalg.norm(psi0)
     grid = TimeGrid(t_max=0.1 * (n_t - 1), n_steps=n_t - 1)
     traj = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph, keep_states=True)
-    assert traj.params["block_steps"] == min(64, n_t)
+    assert traj.params["block_steps"] == w
 
     U = sla.expm(-1j * grid.dt * (H - 0.5j * kappa * np.diag(n_ph)))
     ref = np.empty((n_t, dim), dtype=complex)
@@ -179,7 +175,7 @@ def test_blocked_dense_path_matches_single_steps(data, shape, kappa, seed):
 
 
 def test_blocked_dense_norm_drift_on_fig5(monkeypatch):
-    # configs/fig5_spectrum.ini: dim 124, 65537 samples, 1024 blocks of w = 64
+    # configs/fig5_spectrum.ini: dim 124, 65537 samples, 256 windows of w = 257
     vs = build_vibronic(
         MolecularModel(
             electronic_gap=0.1,
@@ -189,7 +185,7 @@ def test_blocked_dense_norm_drift_on_fig5(monkeypatch):
     cav = CavityParams(omega_c=0.1161, g_sqrt_n=0.03, n_molecules=INF, kappa=0.0015)
     grid = TimeGrid(t_max=65536.0, n_steps=65536)
     traj = photon_survival(vs, cav, grid)
-    assert (traj.params["dim"], traj.params["block_steps"]) == (124, 64)
+    assert (traj.params["dim"], traj.params["block_steps"]) == (124, 257)
     monkeypatch.setattr(dynamics, "_expm", sla.expm)
     ref = photon_survival(vs, cav, grid)
     np.testing.assert_allclose(traj.norm_t, ref.norm_t, rtol=0, atol=1e-13)
@@ -222,10 +218,7 @@ def test_propagate_path_follows_dense_dim_limit(monkeypatch):
     psi0[0] = 1.0
     grid = TimeGrid(t_max=10.0, n_steps=20)
     a = propagate(H, psi0, grid)
-    # blocks of 64 steps once n_t >= 16 dim = 96 samples repay a second expm
-    short = propagate(H, psi0, TimeGrid(t_max=10.0, n_steps=94))
-    long = propagate(H, psi0, TimeGrid(t_max=10.0, n_steps=95))
-    assert [t.params["block_steps"] for t in (a, short, long)] == [1, 1, 64]
+    assert a.params["block_steps"] == 5  # ceil(sqrt(21))
     monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 5)
     b = propagate(H, psi0, grid)
     assert (a.params["method"], b.params["method"]) == ("dense", "krylov")
@@ -237,8 +230,8 @@ def test_propagate_path_follows_dense_dim_limit(monkeypatch):
 def test_defective_generator_steps_exactly():
     # a Jordan generator has no eigenbasis; the dense step operator needs none
     J = np.array([[0.0, 1.0], [0.0, 0.0]])
-    # n_t = 201 >= 16 dim: blocks of 64 steps, the last one partial
-    for grid, block_steps in ((TimeGrid(10.0, 20), 1), (TimeGrid(50.0, 200), 64)):
+    # n_t = 21, 201: windows of w = 5, 15, the last one partial
+    for grid, block_steps in ((TimeGrid(10.0, 20), 5), (TimeGrid(50.0, 200), 15)):
         jordan = propagate(J, np.array([0.0, 1.0]), grid)
         assert (jordan.params["method"], jordan.params["block_steps"]) == ("dense", block_steps)
         np.testing.assert_allclose(jordan.norm_t, np.hypot(1.0, grid.times), atol=1e-10)
@@ -264,7 +257,9 @@ def test_autocorrelation_matches_propagate(dim, n_steps, kappa, dt, seed):
     split = autocorrelation(H, psi0, grid, kappa=kappa, n_ph=n_ph)
     ref = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph)
     assert split.params["method"] == "split" and split.norm_t is None
-    assert split.params["block_steps"] == math.ceil(math.sqrt(n_steps + 1))
+    # the dense path's one width: both entry points record ceil(sqrt(n_t))
+    w = math.ceil(math.sqrt(n_steps + 1))
+    assert split.params["block_steps"] == ref.params["block_steps"] == w
     np.testing.assert_allclose(split.c_t, ref.c_t, rtol=0, atol=1e-13)
 
 

@@ -195,6 +195,9 @@ def test_basis_size_guard():
         dict(frequency=0.01, huang_rhys=1.0, n_max=-1),
         dict(frequency=float("nan"), huang_rhys=1.0, n_max=2),
         dict(frequency=0.01, huang_rhys=float("inf"), n_max=2),
+        # a non-integer n_max fails here, not as a TypeError inside build_vibronic
+        dict(frequency=0.01, huang_rhys=1.0, n_max=2.5),
+        dict(frequency=0.01, huang_rhys=1.0, n_max=float("nan")),
     ],
 )
 def test_invalid_mode_parameters_rejected(bad):
