@@ -10,11 +10,13 @@ a brute-force small-N solver used as the correctness oracle.
 from .cute import (
     BlockHamiltonian,
     CavityParams,
+    TruncatedGenerator,
     assemble_high_excitation,
     assemble_truncated,
     build_H0,
     build_H1k,
     build_v0k,
+    truncated_generator,
 )
 from .dynamics import TimeGrid, Trajectory, propagate, spectrum
 from .errors import DimensionGuardError
@@ -32,6 +34,7 @@ __all__ = [
     "SymState",
     "TimeGrid",
     "Trajectory",
+    "TruncatedGenerator",
     "VibrationalMode",
     "VibronicStructure",
     "assemble_high_excitation",
@@ -45,6 +48,7 @@ __all__ = [
     "radiative_pumping_rate",
     "spectrum",
     "survival_correction",
+    "truncated_generator",
 ]
 
 __version__ = "0.1.0"

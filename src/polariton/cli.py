@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics as dyn
-from .cute import CavityParams, assemble_truncated, build_H0
+from .cute import CavityParams, assemble_truncated, build_H0, truncated_generator
 from .oracle import N_CAP, oracle_generator
 from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
@@ -112,7 +112,7 @@ def parse_config(path, task: str | None = None) -> RunConfig:
             raise ConfigError(f"unknown config section [{section}]")
         if base == "mode":
             tag = section[4:].strip()
-            if not tag.isdigit():
+            if not (tag.isascii() and tag.isdigit()):  # int() would also read "1_0" and "١"
                 raise ConfigError(f"mode sections must be named [mode <int>], got [{section}]")
             nu = int(tag)
             if nu in mode_sections:
@@ -184,13 +184,10 @@ def _cuteq_order(method: str, N) -> int | None:
     if method in named:
         return named[method]
     if method.startswith("cuteq:"):
-        try:
-            q = int(method.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad cuteq order in method '{method}'") from exc
-        if q < 0:
-            raise ConfigError(f"cuteq order must be >= 0 in method '{method}'")
-        return q
+        order = method.split(":", 1)[1]
+        if not (order.isascii() and order.isdigit()):  # int() would also read "1_0" and "١"
+            raise ConfigError(f"bad cuteq order in method '{method}': expected ASCII digits")
+        return int(order)
     raise ConfigError(
         f"unknown method '{method}' (expected infinite, cute0, cute1, cuteq:<q>, exactN, oracle)"
     )
@@ -250,8 +247,9 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, step):
     """Photon-state survival amplitude under the configured method.
 
     The method gives the generator (H, psi0, n_ph): the dense zeroth block
-    H0 at order 0 (numpy only, at any N), assemble_truncated at order q, and
-    the oracle's tensor Hamiltonian with the photon state lifted by T[:, 0].
+    H0 at order 0 (at any N), the k-major truncated_generator at order q
+    (numpy only as well), and the oracle's tensor Hamiltonian with the
+    photon state lifted by T[:, 0].
     step, the task's stepper (dynamics.autocorrelation or
     dynamics.propagate), then runs once.
     """
@@ -261,8 +259,8 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, step):
         H = build_H0(vs, cav)
         psi0 = n_ph = np.eye(1, H.shape[0]).ravel()
     elif q is not None:
-        bh = assemble_truncated(vs, cav, q_max=q)
-        H, psi0, n_ph = bh.matrix, np.eye(1, bh.dim).ravel(), bh.photon_numbers
+        H = truncated_generator(vs, cav, q_max=q)
+        psi0, n_ph = np.eye(1, H.shape[0]).ravel(), H.photon_numbers
     else:
         H, T, n_ph = oracle_generator(vs, cav)
         psi0 = T[:, [0]].toarray().ravel()
@@ -360,9 +358,12 @@ def _task_validate(cfg: RunConfig, vs: VibronicStructure):
     H, T, n_ph = oracle_generator(vs, cav)
     dev_H = float(abs(T.T @ (H @ T) - bh.matrix).max())
 
-    e0 = np.eye(1, bh.dim).ravel()  # the photon state, lifted to the tensor basis by T
+    # the exactN generator the CLI steps; the photon state is state 0 of it and of bh,
+    # and T lifts it to the tensor basis
+    gen = truncated_generator(vs, cav, q_max=cav.n_molecules)
+    e0 = np.eye(1, bh.dim).ravel()
     c_oracle = dyn.propagate(H, T @ e0, cfg.grid, kappa=cav.kappa, n_ph=n_ph).c_t
-    c_cute = dyn.propagate(bh.matrix, e0, cfg.grid, kappa=cav.kappa, n_ph=bh.photon_numbers).c_t
+    c_cute = dyn.propagate(gen, e0, cfg.grid, kappa=cav.kappa, n_ph=gen.photon_numbers).c_t
     dev_c = float(np.max(np.abs(c_oracle - c_cute)))
 
     dev = max(dev_H, dev_c)

@@ -17,7 +17,12 @@ This module builds
     1/N) behind the finite-N truncated block Hamiltonian at any order q_max
     and the zero-temperature high-excitation ladder (quasi = 0, blocks
     indexed by photon number).  The hand-written forms above are regression
-    fixtures.
+    fixtures,
+  * the first-manifold truncation at any q_max as a TruncatedGenerator
+    (truncated_generator): the same Hamiltonian in k-major form, applied
+    from its coefficients with numpy alone.  This is what the CLI steps
+    for every finite-N method of order q >= 1; the bosonized assembler is
+    its reference, and the one route to n_exc >= 2.
 
 Both assemblers return a BlockHamiltonian with four fields: the whole
 matrix as one real sparse CSR `matrix`, block `offsets` (block q spans
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import SymBasis, enumerate_basis
+from .fockspace import SymBasis, enumerate_basis, guarded_basis_size
 from .vibronic import VibronicStructure
 
 HERMITICITY_TOL = 1e-12
@@ -243,6 +248,150 @@ def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> 
     return BlockHamiltonian(
         matrix=H, offsets=basis.offsets, photon_numbers=basis.photon_numbers(), basis=basis
     )
+
+
+class TruncatedGenerator:
+    """The n_exc = 1 CUT-E Hamiltonian, or c (H - diag(shift)), in k-major form.
+
+    A quasi-q state is an excitation a in {photon, e_1..e_m} times a
+    multiset S of q ground levels 2..m.  Block q is an n_S(q) x (m+1) array
+    (row S in colex order, column a, the photon first), flattened row by
+    row; at q = N it holds the photon column alone, as the bosonized basis
+    does.  The Hamiltonian is applied from its coefficients, with no
+    SymState and no hashing: the diagonal, the arrowhead column r_q fc[:, 0]
+    of each block (r_q = g_sqrt_n sqrt(1 - q/N)), and the couplings
+    g sqrt(n_k(S)) fc[i, k] of photon(S) to e_i(S - k), one gather, one
+    scatter and two products with fc[:, 1:].  Each coupling is stored once
+    and applied both ways, so H = H^T and every scaled copy is complex
+    symmetric.
+
+    The steppers use shape, diagonal(), photon_numbers, offsets (block q
+    spans offsets[q]:offsets[q + 1]), v -> A @ v, toarray() for the dense
+    path, scaled(c, shift) for the Krylov path's pre-scaled operator, abs()
+    for its row-sum bound and data, every stored coefficient, for the
+    finite-entry check.
+    """
+
+    def __init__(self, diag, r, x, G, up, amp, top, offsets):
+        self._diag, self._r, self._x, self._G = diag, r, x, G  # the coefficients
+        self._rx = np.multiply.outer(r, x)  # each row's arrowhead column r_q x
+        self._up, self._amp = up, amp  # photon row of S' + k and g sqrt(n_k), per (S', k)
+        self._top = top  # rows of a photon-only block q = N
+        self.offsets = offsets
+        self.shape = (int(offsets[-1]),) * 2
+
+    def _rows(self, v):
+        """The (rows, m + 1) array of a vector, zero on a photon-only block's excitations."""
+        if not self._top:
+            return v.reshape(len(self._diag), -1)
+        X = np.zeros(self._diag.shape, dtype=v.dtype)
+        cut = v.size - self._top
+        X[: -self._top] = v[:cut].reshape(-1, X.shape[1])
+        X[-self._top :, 0] = v[cut:]
+        return X
+
+    def _flat(self, Y):
+        if not self._top:
+            return Y.reshape(-1)
+        return np.concatenate([Y[: -self._top].reshape(-1), Y[-self._top :, 0]])
+
+    def __matmul__(self, v):
+        # x and the rows of G are zero on the photon column, so every product
+        # runs over whole contiguous rows
+        X = self._rows(np.asarray(v))
+        photon = X[:, 0]
+        Y = self._diag * X
+        Y[:, 0] += self._r * (X @ self._x)
+        Y += self._rx * photon[:, None]
+        if self._up.size:
+            lo = len(self._up)
+            Y[:lo] += (self._amp * photon[self._up]) @ self._G.T
+            hop = (X[:lo] @ self._G) * self._amp  # e_i(S') -> photon(S' + k)
+            np.add.at(Y[:, 0], self._up, hop)
+        return self._flat(Y)
+
+    def _like(self, diag, x, G):
+        return TruncatedGenerator(diag, self._r, x, G, self._up, self._amp, self._top, self.offsets)
+
+    def scaled(self, c, shift):
+        """c (H - diag(shift)) in the same layout, one application per product."""
+        shift = self._rows(np.broadcast_to(shift, self.shape[0]).astype(complex))
+        return self._like(c * (self._diag - shift), c * self._x, c * self._G)
+
+    def __abs__(self):
+        return self._like(abs(self._diag), abs(self._x), abs(self._G))
+
+    def diagonal(self):
+        return self._flat(self._diag).copy()
+
+    @property
+    def photon_numbers(self):
+        n_ph = np.zeros(self._diag.shape)
+        n_ph[:, 0] = 1.0
+        return self._flat(n_ph)
+
+    @property
+    def data(self):
+        coefficients = (self._diag, self._r, self._x, self._G, self._amp)
+        return np.concatenate([c.ravel() for c in coefficients])
+
+    def toarray(self):
+        return np.column_stack([self @ e for e in np.eye(self.shape[0])])
+
+
+def truncated_generator(vs: VibronicStructure, cav: CavityParams, q_max: int) -> TruncatedGenerator:
+    """assemble_truncated's Hamiltonian as a TruncatedGenerator, numpy only.
+
+    The same states in the same blocks, permuted within each block: block 0
+    is |1>, |e_1>, ..., |e_m> in both.  Its size is basis_size(N, 1, m,
+    min(q_max, N)), checked against BASIS_SIZE_CAP before anything is
+    allocated.  Each block is built from the one before.  In colex order
+    block q lists, for each level k, T + k for the first P(k) multisets T
+    of block q - 1, those whose largest level K(T) is <= k; so T + k sits
+    at row start(k) + T.  For K(T) > k instead, T + k = U + K with
+    U = (T - K) + k, whose row in block q - 1 the coupling table of block
+    q - 1 already holds (T - K is in block q - 2): each table follows from
+    the one before, with no search.
+    """
+    if cav.is_infinite:
+        raise ValueError("truncated_generator needs finite N; at N = infinity use build_H0")
+    if q_max < 0:
+        raise ValueError(f"q_max must be >= 0, got {q_max}")
+    N, m = cav.n_molecules, vs.m
+    q_top = min(q_max, N)
+    guarded_basis_size(N, 1, m, q_top)
+    levels = np.arange(m - 1)  # ground levels 2..m
+    # Block q - 1 as the loop finds it: the largest level K of each multiset
+    # (-1 for block 0's empty one, so every T + k is in order), the row
+    # `drop` of T - K in block q - 2, the row `up` of T + k in block q - 1
+    # for each row T of block q - 2, and the count of each level in T.
+    K, drop, up = np.array([-1]), np.zeros(1, int), np.zeros((1, m - 1), int)
+    count = np.zeros((1, m - 1))
+    energy, sizes = [np.zeros(1)], [1]
+    ups, amps = [np.zeros((0, m - 1), int)], [np.zeros((0, m - 1))]
+    for q in range(1, q_top + 1):
+        P = np.searchsorted(K, levels, side="right")
+        start = np.concatenate([[0], np.cumsum(P)])
+        rows = np.arange(len(K))[:, None]
+        up = np.where(levels >= K[:, None], start[levels] + rows, start[K][:, None] + up[drop])
+        ups.append(up + sum(sizes))
+        amps.append(cav.g * np.sqrt(count + 1.0))
+        K = np.repeat(levels, P)
+        drop = np.arange(start[-1]) - start[K]
+        energy.append(energy[-1][drop] + vs.omega_g[1 + K])
+        sizes.append(start[-1])
+        if q < q_top:
+            count = count[drop]
+            count[np.arange(len(K)), K] += 1.0
+    inv_n = 1.0 / N
+    r = np.repeat([cav.g_sqrt_n * math.sqrt(1.0 - q * inv_n) for q in range(q_top + 1)], sizes)
+    diag = np.add.outer(np.concatenate(energy), np.r_[cav.omega_c, vs.omega_e])
+    top = sizes[-1] if q_top == N else 0
+    offsets = np.r_[0, np.cumsum(sizes)] * (m + 1)
+    offsets[-1] -= top * m  # a photon-only block q = N
+    fc = np.vstack([np.zeros(m), vs.fc])  # row 0, the photon, couples to nothing
+    up, amp = np.concatenate(ups), np.concatenate(amps)
+    return TruncatedGenerator(diag, r, fc[:, 0], fc[:, 1:], up, amp, top, offsets)
 
 
 def assemble_high_excitation(vs: VibronicStructure, cav: CavityParams, n_exc: int) -> BlockHamiltonian:

@@ -2,8 +2,9 @@
 
 Cavity leakage enters as the non-Hermitian term -i (kappa/2) n_ph added to
 the Hamiltonian, which in the first excitation manifold reproduces the
-quantum-jump survival amplitudes.  The steppers take a dense array or a
+quantum-jump survival amplitudes.  The steppers take a dense array, a
 sparse matrix (one with a toarray method, such as BlockHamiltonian.matrix)
+or a cute.TruncatedGenerator, the k-major CUT-E truncation the CLI steps,
 and, from their shared input check _checked, the vector leak =
 (kappa/2) n_ph; each path subtracts i leak once, where it builds its own
 operator.  Up to DENSE_DIM_LIMIT, _baby_steps forms the dense H_eff once,
@@ -13,13 +14,15 @@ and autocorrelation, the survival amplitude of a spectrum, splits
 c(a + b) = psi_a^T psi_b (H_eff complex symmetric, psi0 real), so about
 2 sqrt(n_t) states are stepped.
 Above the limit, and in transition_amplitudes (the 1/N correction's
-stepper), Arnoldi bases of KRYLOV_DIM vectors step one complex CSR matrix,
-a window of grid steps each, chosen once from Saad's error bound.  Every
-matrix exponential is _expm, one degree-18 Taylor series scaled and
-squared; scipy.sparse is imported by the Krylov path alone, and no states
-are stored unless asked for.  spectrum evaluates the discrete transform on
-any uniform frequency grid through one Bluestein chirp-z transform done in
-place on a 5-smooth length.  A TimeGrid, and the Krylov substep grid, hold
+stepper), Arnoldi bases of KRYLOV_DIM vectors step one pre-scaled
+operator, a window of grid steps each, chosen once from Saad's error
+bound: a scaled copy of a TruncatedGenerator, else one complex CSR matrix.
+Every matrix exponential is _expm, one degree-18 Taylor series scaled and
+squared; scipy.sparse is imported only to step a matrix that is not a
+TruncatedGenerator on the Krylov path, and no states are stored unless
+asked for.  spectrum evaluates the discrete transform on any uniform
+frequency grid through one Bluestein chirp-z transform done in place on a
+5-smooth length.  A TimeGrid, and the Krylov substep grid, hold
 at most GRID_SIZE_CAP samples.
 """
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cute import CavityParams, build_H0
+from .cute import CavityParams, TruncatedGenerator, build_H0
 from .errors import DimensionGuardError
 from .vibronic import VibronicStructure, ho_wavefunctions
 
@@ -105,7 +108,8 @@ class Trajectory:
 def _checked(H, psi0, kappa, n_ph):
     """(psi0, leak) after the input checks shared by every stepping entry point.
 
-    leak = (kappa/2) n_ph, or 0.0 without leakage; a sparse H has a toarray method.
+    leak = (kappa/2) n_ph, or 0.0 without leakage.  A sparse H, or a
+    TruncatedGenerator, has a toarray method and holds its stored entries as data.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
@@ -143,7 +147,7 @@ def propagate(
 
     Up to DENSE_DIM_LIMIT the two step operators of _baby_steps advance
     w = ceil(sqrt(n_t)) states per matrix-matrix product; above it Arnoldi
-    windows step one complex CSR matrix (_propagate_krylov).  Neither path
+    windows step one pre-scaled operator (_propagate_krylov).  Neither path
     needs an eigenbasis, so defective generators step exactly.
     traj.params['method'] records 'dense' (with w as 'block_steps') or
     'krylov' (with the basis size 'krylov_dim', the grid steps per basis
@@ -178,7 +182,8 @@ def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> T
     psi0, leak = _checked(H, psi0, kappa, n_ph)
     if np.any(psi0.imag):
         raise ValueError("autocorrelation needs a real psi0")
-    if abs(H - H.T).max() != 0:  # the leak is diagonal
+    # the leak is diagonal; a TruncatedGenerator applies each coupling both ways
+    if not isinstance(H, TruncatedGenerator) and abs(H - H.T).max() != 0:
         raise ValueError("autocorrelation needs a complex-symmetric H_eff = H_eff^T")
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
@@ -245,10 +250,9 @@ def _propagate_krylov(H, leak, psi0, grid, keep_states, bra=None) -> Trajectory:
     """Step psi0 by Arnoldi bases of H_eff = H - i diag(leak), a window of grid steps each.
 
     With the trace shift mu = tr(H_eff)/dim, A = -i dt (H_eff - mu I) is
-    one complex CSR matrix built from the sparse or dense H as
-    -i dt (H - diag(i leak + mu)), the only copy of H the path makes.  Each
-    window builds a basis V of k = min(KRYLOV_DIM, dim) vectors from the
-    current state psi and steps the k x k projection T of A by
+    the pre-scaled operator of _krylov_operator, the only copy of H the
+    path makes.  Each window builds a basis V of k = min(KRYLOV_DIM, dim)
+    vectors from the current state psi and steps the k x k projection T of A by
     E = exp(T / s) e^(-i mu dt / s): y_j = E^j ||psi|| e_1 stands for the
     state V^T y_j (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The window
     of W grid steps and the s substeps per grid step are chosen once: the
@@ -261,12 +265,8 @@ def _propagate_krylov(H, leak, psi0, grid, keep_states, bra=None) -> Trajectory:
     grid and no bound is applied.  Amplitudes and norms come from the
     k-vectors y_j; the full state is formed once per window.
     """
-    import scipy.sparse as sp
     dim = psi0.size
-    H = sp.csr_matrix(H)
-    mu = (H.diagonal() - 1j * leak).sum() / dim
-    A = -1j * grid.dt * (H - sp.diags(np.broadcast_to(1j * leak + mu, dim)))
-    rho = max(abs(A).sum(axis=0).max(), abs(A).sum(axis=1).max())
+    A, mu, rho = _krylov_operator(H, leak, grid.dt)
     if not math.isfinite(rho):  # finite entries (_checked) can still overflow the norm
         raise ValueError(f"generator norm overflows: max(||A||_1, ||A||_inf) = {rho}")
     k = min(KRYLOV_DIM, dim)
@@ -305,6 +305,28 @@ def _propagate_krylov(H, leak, psi0, grid, keep_states, bra=None) -> Trajectory:
     traj = _step(windows(psi0), psi0, grid, keep_states, bra)
     traj.params.update({"krylov_dim": k, "block_steps": width, "substeps": substeps})
     return traj
+
+
+def _krylov_operator(H, leak, dt):
+    """(A, mu, rho): A = -i dt (H_eff - mu I), its trace shift mu and norm bound rho.
+
+    rho = max(||A||_1, ||A||_inf).  A TruncatedGenerator is scaled in its
+    own layout, where |A| = |A|^T makes rho the largest row sum of |A|; any
+    other H becomes one complex CSR matrix, whose |A| serves both norms.
+    Either A is the only copy of H the path makes and costs one application
+    per product.
+    """
+    diag = H.diagonal()
+    dim = diag.size
+    mu = (diag - 1j * leak).sum() / dim
+    shift = np.broadcast_to(1j * leak + mu, dim)
+    if isinstance(H, TruncatedGenerator):
+        A = H.scaled(-1j * dt, shift)
+        return A, mu, (abs(A) @ np.ones(dim)).max()
+    import scipy.sparse as sp
+    A = -1j * dt * (sp.csr_matrix(H) - sp.diags(shift))
+    size = abs(A)
+    return A, mu, max(size.sum(axis=0).max(), size.sum(axis=1).max())
 
 
 def _krylov_reach(k):

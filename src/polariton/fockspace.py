@@ -20,7 +20,9 @@ is conserved by the collective part of the Hamiltonian and changed by +-1 by
 the single-molecule coupling, which makes the Hamiltonian block-tridiagonal
 in quasi and motivates truncating the basis at quasi <= q_max.
 
-The Hamiltonian itself is assembled on this basis by cute.hamiltonian_matrix.
+The Hamiltonian itself is assembled on this basis by cute.hamiltonian_matrix;
+cute.truncated_generator applies the same first-manifold Hamiltonian without
+enumerating it, its size checked by guarded_basis_size.
 """
 
 from __future__ import annotations
@@ -94,6 +96,17 @@ def basis_size(N: int, N_exc: int, m: int, q_max: int) -> int:
     )
 
 
+def guarded_basis_size(N: int, N_exc: int, m: int, q_max: int) -> int:
+    """basis_size(N, N_exc, m, q_max); DimensionGuardError above BASIS_SIZE_CAP."""
+    size = basis_size(N, N_exc, m, q_max)
+    if size > BASIS_SIZE_CAP:
+        raise DimensionGuardError(
+            f"symmetric basis of {size} states exceeds cap {BASIS_SIZE_CAP} at "
+            f"(N={N}, N_exc={N_exc}, m={m}, q_max={q_max})"
+        )
+    return size
+
+
 def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
     """Enumerate all states with quasi <= q_max at fixed (N, N_exc).
 
@@ -105,13 +118,7 @@ def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
     same for every N >= N_exc + q_max.  The size is checked against
     BASIS_SIZE_CAP before any state is built.
     """
-    size = basis_size(N, N_exc, m, q_max)
-    if size > BASIS_SIZE_CAP:
-        raise DimensionGuardError(
-            f"symmetric basis of {size} states exceeds cap {BASIS_SIZE_CAP} at "
-            f"(N={N}, N_exc={N_exc}, m={m}, q_max={q_max})"
-        )
-
+    guarded_basis_size(N, N_exc, m, q_max)
     states: list[SymState] = []
     offsets = []
     for q in range(q_max + 1):

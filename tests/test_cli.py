@@ -92,6 +92,13 @@ def test_parse_valid_spectrum_config(tmp_path):
          "option 'omega_c' in section 'cavity' already exists"),
         ("spectrum", "inf", "method = infinite", ("omega_c = 0.108", "omega_c = 0.108%"),
          "omega_c"),
+        # orders and mode numbers are ASCII digits: int() would read "1_0" as 10, "١" as 1
+        ("dynamics", "3", "method = cuteq:1_0", None, "bad cuteq order in method 'cuteq:1_0'"),
+        ("dynamics", "3", "method = cuteq:\u0661", None, "bad cuteq order in method 'cuteq:\u0661'"),
+        ("spectrum", "inf", "method = infinite", ("[mode 1]", "[mode \u00b2]"),
+         "mode sections must be named [mode <int>], got [mode \u00b2]"),
+        ("spectrum", "inf", "method = infinite", ("[mode 1]", "[mode \u0661]"),
+         "mode sections must be named [mode <int>], got [mode \u0661]"),
         ("spectrum", "inf", "method = %(x)s", None, "unknown method '%(x)s'"),
         # parameters the library rejects
         ("spectrum", "inf", "method = infinite", ("frequency = 0.012", "frequency = -0.012"),
@@ -108,7 +115,9 @@ def test_parse_valid_spectrum_config(tmp_path):
          "dark_index_99", "dark_index_negative", "eigenstate_999", "eigenstate_negative",
          "n_molecules_neg_inf", "dark_index_bright", "eigenstate_lp_uncoupled",
          "eigenstate_photon_uncoupled", "ini_no_section_header", "ini_duplicate_section",
-         "mode_duplicate_number", "ini_duplicate_key", "ini_percent_value", "ini_interpolation",
+         "mode_duplicate_number", "ini_duplicate_key", "ini_percent_value", "cuteq_underscore",
+         "cuteq_arabic_indic_digit", "mode_superscript_digit", "mode_arabic_indic_digit",
+         "ini_interpolation",
          "mode_frequency_negative", "mode_huang_rhys_nan", "mode_n_max_negative", "kappa_abc",
          "rate_infinite"],
 )

@@ -1,5 +1,6 @@
 """Block-Hamiltonian assembly: hand-written forms vs generic mapping."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polariton.cli import parse_config
@@ -20,10 +21,11 @@ from polariton.cute import (
     build_H1k,
     build_v0k,
     hamiltonian_matrix,
+    truncated_generator,
 )
-from polariton.dynamics import TimeGrid, propagate
+from polariton.dynamics import DENSE_DIM_LIMIT, TimeGrid, autocorrelation, propagate
 from polariton.errors import DimensionGuardError
-from polariton.fockspace import SymState, enumerate_basis
+from polariton.fockspace import SymState, basis_size, enumerate_basis
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
 from reference_ops import block, conserved_check, map_operator
 
@@ -264,6 +266,108 @@ def test_assemble_full_matches_map_operator_path(case):
     assert conserved_check(basis, H) == []
     np.testing.assert_array_equal(bh.offsets, basis.offsets)
     assert bh.offsets[-1] == basis.dim
+
+
+def kmajor_order(basis, m, q_max):
+    """Bosonized index of each truncated_generator state, in the generator's order.
+
+    Block q lists the multisets S of q ground levels 2..m in colex order
+    (sorted by the reversed tuple), each followed by its excitations
+    photon, e_1..e_m; at q = N the photon alone.
+    """
+    order = []
+    for q in range(q_max + 1):
+        multisets = itertools.combinations_with_replacement(range(1, m), q)
+        for S in sorted(multisets, key=lambda S: S[::-1]):
+            order.append(basis.index[SymState(S, 1)])
+            if q < basis.N:
+                order += [basis.index[SymState(S + (m + i,), 0)] for i in range(m)]
+    return np.array(order)
+
+
+@st.composite
+def generator_cases(draw):
+    """m = n_max + 1 in 1..6, q_max <= 3 at N in {q_max, 2 q_max, 1000}, kappa >= 0."""
+    s, omega = draw(st.floats(0.0, 2.0)), draw(st.floats(0.005, 0.02))
+    vs = vibronic_fixture(s=s, omega=omega, n_max=draw(st.integers(0, 5)))
+    q_max = draw(st.integers(0, 3))
+    cav = CavityParams(
+        omega_c=draw(st.floats(0.09, 0.13)),
+        g_sqrt_n=draw(st.floats(0.0, 0.05)),
+        n_molecules=draw(st.sampled_from([max(q_max, 1), max(2 * q_max, 1), 1000])),
+        kappa=draw(st.floats(0.0, 0.01)),
+    )
+    return vs, cav, q_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_cases())
+@example((vibronic_fixture(n_max=5), CavityParams(0.11, 0.03, 3, 0.002), 3))  # photon-only q = N
+@example((vibronic_fixture(n_max=0), CavityParams(0.11, 0.03, 2, 0.002), 2))  # m = 1: q >= 1 empty
+def test_truncated_generator_is_the_permuted_assembler(case):
+    vs, cav, q_max = case
+    gen = truncated_generator(vs, cav, q_max)
+    bh = assemble_truncated(vs, cav, q_max)
+    p = kmajor_order(bh.basis, vs.m, min(q_max, cav.n_molecules))
+    assert gen.shape == (basis_size(cav.n_molecules, 1, vs.m, min(q_max, cav.n_molecules)),) * 2
+    np.testing.assert_array_equal(np.sort(p), np.arange(bh.dim))
+    np.testing.assert_array_equal(gen.offsets, bh.offsets)
+    np.testing.assert_array_equal(gen.photon_numbers, bh.photon_numbers[p])
+    H = bh.matrix.toarray()[np.ix_(p, p)]
+    scale = abs(H).max()
+    assert abs(gen.toarray() - H).max() <= 1e-15 * scale
+    np.testing.assert_array_equal(gen.diagonal(), gen.toarray().diagonal())
+    # the Krylov path's pre-scaled copy c (H - diag(shift)), leak included, and its row sums
+    leak = 0.5 * cav.kappa * gen.photon_numbers
+    shift = 1j * leak + 0.1
+    A = -0.7j * (H - np.diag(shift))
+    scaled = gen.scaled(-0.7j, shift)
+    v = [1.0, 1j] @ np.random.default_rng(7).standard_normal((2, bh.dim))
+    assert abs(scaled @ v - A @ v).max() <= 1e-15 * 0.7 * scale * abs(v).sum()
+    assert abs(scaled.toarray() - A).max() <= 1e-15 * abs(A).max()
+    rows = abs(A).sum(axis=1)  # up to about 50 terms each, summed in another order
+    assert abs(abs(scaled) @ np.ones(bh.dim) - rows).max() <= 1e-14 * rows.max()
+
+
+@pytest.mark.parametrize(
+    "q_max,n_max,path",
+    [(1, 10, "dense"), (1, 24, "krylov"), (2, 7, "dense"), (2, 10, "krylov")],
+    ids=["cute1_dim132", "cute1_dim650", "cuteq2_dim324", "cuteq2_dim792"],
+)
+def test_truncated_generator_steps_like_the_assembler(q_max, n_max, path):
+    # today's bosonized matrix against the generator the CLI steps, on both sides of
+    # DENSE_DIM_LIMIT; the photon state is state 0 of both bases
+    vs = vibronic_fixture(s=1.5, n_max=n_max)
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=8, kappa=0.0015)
+    bh = assemble_truncated(vs, cav, q_max)
+    gen = truncated_generator(vs, cav, q_max)
+    assert (bh.dim > DENSE_DIM_LIMIT) == (path == "krylov")
+    grid = TimeGrid(t_max=2000.0, n_steps=1024)
+    psi0 = np.eye(1, bh.dim).ravel()
+    want = propagate(bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
+    got = propagate(gen, psi0, grid, kappa=cav.kappa, n_ph=gen.photon_numbers)
+    assert got.params == want.params and got.params["method"] == path
+    np.testing.assert_allclose(got.c_t, want.c_t, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.norm_t, want.norm_t, rtol=0, atol=1e-12)
+    c = autocorrelation(gen, psi0, grid, kappa=cav.kappa, n_ph=gen.photon_numbers)
+    np.testing.assert_allclose(c.c_t, want.c_t, rtol=0, atol=1e-12)
+
+
+def test_truncated_generator_guards():
+    vs = build_vibronic(FIG5_MODEL)  # m = 123: q <= 2 at N = 1000 is 945,624 states
+    cav = replace(FIG5_CAV, n_molecules=1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionGuardError, match="945624 states exceeds cap"):
+            truncated_generator(vs, cav, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak  # nothing basis-sized was allocated
+    with pytest.raises(ValueError, match="finite N"):
+        truncated_generator(vs, FIG5_CAV, 1)
+    with pytest.raises(ValueError, match="q_max"):
+        truncated_generator(vs, cav, -1)
 
 
 def test_assembly_peak_memory_below_one_dense_copy():

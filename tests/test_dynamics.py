@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polariton import dynamics
-from polariton.cute import CavityParams, assemble_truncated, build_H0
+from polariton.cute import CavityParams, assemble_truncated, build_H0, truncated_generator
 from polariton.dynamics import (
     TimeGrid,
     _window,
@@ -402,6 +402,13 @@ def test_transition_amplitudes_input_and_output_checks():
         huge = sp.diags(np.r_[1e308, -1e308, np.zeros(38)])
         with pytest.raises(ValueError, match="overflows"):
             dynamics.transition_amplitudes(huge, e0, e0, TimeGrid(t_max=20.0, n_steps=2))
+        # and a TruncatedGenerator, whose bound is the largest row sum of its |A|
+        mode = VibrationalMode(0.01, 1.0, 3)
+        vs = build_vibronic(MolecularModel(electronic_gap=0.1, modes=(mode,)))
+        gen = truncated_generator(vs, CavityParams(omega_c=0.1, g_sqrt_n=1e308, n_molecules=8), 1)
+        photon = np.eye(1, gen.shape[0]).ravel()
+        with pytest.raises(ValueError, match="overflows"):
+            dynamics.transition_amplitudes(gen, photon, photon, TimeGrid(t_max=20.0, n_steps=2))
 
 
 def test_krylov_substeps_are_capped_like_a_time_grid(monkeypatch):

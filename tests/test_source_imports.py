@@ -8,8 +8,9 @@ from the Taylor series in polariton.dynamics and its dense eigensolvers are
 numpy's.  scipy.sparse itself costs about 22 MB and 0.2-0.3 s of CPU time
 per process (scipy 1.17.1, numpy 2.4.6, Python 3.11, one BLAS thread),
 mostly because it imports scipy._lib._array_api, so no module imports scipy
-at module level and the N = infinity runs, which need only the dense zeroth
-block, never load it.
+at module level, and no CLI run but validate and method = oracle loads it:
+the N = infinity runs step the dense zeroth block and the finite-N
+truncations (cute1, cuteq:<q>, exactN) the numpy-only k-major generator.
 """
 
 import ast
@@ -229,15 +230,21 @@ def test_infinite_rate_and_densities_runs_load_no_scipy(tmp_path):
         ("densities", config("densities", "inf", "task = densities")),
         ("dynamics", config("cute0", "8", "task = dynamics\nmethod = cute0")),  # q = 0 at finite N
     ]
-    cute1 = config("cute1", "8", "task = dynamics\nmethod = cute1")
+    # the finite-N truncations: cute1 (dim 132) and exactN at N = 3 (dim 187, a photon-only
+    # top block) on the dense path, cuteq:2 (dim 792) on the Krylov path
+    for method, n in (("cute1", "8"), ("cuteq:2", "8"), ("exactN", "3")):
+        for task in ("dynamics", "spectrum"):
+            name = f"{task}_{method.replace(':', '')}"
+            numpy_only.append((task, config(name, n, f"task = {task}\nmethod = {method}")))
+    oracle = config("oracle", "2", "task = dynamics\nmethod = oracle")
     out = subprocess.run(
-        [sys.executable, "-c", SCIPY_MODULES, json.dumps(numpy_only), cute1, str(tmp_path)],
+        [sys.executable, "-c", SCIPY_MODULES, json.dumps(numpy_only), oracle, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    loaded, after_cute1 = json.loads(out.stdout.splitlines()[-1])
+    loaded, after_oracle = json.loads(out.stdout.splitlines()[-1])
     assert loaded == []
-    assert "scipy.sparse" in after_cute1  # the control: a finite-N assembly loads it
+    assert "scipy.sparse" in after_oracle  # the control: the oracle's tensor Hamiltonian loads it
