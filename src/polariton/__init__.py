@@ -8,7 +8,6 @@ a brute-force small-N solver used as the correctness oracle.
 """
 
 from .cute import (
-    BlockHamiltonian,
     CavityParams,
     TruncatedGenerator,
     assemble_high_excitation,
@@ -25,7 +24,6 @@ from .perturbation import ExpansionResult, radiative_pumping_rate, survival_corr
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
 
 __all__ = [
-    "BlockHamiltonian",
     "CavityParams",
     "DimensionGuardError",
     "ExpansionResult",

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .cute import CavityParams, assemble_truncated, build_H0, truncated_generator
-from .oracle import N_CAP, oracle_generator
+from .oracle import N_CAP, build_full_H, oracle_generator, symmetrizer
 from .perturbation import DARK_PHOTON_WEIGHT, radiative_pumping_rate
 from .vibronic import MolecularModel, VibrationalMode, VibronicStructure, build_vibronic
 
@@ -125,8 +125,13 @@ def parse_config(path, task: str | None = None) -> RunConfig:
         values[section] = {}
         for key, (conv, required) in _SCHEMA[base].items():
             if key in raw:
+                value = raw[key]
+                if not value.isascii() or "_" in value:  # int() and float() read "1_0" and "١"
+                    raise ConfigError(
+                        f"bad value for '{key}' in [{section}]: {value!r} is not ASCII without '_'"
+                    )
                 try:
-                    values[section][key] = conv(raw[key])
+                    values[section][key] = conv(value)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for '{key}' in [{section}]: {exc}") from exc
             elif required:
@@ -247,23 +252,21 @@ def _survival_for_method(cfg: RunConfig, vs: VibronicStructure, step):
     """Photon-state survival amplitude under the configured method.
 
     The method gives the generator (H, psi0, n_ph): the dense zeroth block
-    H0 at order 0 (at any N), the k-major truncated_generator at order q
-    (numpy only as well), and the oracle's tensor Hamiltonian with the
-    photon state lifted by T[:, 0].
+    H0 at order 0 (at any N), truncated_generator at order q (numpy only as
+    well), and the oracle's tensor Hamiltonian from the tensor photon state.
     step, the task's stepper (dynamics.autocorrelation or
     dynamics.propagate), then runs once.
     """
     cav = cfg.cavity
     q = _cuteq_order(cfg.method, cav.n_molecules)
-    if q == 0:
+    if q is None:
+        H, psi0, n_ph = oracle_generator(vs, cav)
+    elif q == 0:
         H = build_H0(vs, cav)
         psi0 = n_ph = np.eye(1, H.shape[0]).ravel()
-    elif q is not None:
+    else:
         H = truncated_generator(vs, cav, q_max=q)
         psi0, n_ph = np.eye(1, H.shape[0]).ravel(), H.photon_numbers
-    else:
-        H, T, n_ph = oracle_generator(vs, cav)
-        psi0 = T[:, [0]].toarray().ravel()
     traj = step(H, psi0, cfg.grid, kappa=cav.kappa, n_ph=n_ph)
     keys = ("dim", "method", "krylov_dim", "block_steps", "substeps")
     extra = {f"derived.{key}": traj.params[key] for key in keys if key in traj.params}
@@ -354,14 +357,16 @@ def _task_densities(cfg: RunConfig, vs: VibronicStructure):
 
 def _task_validate(cfg: RunConfig, vs: VibronicStructure):
     cav = cfg.cavity
-    bh = assemble_truncated(vs, cav, q_max=cav.n_molecules)
-    H, T, n_ph = oracle_generator(vs, cav)
-    dev_H = float(abs(T.T @ (H @ T) - bh.matrix).max())
+    basis, H_sym = assemble_truncated(vs, cav, q_max=cav.n_molecules)
+    H, tensor = build_full_H(vs, cav, 1)
+    T = symmetrizer(tensor, basis)
+    dev_H = float(abs(T.T @ (H @ T) - H_sym).max())
 
-    # the exactN generator the CLI steps; the photon state is state 0 of it and of bh,
-    # and T lifts it to the tensor basis
+    # the exactN generator the CLI steps, in the order of basis; the photon state is
+    # state 0 of both, and T lifts it to the tensor basis
     gen = truncated_generator(vs, cav, q_max=cav.n_molecules)
-    e0 = np.eye(1, bh.dim).ravel()
+    e0 = np.eye(1, basis.dim).ravel()
+    n_ph = tensor.photon_numbers()
     c_oracle = dyn.propagate(H, T @ e0, cfg.grid, kappa=cav.kappa, n_ph=n_ph).c_t
     c_cute = dyn.propagate(gen, e0, cfg.grid, kappa=cav.kappa, n_ph=gen.photon_numbers).c_t
     dev_c = float(np.max(np.abs(c_oracle - c_cute)))

@@ -15,19 +15,19 @@ This module builds
     (coupling g*sqrt(N-1)) and the single-molecule coupling matrices v0k,
   * one bosonized assembler (reservoir eliminated, every element smooth in
     1/N) behind the finite-N truncated block Hamiltonian at any order q_max
-    and the zero-temperature high-excitation ladder (quasi = 0, blocks
-    indexed by photon number).  The hand-written forms above are regression
+    and the zero-temperature high-excitation ladder (quasi = 0, sectors of
+    descending photon number).  The hand-written forms above are regression
     fixtures,
   * the first-manifold truncation at any q_max as a TruncatedGenerator
-    (truncated_generator): the same Hamiltonian in k-major form, applied
-    from its coefficients with numpy alone.  This is what the CLI steps
-    for every finite-N method of order q >= 1; the bosonized assembler is
-    its reference, and the one route to n_exc >= 2.
+    (truncated_generator): the same Hamiltonian in the same state order,
+    applied from its coefficients with numpy alone.  This is what the CLI
+    steps for every finite-N method of order q >= 1; the bosonized
+    assembler is its reference, and the one route to n_exc >= 2.
 
-Both assemblers return a BlockHamiltonian with four fields: the whole
-matrix as one real sparse CSR `matrix`, block `offsets` (block q spans
-offsets[q]:offsets[q + 1]), the photon number of every state and, for
-truncations, the SymBasis.  No dense copy is made.
+Both assemblers return (basis, H): the SymBasis, whose offsets bound the
+quasi blocks (block q spans offsets[q]:offsets[q + 1]) and whose
+photon_numbers() is the leakage diagonal, and the whole matrix as one real
+sparse CSR matrix.  No dense copy is made.
 
 N = infinity is a first-class sentinel (math.inf), simply 1/N = 0: the
 single-molecule g and every inter-block coupling vanish, reservoir factors
@@ -85,26 +85,6 @@ class CavityParams:
     def g(self) -> float:
         """Single-molecule coupling g_sqrt_n / sqrt(N); zero in the N->inf limit."""
         return self.g_sqrt_n / math.sqrt(self.n_molecules)
-
-
-@dataclass(frozen=True)
-class BlockHamiltonian:
-    """Block-tridiagonal Hamiltonian held as one real sparse CSR matrix.
-
-    Block q spans rows and columns offsets[q]:offsets[q + 1]; sub-block
-    (p, q) is nonzero only for |p - q| <= 1.  photon_numbers holds the
-    photon number of every state (the leakage diagonal); basis is the
-    underlying SymBasis of a truncation (None for the high-excitation ladder).
-    """
-
-    matrix: sp.csr_matrix
-    offsets: np.ndarray
-    photon_numbers: np.ndarray
-    basis: SymBasis | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def build_H0(vs: VibronicStructure, cav: CavityParams) -> np.ndarray:
@@ -214,7 +194,9 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     return (sp.diags(diag) + M + M.T).tocsr()
 
 
-def _assemble(vs: VibronicStructure, cav: CavityParams, n_exc: int, q_max: int):
+def _assemble(
+    vs: VibronicStructure, cav: CavityParams, n_exc: int, q_max: int
+) -> tuple[SymBasis, sp.csr_matrix]:
     """Basis and Hamiltonian of the n_exc manifold at quasi <= q_max.
 
     Outside the reservoir the state list is the same for every
@@ -229,11 +211,13 @@ def _assemble(vs: VibronicStructure, cav: CavityParams, n_exc: int, q_max: int):
     return basis, H
 
 
-def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> BlockHamiltonian:
-    """Truncated block Hamiltonian at CUT-E order q_max (first excitation manifold).
+def assemble_truncated(
+    vs: VibronicStructure, cav: CavityParams, q_max: int
+) -> tuple[SymBasis, sp.csr_matrix]:
+    """(basis, H) at CUT-E order q_max (first excitation manifold).
 
-    Enumerate the quasi <= q_max basis at finite N and keep the assembled
-    sparse Hamiltonian as is.  Order 0 keeps collective coupling only; order
+    The quasi <= q_max basis at finite N and its sparse Hamiltonian, block
+    tridiagonal in quasi.  Order 0 keeps collective coupling only; order
     1 admits one action pair of the single-molecule coupling, and so on.
 
     N = infinity raises ValueError: the q >= 1 blocks are decoupled shifted
@@ -244,10 +228,7 @@ def assemble_truncated(vs: VibronicStructure, cav: CavityParams, q_max: int) -> 
         raise ValueError("assemble_truncated needs finite N; at N = infinity use build_H0")
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
-    basis, H = _assemble(vs, cav, 1, min(q_max, cav.n_molecules))
-    return BlockHamiltonian(
-        matrix=H, offsets=basis.offsets, photon_numbers=basis.photon_numbers(), basis=basis
-    )
+    return _assemble(vs, cav, 1, min(q_max, cav.n_molecules))
 
 
 class TruncatedGenerator:
@@ -256,10 +237,10 @@ class TruncatedGenerator:
     A quasi-q state is an excitation a in {photon, e_1..e_m} times a
     multiset S of q ground levels 2..m.  Block q is an n_S(q) x (m+1) array
     (row S in colex order, column a, the photon first), flattened row by
-    row; at q = N it holds the photon column alone, as the bosonized basis
-    does.  The Hamiltonian is applied from its coefficients, with no
-    SymState and no hashing: the diagonal, the arrowhead column r_q fc[:, 0]
-    of each block (r_q = g_sqrt_n sqrt(1 - q/N)), and the couplings
+    row; at q = N it holds the photon column alone.  This is the state
+    order of fockspace.enumerate_basis.  The Hamiltonian is applied from its
+    coefficients, with no SymState and no hashing: the diagonal, the
+    arrowhead column r_q fc[:, 0] of each block (r_q = g_sqrt_n sqrt(1 - q/N)), and the couplings
     g sqrt(n_k(S)) fc[i, k] of photon(S) to e_i(S - k), one gather, one
     scatter and two products with fc[:, 1:].  Each coupling is stored once
     and applied both ways, so H = H^T and every scaled copy is complex
@@ -342,13 +323,12 @@ class TruncatedGenerator:
 def truncated_generator(vs: VibronicStructure, cav: CavityParams, q_max: int) -> TruncatedGenerator:
     """assemble_truncated's Hamiltonian as a TruncatedGenerator, numpy only.
 
-    The same states in the same blocks, permuted within each block: block 0
-    is |1>, |e_1>, ..., |e_m> in both.  Its size is basis_size(N, 1, m,
-    min(q_max, N)), checked against BASIS_SIZE_CAP before anything is
-    allocated.  Each block is built from the one before.  In colex order
-    block q lists, for each level k, T + k for the first P(k) multisets T
-    of block q - 1, those whose largest level K(T) is <= k; so T + k sits
-    at row start(k) + T.  For K(T) > k instead, T + k = U + K with
+    The states of assemble_truncated's basis, in the same order.  Its size
+    is basis_size(N, 1, m, min(q_max, N)), checked against BASIS_SIZE_CAP
+    before anything is allocated.  Each block is built from the one before.
+    In colex order block q lists, for each level k, T + k for the first
+    P(k) multisets T of block q - 1, those whose largest level K(T) is
+    <= k; so T + k sits at row start(k) + T.  For K(T) > k instead, T + k = U + K with
     U = (T - K) + k, whose row in block q - 1 the coupling table of block
     q - 1 already holds (T - K is in block q - 2): each table follows from
     the one before, with no search.
@@ -394,22 +374,21 @@ def truncated_generator(vs: VibronicStructure, cav: CavityParams, q_max: int) ->
     return TruncatedGenerator(diag, r, fc[:, 0], fc[:, 1:], up, amp, top, offsets)
 
 
-def assemble_high_excitation(vs: VibronicStructure, cav: CavityParams, n_exc: int) -> BlockHamiltonian:
-    """Zero-temperature quasi = 0 Hamiltonian of the N_exc excitation manifold.
+def assemble_high_excitation(
+    vs: VibronicStructure, cav: CavityParams, n_exc: int
+) -> tuple[SymBasis, sp.csr_matrix]:
+    """(basis, H), the zero-temperature quasi = 0 ladder of the N_exc manifold.
 
     All ground-electronic molecules stay in their vibrational ground state;
     basis states carry i photons plus N_exc - i excited molecules spread over
-    the m excited vibronic states.  Blocks are indexed by descending photon
-    number (i = N_exc first); the collective coupling between neighbouring
-    blocks carries the photon factor sqrt(i), the matter factor
-    sqrt(n_e + 1) and the reservoir factor sqrt(1 - (N_exc - i)/N), which is
-    1 at N = infinity.
+    the m excited vibronic states.  The states come in sectors of descending
+    photon number (i = N_exc first, basis.photon_numbers()); the collective
+    coupling between neighbouring sectors carries the photon factor
+    sqrt(i), the matter factor sqrt(n_e + 1) and the reservoir factor
+    sqrt(1 - (N_exc - i)/N), which is 1 at N = infinity.
     """
     if n_exc < 1:
         raise ValueError(f"n_exc must be >= 1, got {n_exc}")
     if cav.n_molecules < n_exc:
         raise ValueError(f"need N >= N_exc, got N={cav.n_molecules}, N_exc={n_exc}")
-    basis, H = _assemble(vs, cav, n_exc, 0)
-    n_ph = basis.photon_numbers()
-    offsets = np.r_[0, np.flatnonzero(np.diff(n_ph)) + 1, basis.dim]  # photon sectors
-    return BlockHamiltonian(matrix=H, offsets=offsets, photon_numbers=n_ph)
+    return _assemble(vs, cav, n_exc, 0)

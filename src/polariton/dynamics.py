@@ -3,14 +3,15 @@
 Cavity leakage enters as the non-Hermitian term -i (kappa/2) n_ph added to
 the Hamiltonian, which in the first excitation manifold reproduces the
 quantum-jump survival amplitudes.  The steppers take a dense array, a
-sparse matrix (one with a toarray method, such as BlockHamiltonian.matrix)
-or a cute.TruncatedGenerator, the k-major CUT-E truncation the CLI steps,
-and, from their shared input check _checked, the vector leak =
-(kappa/2) n_ph; each path subtracts i leak once, where it builds its own
-operator.  Up to DENSE_DIM_LIMIT, _baby_steps forms the dense H_eff once,
-steps the first w = ceil(sqrt(n_t)) states by exp(-i H_eff dt) and forms
-exp(-i H_eff w dt): propagate then advances w states per matrix product,
-and autocorrelation, the survival amplitude of a spectrum, splits
+sparse matrix (one with a toarray method, such as the H that
+cute.assemble_truncated returns) or a cute.TruncatedGenerator, the CUT-E
+truncation the CLI steps, and, from their shared input check _checked, the
+vector leak = (kappa/2) n_ph; each path subtracts i leak once, where it
+builds its own operator.  Up to DENSE_DIM_LIMIT, _baby_steps forms the
+dense H_eff once, steps the first w = ceil(sqrt(n_t)) states by
+exp(-i H_eff dt) and forms exp(-i H_eff w dt): propagate then advances w
+states per matrix product, and autocorrelation, the survival amplitude of
+a spectrum, splits
 c(a + b) = psi_a^T psi_b (H_eff complex symmetric, psi0 real), so about
 2 sqrt(n_t) states are stepped.
 Above the limit, and in transition_amplitudes (the 1/N correction's

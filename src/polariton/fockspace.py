@@ -21,8 +21,9 @@ the single-molecule coupling, which makes the Hamiltonian block-tridiagonal
 in quasi and motivates truncating the basis at quasi <= q_max.
 
 The Hamiltonian itself is assembled on this basis by cute.hamiltonian_matrix;
-cute.truncated_generator applies the same first-manifold Hamiltonian without
-enumerating it, its size checked by guarded_basis_size.
+cute.truncated_generator applies the same first-manifold Hamiltonian, in the
+same state order, without enumerating it, its size checked by
+guarded_basis_size.
 """
 
 from __future__ import annotations
@@ -110,26 +111,30 @@ def guarded_basis_size(N: int, N_exc: int, m: int, q_max: int) -> int:
 def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
     """Enumerate all states with quasi <= q_max at fixed (N, N_exc).
 
-    Ordering is deterministic: ascending quasi block, photon-rich sectors
-    before photon-poor ones within a block, then ascending lexicographic
-    slots (molecules fill low-index vibronic states first), so the quasi = 0
-    block reads |1>, |e1>, ..., |em>.  N enters only through the condition
-    that the molecules outside the reservoir fit, so the state list is the
-    same for every N >= N_exc + q_max.  The size is checked against
-    BASIS_SIZE_CAP before any state is built.
+    Ordering is deterministic: ascending quasi block; within block q the
+    multisets S of q ground slots in colex order (sorted by the reversed
+    tuple); each S followed by its sectors, photon-rich first, and each
+    sector in ascending lexicographic excited slots.  Block 0 reads |1>,
+    |e1>, ..., |em>, and at N_exc = 1 every block q lists photon(S), e_1(S),
+    ..., e_m(S) per S (the photon alone at q = N), the row order of
+    cute.truncated_generator.  N enters only through the condition that the
+    molecules outside the reservoir fit, so the state list is the same for
+    every N >= N_exc + q_max.  The size is checked against BASIS_SIZE_CAP
+    before any state is built.
     """
     guarded_basis_size(N, N_exc, m, q_max)
+    cwr = itertools.combinations_with_replacement
+    excited = [list(cwr(range(m, 2 * m), n_up)) for n_up in range(N_exc + 1)]
     states: list[SymState] = []
     offsets = []
     for q in range(q_max + 1):
         offsets.append(len(states))
-        for n_ph in range(N_exc, -1, -1):
-            n_up = N_exc - n_ph
-            if n_up + q > N:  # more molecules outside the reservoir than exist
-                continue
-            excited = list(itertools.combinations_with_replacement(range(m, 2 * m), n_up))
-            for ground in itertools.combinations_with_replacement(range(1, m), q):
-                states.extend(SymState(ground + e, n_ph) for e in excited)
+        for ground in sorted(cwr(range(1, m), q), key=lambda S: S[::-1]):
+            for n_ph in range(N_exc, -1, -1):
+                n_up = N_exc - n_ph
+                if n_up + q > N:  # more molecules outside the reservoir than exist
+                    continue
+                states.extend(SymState(ground + e, n_ph) for e in excited[n_up])
 
     return SymBasis(
         states=tuple(states),

@@ -4,10 +4,11 @@ Each of the N molecules keeps its own register over the 2m single-molecule
 vibronic states (indices 0..m-1 ground manifold, m..2m-1 excited manifold),
 plus a photon register restricted to the chosen excitation number.  The
 Hamiltonian is assembled molecule by molecule in first quantization with
-FC-dressed rotating-wave light-matter terms and handed, with the
-symmetrizer onto the permutation-symmetric subspace, to the same steppers
-as the bosonized construction it checks.  Exponential cost: this exists to
-validate, not to scale (hard cap N <= 4).
+FC-dressed rotating-wave light-matter terms and handed, from the tensor
+photon state, to the same steppers as the bosonized construction it
+checks; the symmetrizer maps that construction's basis into the tensor
+basis.  Exponential cost: this exists to validate, not to scale (hard cap
+N <= 4).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cute import CavityParams
 from .errors import DimensionGuardError
-from .fockspace import SymBasis, enumerate_basis
+from .fockspace import SymBasis
 from .vibronic import VibronicStructure
 
 N_CAP = 4
@@ -148,13 +149,13 @@ def symmetrizer(basis: TensorBasis, sym_basis: SymBasis) -> sp.csr_matrix:
 
 
 def oracle_generator(vs: VibronicStructure, cav: CavityParams):
-    """(H, T, n_ph) of the first excitation manifold of cav.n_molecules molecules.
+    """(H, psi0, n_ph) of the first excitation manifold of cav.n_molecules molecules.
 
     H is build_full_H's tensor-basis Hamiltonian, n_ph its photon-number
-    diagonal and T the symmetrizer from the exact-N symmetric basis, whose
-    first column T[:, 0] lifts the photon state.  A task steps H from that
-    state like any other generator; T^T H T is the bosonized matrix.
+    diagonal and psi0 the photon state |g_1 ... g_1; 1>, the symmetrizer's
+    lift of the symmetric photon state.  A task steps H from psi0 like any
+    other generator.
     """
     H, basis = build_full_H(vs, cav, 1)
-    sym_basis = enumerate_basis(cav.n_molecules, 1, vs.m, q_max=cav.n_molecules)
-    return H, symmetrizer(basis, sym_basis), basis.photon_numbers()
+    psi0 = np.eye(1, basis.dim, basis.index[((0,) * cav.n_molecules, 1)]).ravel()
+    return H, psi0, basis.photon_numbers()

@@ -5,8 +5,8 @@ occupation vector of each state (occupations, the reservoir included): the
 generic reference for the bosonized assembler cute.hamiltonian_matrix.
 conserved_check lists the matrix elements that break a conservation law of
 the symmetric basis, and permutation_operator swaps the molecule registers
-of the oracle's tensor basis.  block reads one dense sub-block of a
-BlockHamiltonian, and photon_survival propagates the bare photon state under
+of the oracle's tensor basis.  block reads one dense sub-block of an
+assembled (basis, H), and photon_survival propagates the bare photon state under
 the zeroth block.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from polariton.cute import BlockHamiltonian, CavityParams, build_H0
+from polariton.cute import CavityParams, build_H0
 from polariton.dynamics import TimeGrid, Trajectory, propagate
 from polariton.fockspace import SymBasis, SymState
 from polariton.oracle import TensorBasis
@@ -129,11 +129,11 @@ def permutation_operator(basis: TensorBasis, perm: tuple[int, ...]) -> sp.csr_ma
     return sp.coo_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim)).tocsr()
 
 
-def block(bh: BlockHamiltonian, p: int, q: int | None = None) -> np.ndarray:
-    """Dense sub-block (p, q) of bh; the diagonal block p when q is omitted."""
+def block(basis: SymBasis, H: sp.csr_matrix, p: int, q: int | None = None) -> np.ndarray:
+    """Dense quasi sub-block (p, q) of H on basis; the diagonal block p when q is omitted."""
     q = p if q is None else q
-    o = bh.offsets
-    return bh.matrix[o[p] : o[p + 1], o[q] : o[q + 1]].toarray()
+    o = basis.offsets
+    return H[o[p] : o[p + 1], o[q] : o[q + 1]].toarray()
 
 
 def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) -> Trajectory:

@@ -83,17 +83,17 @@ def test_criterion_1_oracle_equivalence():
     for fx in FIXTURES:
         vs, cav = build_fixture(fx)
         N = fx["N"]
-        bh = assemble_truncated(vs, cav, q_max=N)
+        basis, H = assemble_truncated(vs, cav, q_max=N)
         H_full, tb = build_full_H(vs, cav, 1)
-        T = symmetrizer(tb, bh.basis)
+        T = symmetrizer(tb, basis)
         H_sym = (T.conj().T @ (H_full @ T)).toarray()
-        worst_H = max(worst_H, float(np.max(np.abs(H_sym - bh.matrix.toarray()))))
+        worst_H = max(worst_H, float(np.max(np.abs(H_sym - H.toarray()))))
 
-        psi_sym = np.zeros(bh.basis.dim, dtype=complex)
+        psi_sym = np.zeros(basis.dim, dtype=complex)
         psi_sym[0] = 1.0
         grid = TimeGrid(t_max=10.0 / cav.g_sqrt_n, n_steps=512)
         c_oracle = propagate(H_full, T @ psi_sym, grid).c_t
-        c_cute = propagate(bh.matrix, psi_sym, grid).c_t
+        c_cute = propagate(H, psi_sym, grid).c_t
         worst_c = max(worst_c, float(np.max(np.abs(c_oracle - c_cute))))
     report(
         1,
@@ -115,10 +115,10 @@ def test_criterion_2_large_N_exactness():
     err = {}
     for N in (8, 16, 32):
         cav = CavityParams(omega_c=0.11, g_sqrt_n=0.03, n_molecules=N)
-        bh = assemble_truncated(vs, cav, q_max=N)  # untruncated symmetric space
-        psi = np.zeros(bh.dim, dtype=complex)
+        basis, H = assemble_truncated(vs, cav, q_max=N)  # untruncated symmetric space
+        psi = np.zeros(basis.dim, dtype=complex)
         psi[0] = 1.0
-        c_N = propagate(bh.matrix, psi, grid).c_t
+        c_N = propagate(H, psi, grid).c_t
         err[N] = float(np.max(np.abs(c_N - c_inf)))
     ratio = err[16] / err[32]
     report(
@@ -151,10 +151,10 @@ def test_criterion_3_one_over_N_expansion():
     for N in (8, 16):
         cav = CavityParams(omega_c=0.11, g_sqrt_n=0.01, n_molecules=N)
         res = survival_correction(vs, cav, psi0, grid)
-        bh = assemble_truncated(vs, cav, q_max=N)
-        psi = np.zeros(bh.dim, dtype=complex)
+        basis, H = assemble_truncated(vs, cav, q_max=N)
+        psi = np.zeros(basis.dim, dtype=complex)
         psi[0] = 1.0
-        c_exact = propagate(bh.matrix, psi, grid).c_t
+        c_exact = propagate(H, psi, grid).c_t
         resid[N] = float(np.max(np.abs(c_exact - res.c_t)))
     shrink = resid[8] / resid[16]
     report(
@@ -183,12 +183,12 @@ def test_criterion_4_radiative_pumping():
 
     cav = CavityParams(PUMP_WC, 2.5e-4, 8, PUMP_KAPPA)
     gamma = radiative_pumping_rate(vs, cav, PUMP_DARK).gamma_total
-    bh = assemble_truncated(vs, cav, q_max=1)
-    E0, U0 = np.linalg.eigh(block(bh, 0))
-    psi0 = np.zeros(bh.dim, dtype=complex)
+    basis, H = assemble_truncated(vs, cav, q_max=1)
+    E0, U0 = np.linalg.eigh(block(basis, H, 0))
+    psi0 = np.zeros(basis.dim, dtype=complex)
     psi0[: U0.shape[0]] = U0[:, PUMP_DARK]
     grid = TimeGrid(t_max=2.5 / gamma, n_steps=4096)
-    traj = propagate(bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
+    traj = propagate(H, psi0, grid, kappa=cav.kappa, n_ph=basis.photon_numbers())
     pop = np.abs(traj.c_t) ** 2
     lo, hi = int(0.05 * pop.size), int(0.8 * pop.size)
     fit = -np.polyfit(grid.times[lo:hi], np.log(pop[lo:hi]), 1)[0]
@@ -281,10 +281,10 @@ def test_criterion_7_structural_invariants():
     herm_dev, tri_ok, cons_ok = 0.0, True, True
     for N in (2, 3):
         cav = CavityParams(omega_c=0.108, g_sqrt_n=0.02, n_molecules=N)
-        bh = assemble_truncated(vs, cav, q_max=N)
-        H, o = bh.matrix.toarray(), bh.offsets
+        basis, H = assemble_truncated(vs, cav, q_max=N)
+        H, o = H.toarray(), basis.offsets
         herm_dev = max(herm_dev, float(np.max(np.abs(H - H.conj().T))))
-        cons_ok = cons_ok and conserved_check(bh.basis, H) == []
+        cons_ok = cons_ok and conserved_check(basis, H) == []
         # no elements beyond the first off-diagonal quasi blocks
         for qa in range(N + 1):
             for qb in range(N + 1):
@@ -296,8 +296,8 @@ def test_criterion_7_structural_invariants():
     amp_dev = 0.0
     for N in (4, 9, 16):
         cav = CavityParams(omega_c=0.1, g_sqrt_n=0.02 * math.sqrt(N), n_molecules=N)
-        bh = assemble_truncated(vs0, cav, q_max=0)
-        amp_dev = max(amp_dev, abs(block(bh, 0)[0, 1] - math.sqrt(N) * cav.g))
+        basis, H = assemble_truncated(vs0, cav, q_max=0)
+        amp_dev = max(amp_dev, abs(block(basis, H, 0)[0, 1] - math.sqrt(N) * cav.g))
     report(
         7,
         herm_dev < 1e-12 and tri_ok and cons_ok and amp_dev < 1e-12,
@@ -315,16 +315,16 @@ def test_criterion_8_high_excitation():
     )
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)
     exact_H0 = np.array_equal(
-        assemble_high_excitation(vs, cav, 1).matrix.toarray(), build_H0(vs, cav)
+        assemble_high_excitation(vs, cav, 1)[1].toarray(), build_H0(vs, cav)
     )
 
     vs1 = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav1 = CavityParams(omega_c=0.1, g_sqrt_n=0.02, n_molecules=INF)
-    bh = assemble_high_excitation(vs1, cav1, 2)
+    _, H = assemble_high_excitation(vs1, cav1, 2)
     g2 = cav1.g_sqrt_n * math.sqrt(2.0)
     oracle = np.array([[0.2, g2, 0.0], [g2, 0.2, g2], [0.0, g2, 0.2]])
     eig_dev = float(
-        np.max(np.abs(np.linalg.eigvalsh(bh.matrix.toarray()) - np.linalg.eigvalsh(oracle)))
+        np.max(np.abs(np.linalg.eigvalsh(H.toarray()) - np.linalg.eigvalsh(oracle)))
     )
     report(
         8,

@@ -1,10 +1,15 @@
-"""The benchmark harness's references into the package still resolve."""
+"""The benchmark harness's references into the package still resolve and agree with it."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from polariton.cute import CavityParams, assemble_truncated
+from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(BENCH_DIR.glob("*.py"))
@@ -74,3 +79,21 @@ def test_benchmark_references_resolve(source):
             resolve(path)
         except (ImportError, AttributeError) as exc:
             pytest.fail(f"{source.name} uses {path}, which no longer resolves: {exc}")
+
+
+@pytest.mark.parametrize("n_max", [0, 5, 14], ids=["m1", "m6", "m15"])
+def test_benchmark_cute1_reference_is_the_assembler(n_max):
+    # perfbench's hand-built cute1 reference [H0, v0k; v0k^T, H1k] lists its states
+    # in the symmetric basis order, so it is assemble_truncated's matrix as is
+    spec = importlib.util.spec_from_file_location("perfbench_checks", BENCH_DIR / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    vs = build_vibronic(
+        MolecularModel(electronic_gap=0.1, modes=(VibrationalMode(0.012, 1.1, n_max),))
+    )
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.03, n_molecules=50, kappa=0.0015)
+    H_ref, n_ph = checks.cute1_matrix(vs, cav)
+    basis, H = assemble_truncated(vs, cav, 1)
+    assert H_ref.shape == H.shape == (vs.m * (vs.m + 1),) * 2
+    assert abs(H_ref - H).max() <= 1e-15 * abs(H).max()
+    np.testing.assert_array_equal(n_ph, basis.photon_numbers())

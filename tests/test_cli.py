@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polariton import cli, dynamics, fockspace, oracle
+from polariton import cli, cute, dynamics, fockspace, oracle
 from polariton.cli import ConfigError, main, parse_config, run
 from polariton.cute import assemble_truncated
 from polariton.errors import DimensionGuardError
@@ -92,9 +92,21 @@ def test_parse_valid_spectrum_config(tmp_path):
          "option 'omega_c' in section 'cavity' already exists"),
         ("spectrum", "inf", "method = infinite", ("omega_c = 0.108", "omega_c = 0.108%"),
          "omega_c"),
-        # orders and mode numbers are ASCII digits: int() would read "1_0" as 10, "١" as 1
-        ("dynamics", "3", "method = cuteq:1_0", None, "bad cuteq order in method 'cuteq:1_0'"),
-        ("dynamics", "3", "method = cuteq:\u0661", None, "bad cuteq order in method 'cuteq:\u0661'"),
+        # values, orders and mode numbers are ASCII digits: int() would read "1_0" as 10,
+        # "١" as 1, and float() "0.1_1" as 0.11
+        ("dynamics", "3", "method = cuteq:1_0", None,
+         "bad value for 'method' in [run]: 'cuteq:1_0' is not ASCII without '_'"),
+        ("dynamics", "3", "method = cuteq:\u0661", None,
+         "bad value for 'method' in [run]: 'cuteq:\u0661' is not ASCII"),
+        ("spectrum", "inf", "method = infinite", ("n_max = 1", "n_max = 1_0"),
+         "bad value for 'n_max' in [mode 1]: '1_0'"),
+        ("spectrum", "inf", "method = infinite", ("n_max = 1", "n_max = \u0662"),
+         "bad value for 'n_max' in [mode 1]: '\u0662'"),
+        ("rate", "8", "dark_index = \u0661", None, "bad value for 'dark_index' in [run]"),
+        ("densities", "inf", "method = infinite\neigenstate = 3_2", None,
+         "bad value for 'eigenstate' in [run]: '3_2'"),
+        ("spectrum", "inf", "method = infinite", ("omega_c = 0.108", "omega_c = 0.1_1"),
+         "bad value for 'omega_c' in [cavity]: '0.1_1'"),
         ("spectrum", "inf", "method = infinite", ("[mode 1]", "[mode \u00b2]"),
          "mode sections must be named [mode <int>], got [mode \u00b2]"),
         ("spectrum", "inf", "method = infinite", ("[mode 1]", "[mode \u0661]"),
@@ -116,7 +128,9 @@ def test_parse_valid_spectrum_config(tmp_path):
          "n_molecules_neg_inf", "dark_index_bright", "eigenstate_lp_uncoupled",
          "eigenstate_photon_uncoupled", "ini_no_section_header", "ini_duplicate_section",
          "mode_duplicate_number", "ini_duplicate_key", "ini_percent_value", "cuteq_underscore",
-         "cuteq_arabic_indic_digit", "mode_superscript_digit", "mode_arabic_indic_digit",
+         "cuteq_arabic_indic_digit", "n_max_underscore",
+         "n_max_arabic_indic_digit", "dark_index_arabic_indic_digit", "eigenstate_underscore",
+         "omega_c_underscore", "mode_superscript_digit", "mode_arabic_indic_digit",
          "ini_interpolation",
          "mode_frequency_negative", "mode_huang_rhys_nan", "mode_n_max_negative", "kappa_abc",
          "rate_infinite"],
@@ -369,11 +383,11 @@ def test_order_zero_dynamics_is_H0_not_the_assembler(tmp_path, monkeypatch, meth
     # every q = 0 method propagates build_H0, which equals the q_max = 0 assembly bit for bit
     path = write_cfg(tmp_path, "dynamics", n="8", extra=f"method = {method}")
     cfg = parse_config(path)
-    bh = assemble_truncated(build_vibronic(cfg.model), cfg.cavity, q_max=0)
-    psi0 = np.zeros(bh.dim, dtype=complex)
+    basis, H = assemble_truncated(build_vibronic(cfg.model), cfg.cavity, q_max=0)
+    psi0 = np.zeros(basis.dim, dtype=complex)
     psi0[0] = 1.0
     want = dynamics.propagate(
-        bh.matrix, psi0, cfg.grid, kappa=cfg.cavity.kappa, n_ph=bh.photon_numbers
+        H, psi0, cfg.grid, kappa=cfg.cavity.kappa, n_ph=basis.photon_numbers()
     )
 
     calls = []
@@ -387,7 +401,7 @@ def test_order_zero_dynamics_is_H0_not_the_assembler(tmp_path, monkeypatch, meth
     columns = (want.grid.times, want.c_t.real, want.c_t.imag, want.norm_t)
     np.testing.assert_array_equal(np.loadtxt(data[1:], delimiter=","), np.column_stack(columns))
     header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
-    assert header["derived.dim"] == str(bh.dim)
+    assert header["derived.dim"] == str(basis.dim)
 
 
 def test_spectrum_cute_methods_take_the_split_route(tmp_path):
@@ -559,14 +573,32 @@ def test_validate_assembles_the_exact_truncation_once(tmp_path, monkeypatch):
 
 
 def test_validate_builds_the_oracle_once(tmp_path, monkeypatch):
-    # the H_sym check and the oracle amplitude share one tensor Hamiltonian
-    calls = []
-    build = oracle.build_full_H
-    monkeypatch.setattr(oracle, "build_full_H", lambda *args: calls.append(args) or build(*args))
+    # the H_sym check and the oracle amplitude share one tensor Hamiltonian, and its
+    # one symmetrizer maps the basis assemble_truncated enumerated, enumerated once
+    calls = {"build_full_H": [], "enumerate_basis": [], "symmetrizer": []}
+    for module, name in [(oracle, "build_full_H"), (cli, "build_full_H"),
+                         (cute, "enumerate_basis"), (cli, "symmetrizer")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, f=original, n=name: calls[n].append(args) or f(*args)
+        )
     config = Path(__file__).resolve().parents[1] / "configs" / "validate_n2.ini"
     assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert "result                          = PASS" in (tmp_path / "validate.txt").read_text()
-    assert len(calls) == 1
+    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("task", ["dynamics", "spectrum"])
+def test_oracle_method_builds_no_symmetrizer(tmp_path, monkeypatch, task):
+    # the oracle generator starts from the tensor photon state, T[:, 0] without T
+    def fail(*args):
+        raise AssertionError("symmetric basis built")
+
+    for module, name in [(oracle, "symmetrizer"), (cli, "symmetrizer"),
+                         (fockspace, "enumerate_basis"), (cute, "enumerate_basis")]:
+        monkeypatch.setattr(module, name, fail)
+    path = write_cfg(tmp_path, task, n="3", extra="method = oracle")
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(

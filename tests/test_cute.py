@@ -1,6 +1,5 @@
 """Block-Hamiltonian assembly: hand-written forms vs generic mapping."""
 
-import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -173,9 +172,9 @@ def test_v0k_infinite_rejected():
 def test_assemble_q0_reproduces_H0():
     vs = vibronic_fixture(n_max=2)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)
-    bh = assemble_truncated(vs, cav, q_max=0)
-    np.testing.assert_allclose(block(bh, 0), build_H0(vs, cav), atol=1e-15)
-    assert bh.basis.states[0] == SymState((), 1)  # |1>
+    basis, H = assemble_truncated(vs, cav, q_max=0)
+    np.testing.assert_allclose(block(basis, H, 0), build_H0(vs, cav), atol=1e-15)
+    assert basis.states[0] == SymState((), 1)  # |1>
 
 
 def test_assemble_q1_block_sizes_and_coupling_shape():
@@ -183,47 +182,40 @@ def test_assemble_q1_block_sizes_and_coupling_shape():
     # photon-type and m excited-type states per phonon slot k = 2..m.
     vs = vibronic_fixture(n_max=1)  # m = 2
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)
-    bh = assemble_truncated(vs, cav, q_max=1)
-    assert list(np.diff(bh.offsets)) == [3, 3]
-    assert block(bh, 0, 1).shape == (3, 3)
+    basis, H = assemble_truncated(vs, cav, q_max=1)
+    assert list(np.diff(basis.offsets)) == [3, 3]
+    assert block(basis, H, 0, 1).shape == (3, 3)
 
     vs3 = vibronic_fixture(n_max=2)  # m = 3
-    bh3 = assemble_truncated(vs3, cav, q_max=1)
-    assert list(np.diff(bh3.offsets)) == [4, 2 * 4]
-    assert block(bh3, 0, 1).shape == (4, 8)
+    basis3, H3 = assemble_truncated(vs3, cav, q_max=1)
+    assert list(np.diff(basis3.offsets)) == [4, 2 * 4]
+    assert block(basis3, H3, 0, 1).shape == (4, 8)
 
 
 def test_assembled_coupling_matches_v0k():
     # The generic assembly reproduces the single-molecule coupling matrices:
-    # column |g_k 1> of the assembled block-0/block-1 coupling equals column 0
-    # of build_v0k.
+    # column |g_k 1>, (k - 2)(m + 1), of the assembled block-0/block-1
+    # coupling equals column 0 of build_v0k.
     vs = vibronic_fixture(n_max=2, s=1.3)  # m = 3
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=6)
-    bh = assemble_truncated(vs, cav, q_max=1)
+    basis, H = assemble_truncated(vs, cav, q_max=1)
     m = vs.m
-    coupling = block(bh, 0, 1)
-    for k in range(2, m + 1):
-        v = build_v0k(vs, cav, k)
-        np.testing.assert_allclose(coupling[:, k - 2], v[:, 0], atol=1e-14)
+    coupling = block(basis, H, 0, 1)
+    photon = [(k - 2) * (m + 1) for k in range(2, m + 1)]
+    for k, col in zip(range(2, m + 1), photon):
+        np.testing.assert_allclose(coupling[:, col], build_v0k(vs, cav, k)[:, 0], atol=1e-14)
     # excited-type columns of the coupling vanish identically
-    np.testing.assert_array_equal(coupling[:, m - 1 :], 0.0)
+    np.testing.assert_array_equal(np.delete(coupling, photon, axis=1), 0.0)
 
 
 def test_assembled_block1_matches_H1k_direct_sum():
-    # Upto the photon-sector-first ordering, block 1 is the direct sum of the
-    # H1k sub-blocks.
+    # Block 1 lists g_k 1, g_k e_1..e_m for k = 2..m in turn, so it is the
+    # direct sum of the H1k sub-blocks.
     vs = vibronic_fixture(n_max=2, s=0.9)  # m = 3
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=6)
-    bh = assemble_truncated(vs, cav, q_max=1)
-    m = vs.m
-    n_sub = m - 1
-    # assembled order: [g_2 1, ..., g_m 1, g_2 e_1..e_m, g_3 e_1..e_m, ...]
-    want = np.zeros_like(block(bh, 1))
-    for j, k in enumerate(range(2, m + 1)):
-        H1k = build_H1k(vs, cav, k)
-        rows = [j] + [n_sub + j * m + i for i in range(m)]
-        want[np.ix_(rows, rows)] = H1k
-    np.testing.assert_allclose(block(bh, 1), want, atol=1e-13)
+    basis, H = assemble_truncated(vs, cav, q_max=1)
+    want = sp.block_diag([build_H1k(vs, cav, k) for k in range(2, vs.m + 1)]).toarray()
+    np.testing.assert_allclose(block(basis, H, 1), want, atol=1e-13)
 
 
 @st.composite
@@ -246,9 +238,9 @@ def small_truncations(draw):
 @given(small_truncations())
 def test_assemble_full_matches_map_operator_path(case):
     vs, cav, q_max = case
-    bh = assemble_truncated(vs, cav, q_max=q_max)
+    assembled, H = assemble_truncated(vs, cav, q_max=q_max)
     basis = enumerate_basis(cav.n_molecules, 1, vs.m, q_max)
-    H = bh.matrix
+    assert assembled.states == basis.states
     np.testing.assert_array_equal(H.toarray(), hamiltonian_matrix(vs, cav, basis).toarray().real)
     # reference pin: the generic one-body mapping of the same Hamiltonian,
     # which reads the reservoir occupation directly
@@ -264,25 +256,8 @@ def test_assemble_full_matches_map_operator_path(case):
     assert abs(H - ref).max() <= 1e-15 * abs(ref).max()
     assert abs(H - H.T).max() <= 1e-12
     assert conserved_check(basis, H) == []
-    np.testing.assert_array_equal(bh.offsets, basis.offsets)
-    assert bh.offsets[-1] == basis.dim
-
-
-def kmajor_order(basis, m, q_max):
-    """Bosonized index of each truncated_generator state, in the generator's order.
-
-    Block q lists the multisets S of q ground levels 2..m in colex order
-    (sorted by the reversed tuple), each followed by its excitations
-    photon, e_1..e_m; at q = N the photon alone.
-    """
-    order = []
-    for q in range(q_max + 1):
-        multisets = itertools.combinations_with_replacement(range(1, m), q)
-        for S in sorted(multisets, key=lambda S: S[::-1]):
-            order.append(basis.index[SymState(S, 1)])
-            if q < basis.N:
-                order += [basis.index[SymState(S + (m + i,), 0)] for i in range(m)]
-    return np.array(order)
+    np.testing.assert_array_equal(assembled.offsets, basis.offsets)
+    assert basis.offsets[-1] == basis.dim
 
 
 @st.composite
@@ -304,16 +279,15 @@ def generator_cases(draw):
 @given(generator_cases())
 @example((vibronic_fixture(n_max=5), CavityParams(0.11, 0.03, 3, 0.002), 3))  # photon-only q = N
 @example((vibronic_fixture(n_max=0), CavityParams(0.11, 0.03, 2, 0.002), 2))  # m = 1: q >= 1 empty
-def test_truncated_generator_is_the_permuted_assembler(case):
+def test_truncated_generator_is_the_assembler(case):
+    # the same states in the same order: no index map between the two
     vs, cav, q_max = case
     gen = truncated_generator(vs, cav, q_max)
-    bh = assemble_truncated(vs, cav, q_max)
-    p = kmajor_order(bh.basis, vs.m, min(q_max, cav.n_molecules))
+    basis, H = assemble_truncated(vs, cav, q_max)
     assert gen.shape == (basis_size(cav.n_molecules, 1, vs.m, min(q_max, cav.n_molecules)),) * 2
-    np.testing.assert_array_equal(np.sort(p), np.arange(bh.dim))
-    np.testing.assert_array_equal(gen.offsets, bh.offsets)
-    np.testing.assert_array_equal(gen.photon_numbers, bh.photon_numbers[p])
-    H = bh.matrix.toarray()[np.ix_(p, p)]
+    np.testing.assert_array_equal(gen.offsets, basis.offsets)
+    np.testing.assert_array_equal(gen.photon_numbers, basis.photon_numbers())
+    H = H.toarray()
     scale = abs(H).max()
     assert abs(gen.toarray() - H).max() <= 1e-15 * scale
     np.testing.assert_array_equal(gen.diagonal(), gen.toarray().diagonal())
@@ -322,11 +296,11 @@ def test_truncated_generator_is_the_permuted_assembler(case):
     shift = 1j * leak + 0.1
     A = -0.7j * (H - np.diag(shift))
     scaled = gen.scaled(-0.7j, shift)
-    v = [1.0, 1j] @ np.random.default_rng(7).standard_normal((2, bh.dim))
+    v = [1.0, 1j] @ np.random.default_rng(7).standard_normal((2, basis.dim))
     assert abs(scaled @ v - A @ v).max() <= 1e-15 * 0.7 * scale * abs(v).sum()
     assert abs(scaled.toarray() - A).max() <= 1e-15 * abs(A).max()
     rows = abs(A).sum(axis=1)  # up to about 50 terms each, summed in another order
-    assert abs(abs(scaled) @ np.ones(bh.dim) - rows).max() <= 1e-14 * rows.max()
+    assert abs(abs(scaled) @ np.ones(basis.dim) - rows).max() <= 1e-14 * rows.max()
 
 
 @pytest.mark.parametrize(
@@ -339,12 +313,12 @@ def test_truncated_generator_steps_like_the_assembler(q_max, n_max, path):
     # DENSE_DIM_LIMIT; the photon state is state 0 of both bases
     vs = vibronic_fixture(s=1.5, n_max=n_max)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=8, kappa=0.0015)
-    bh = assemble_truncated(vs, cav, q_max)
+    basis, H = assemble_truncated(vs, cav, q_max)
     gen = truncated_generator(vs, cav, q_max)
-    assert (bh.dim > DENSE_DIM_LIMIT) == (path == "krylov")
+    assert (basis.dim > DENSE_DIM_LIMIT) == (path == "krylov")
     grid = TimeGrid(t_max=2000.0, n_steps=1024)
-    psi0 = np.eye(1, bh.dim).ravel()
-    want = propagate(bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
+    psi0 = np.eye(1, basis.dim).ravel()
+    want = propagate(H, psi0, grid, kappa=cav.kappa, n_ph=basis.photon_numbers())
     got = propagate(gen, psi0, grid, kappa=cav.kappa, n_ph=gen.photon_numbers)
     assert got.params == want.params and got.params["method"] == path
     np.testing.assert_allclose(got.c_t, want.c_t, rtol=0, atol=1e-12)
@@ -377,20 +351,20 @@ def test_assembly_peak_memory_below_one_dense_copy():
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=50)
     tracemalloc.start()
     try:
-        bh = assemble_truncated(vs, cav, q_max=1)
+        basis, _ = assemble_truncated(vs, cav, q_max=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bh.dim >= 300
-    assert peak < 8 * bh.dim**2, (peak, 8 * bh.dim**2)
+    assert basis.dim >= 300
+    assert peak < 8 * basis.dim**2, (peak, 8 * basis.dim**2)
 
 
 def test_collective_amplification_sqrtN_exact():
     vs0 = build_vibronic(MolecularModel(electronic_gap=0.1))
     for N in (4, 9, 16):
         cav = CavityParams(omega_c=0.1, g_sqrt_n=0.02 * math.sqrt(N), n_molecules=N)
-        bh = assemble_truncated(vs0, cav, q_max=0)
-        assert abs(block(bh, 0)[0, 1] - math.sqrt(N) * cav.g) < 1e-12
+        basis, H = assemble_truncated(vs0, cav, q_max=0)
+        assert abs(block(basis, H, 0)[0, 1] - math.sqrt(N) * cav.g) < 1e-12
 
 
 def test_infinite_truncation_is_H0_only():
@@ -405,11 +379,11 @@ def test_infinite_truncation_is_H0_only():
         (vs_fig5, replace(fig5.cavity, n_molecules=1000)),
     ]
     for vs, cav in cases:
-        bh = assemble_truncated(vs, cav, q_max=0)
-        np.testing.assert_array_equal(bh.matrix.toarray(), build_H0(vs, cav))
-        assert list(bh.offsets) == [0, vs.m + 1]
-        assert list(bh.photon_numbers) == [1] + [0] * vs.m  # |1>, |e1>, ..., |em>
-        assert bh.basis.dim == vs.m + 1
+        basis, H = assemble_truncated(vs, cav, q_max=0)
+        np.testing.assert_array_equal(H.toarray(), build_H0(vs, cav))
+        assert list(basis.offsets) == [0, vs.m + 1]
+        assert list(basis.photon_numbers()) == [1] + [0] * vs.m  # |1>, |e1>, ..., |em>
+        assert basis.dim == vs.m + 1
         for q_max in (0, 1):
             with pytest.raises(ValueError, match="build_H0"):
                 assemble_truncated(vs, replace(cav, n_molecules=INF), q_max=q_max)
@@ -418,16 +392,16 @@ def test_infinite_truncation_is_H0_only():
 def test_blocks_hermitian():
     vs = vibronic_fixture(n_max=2, s=1.1)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=4)
-    bh = assemble_truncated(vs, cav, q_max=3)
-    assert abs(bh.matrix - bh.matrix.T).max() < 1e-12
+    _, H = assemble_truncated(vs, cav, q_max=3)
+    assert abs(H - H.T).max() < 1e-12
 
 
 def test_high_excitation_nexc1_equals_H0():
     vs = vibronic_fixture(n_max=2, s=1.0)
     for N in (INF, 7):
         cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=N)
-        bh = assemble_high_excitation(vs, cav, 1)
-        np.testing.assert_array_equal(bh.matrix.toarray(), build_H0(vs, cav))
+        _, H = assemble_high_excitation(vs, cav, 1)
+        np.testing.assert_array_equal(H.toarray(), build_H0(vs, cav))
 
 
 def test_high_excitation_two_photon_ladder():
@@ -435,7 +409,7 @@ def test_high_excitation_two_photon_ladder():
     # |2exc> with couplings g sqrt(N) sqrt(2) between neighbours.
     vs = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav = CavityParams(omega_c=0.1, g_sqrt_n=0.02, n_molecules=INF)
-    bh = assemble_high_excitation(vs, cav, 2)
+    basis, H = assemble_high_excitation(vs, cav, 2)
     g2 = cav.g_sqrt_n * math.sqrt(2.0)
     oracle = np.array(
         [
@@ -445,9 +419,9 @@ def test_high_excitation_two_photon_ladder():
         ]
     )
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(bh.matrix.toarray()), np.linalg.eigvalsh(oracle), atol=1e-12
+        np.linalg.eigvalsh(H.toarray()), np.linalg.eigvalsh(oracle), atol=1e-12
     )
-    assert list(bh.offsets) == [0, 1, 2, 3]
+    assert list(basis.photon_numbers()) == [2, 1, 0]  # one state per photon sector
 
 
 @pytest.mark.parametrize("N,n_exc", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -458,21 +432,20 @@ def test_high_excitation_matches_oracle_q0_restriction(N, n_exc):
 
     vs = vibronic_fixture(n_max=1, s=0.5)
     cav = CavityParams(omega_c=0.105, g_sqrt_n=0.02, n_molecules=N)
-    bh = assemble_high_excitation(vs, cav, n_exc)
+    basis, H_ladder = assemble_high_excitation(vs, cav, n_exc)
     H, tb = build_full_H(vs, cav, n_exc)
-    sym = enumerate_basis(N, n_exc, vs.m, q_max=0)
-    T = symmetrizer(tb, sym)
+    T = symmetrizer(tb, basis)
     H_sym = (T.conj().T @ (H @ T)).toarray().real
-    np.testing.assert_allclose(bh.matrix.toarray(), H_sym, atol=1e-13)
+    np.testing.assert_allclose(H_ladder.toarray(), H_sym, atol=1e-13)
 
 
 def test_high_excitation_finite_N_is_first_order_in_one_over_N():
     # every element is a smooth function of 1/N, so the distance to the
     # N = inf ladder falls off exactly as 1/N
     vs = vibronic_fixture(n_max=2, s=1.0)
-    H_inf = assemble_high_excitation(vs, CavityParams(0.11, 0.02, INF), 3).matrix
+    H_inf = assemble_high_excitation(vs, CavityParams(0.11, 0.02, INF), 3)[1]
     scaled = [
-        N * abs(assemble_high_excitation(vs, CavityParams(0.11, 0.02, N), 3).matrix - H_inf).max()
+        N * abs(assemble_high_excitation(vs, CavityParams(0.11, 0.02, N), 3)[1] - H_inf).max()
         for N in (10**3, 10**4, 10**5)
     ]
     assert scaled[0] > 0
@@ -495,10 +468,10 @@ def test_high_excitation_photon_survival_factorises_at_infinite_N(s, omega, n_ma
     grid = TimeGrid(t_max=400.0, n_steps=200)
 
     def survival(n):
-        bh = assemble_high_excitation(vs, cav, n)
-        psi0 = np.zeros(bh.dim)
+        basis, H = assemble_high_excitation(vs, cav, n)
+        psi0 = np.zeros(basis.dim)
         psi0[0] = 1.0  # all n quanta in the photon
-        return propagate(bh.matrix, psi0, grid, kappa=kappa, n_ph=bh.photon_numbers).c_t
+        return propagate(H, psi0, grid, kappa=kappa, n_ph=basis.photon_numbers()).c_t
 
     c1 = survival(1)
     for n in (2, 3):
@@ -508,9 +481,9 @@ def test_high_excitation_photon_survival_factorises_at_infinite_N(s, omega, n_ma
 def test_high_excitation_conserves_photon_steps():
     vs = vibronic_fixture(n_max=1)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)
-    bh = assemble_high_excitation(vs, cav, 3)
-    H = bh.matrix.toarray()
-    n_ph = bh.photon_numbers
+    basis, H = assemble_high_excitation(vs, cav, 3)
+    H = H.toarray()
+    n_ph = basis.photon_numbers()
     for i in range(H.shape[0]):
         for j in range(H.shape[1]):
             if abs(H[i, j]) > 1e-14:

@@ -327,18 +327,18 @@ def test_propagate_peak_memory_below_one_dense_copy():
         modes=(VibrationalMode(0.01, 0.5, 1), VibrationalMode(0.002, 2.0, 11)),
     )
     cav = CavityParams(omega_c=0.1, g_sqrt_n=0.02, n_molecules=50, kappa=0.002)
-    bh = assemble_truncated(build_vibronic(model), cav, q_max=1)
-    psi0 = np.zeros(bh.dim, dtype=complex)
+    basis, H = assemble_truncated(build_vibronic(model), cav, q_max=1)
+    psi0 = np.zeros(basis.dim, dtype=complex)
     psi0[0] = 1.0
     grid = TimeGrid(t_max=500.0, n_steps=50)
     tracemalloc.start()
     try:
-        traj = propagate(bh.matrix, psi0, grid, kappa=cav.kappa, n_ph=bh.photon_numbers)
+        traj = propagate(H, psi0, grid, kappa=cav.kappa, n_ph=basis.photon_numbers())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (bh.dim, traj.params["method"]) == (600, "krylov")
-    assert peak < 16 * bh.dim**2, (peak, 16 * bh.dim**2)
+    assert (basis.dim, traj.params["method"]) == (600, "krylov")
+    assert peak < 16 * basis.dim**2, (peak, 16 * basis.dim**2)
 
 
 def test_propagate_input_validation():

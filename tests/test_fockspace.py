@@ -97,16 +97,46 @@ def test_enumeration_matches_brute_force(N, N_exc, m, q_max):
 
 
 def test_enumeration_order_and_index_bijection():
-    basis = enumerate_basis(3, 1, 3, 3)
-    # ascending quasi, photon sector first within each block
-    quasi = [sum(k < basis.m for k in s.slots) for s in basis.states]
+    # ascending quasi; within block q the ground multisets in colex order, each
+    # followed by its sectors photon-rich first, each sector in lex order
+    basis = enumerate_basis(3, 2, 4, 3)  # colex and lex differ from 3 ground levels on
+    m = basis.m
+    quasi = [sum(k < m for k in s.slots) for s in basis.states]
     assert quasi == sorted(quasi)
     for q in range(4):
-        assert set(quasi[basis.offsets[q] : basis.offsets[q + 1]]) == {q}
-        sector = [s.n_ph for s in basis.states[basis.offsets[q] : basis.offsets[q + 1]]]
-        assert sector == sorted(sector, reverse=True)
+        block = basis.states[basis.offsets[q] : basis.offsets[q + 1]]
+        assert {sum(k < m for k in s.slots) for s in block} == {q}
+        keys = [(s.slots[:q][::-1], -s.n_ph, s.slots[q:]) for s in block]
+        assert keys == sorted(set(keys))
     for p, state in enumerate(basis.states):
         assert basis.index[state] == p
+
+
+def test_first_manifold_lists_each_multiset_photon_first():
+    # photon(S), e_1(S), ..., e_m(S) per multiset S, the photon alone at q = N:
+    # the row order of cute.truncated_generator
+    basis = enumerate_basis(2, 1, 4, 2)
+    exc = [(4,), (5,), (6,), (7,)]
+    want = [SymState((), 1)] + [SymState(e, 0) for e in exc]
+    for S in [(1,), (2,), (3,)]:
+        want += [SymState(S, 1)] + [SymState(S + e, 0) for e in exc]
+    colex = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+    want += [SymState(S, 1) for S in colex]  # q = N = 2
+    assert basis.states == tuple(want)
+    assert list(basis.offsets) == [0, 5, 20, 26]
+
+
+@pytest.mark.parametrize("N,N_exc,m", [(3, 0, 2), (3, 1, 3), (2, 3, 2), (5, 3, 3), (1, 2, 1)])
+def test_quasi0_lists_photon_sectors_in_lex_order(N, N_exc, m):
+    # the high-excitation ladder's order: descending photon number, lex excited slots
+    cwr = itertools.combinations_with_replacement
+    want = tuple(
+        SymState(e, n_ph)
+        for n_ph in range(N_exc, -1, -1)
+        if N_exc - n_ph <= N
+        for e in cwr(range(m, 2 * m), N_exc - n_ph)
+    )
+    assert enumerate_basis(N, N_exc, m, 0).states == want
 
 
 @pytest.mark.parametrize("N_exc,m,q_max", [(1, 2, 1), (2, 3, 2), (3, 2, 0), (1, 4, 3)])

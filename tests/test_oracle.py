@@ -80,11 +80,11 @@ def test_projected_hamiltonian_equals_cute_assembly():
     vs = vibronic_fixture(n_max=1, s=1.2)
     for N in (1, 2, 3, 4):  # N = 4 is oracle.N_CAP: a slot held by four molecules
         cav = CavityParams(omega_c=0.108, g_sqrt_n=0.025, n_molecules=N)
-        bh = assemble_truncated(vs, cav, q_max=N)
+        basis, H_cute = assemble_truncated(vs, cav, q_max=N)
         H, tb = build_full_H(vs, cav, 1)
-        T = symmetrizer(tb, bh.basis)
+        T = symmetrizer(tb, basis)
         H_sym = (T.conj().T @ (H @ T)).toarray()
-        np.testing.assert_allclose(H_sym, bh.matrix.toarray(), atol=1e-12)
+        np.testing.assert_allclose(H_sym, H_cute.toarray(), atol=1e-12)
 
 
 def test_symmetric_subspace_is_invariant_under_evolution():
@@ -106,26 +106,36 @@ def test_symmetric_subspace_is_invariant_under_evolution():
 def test_oracle_survival_matches_truncated_propagation(N):
     vs = vibronic_fixture(n_max=1, s=0.9)
     cav = CavityParams(omega_c=0.107, g_sqrt_n=0.02, n_molecules=N)
-    bh = assemble_truncated(vs, cav, q_max=N)
-    psi_sym = np.zeros(bh.basis.dim, dtype=complex)
+    basis, H_cute = assemble_truncated(vs, cav, q_max=N)
+    psi_sym = np.zeros(basis.dim, dtype=complex)
     psi_sym[0] = 1.0
     grid = TimeGrid(t_max=1000.0, n_steps=256)
-    H, T, n_ph = oracle_generator(vs, cav)
-    t_orc = propagate(H, T @ psi_sym, grid, kappa=cav.kappa, n_ph=n_ph)
-    t_cut = propagate(bh.matrix, psi_sym, grid)
+    H, psi0, n_ph = oracle_generator(vs, cav)
+    t_orc = propagate(H, psi0, grid, kappa=cav.kappa, n_ph=n_ph)
+    t_cut = propagate(H_cute, psi_sym, grid)
     assert np.max(np.abs(t_orc.c_t - t_cut.c_t)) < 1e-10
+
+
+@pytest.mark.parametrize("N,n_max", [(1, 0), (2, 1), (3, 1), (4, 1)])
+def test_oracle_photon_state_is_the_symmetrized_photon(N, n_max):
+    # psi0 is T[:, 0], the lift of the symmetric photon state, bit for bit
+    vs = vibronic_fixture(n_max=n_max)
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=N)
+    H, psi0, n_ph = oracle_generator(vs, cav)
+    tb = tensor_basis(N, vs.m, 1)
+    T = symmetrizer(tb, enumerate_basis(N, 1, vs.m, N))
+    np.testing.assert_array_equal(psi0, T[:, [0]].toarray().ravel())
+    np.testing.assert_array_equal(n_ph, tb.photon_numbers())
+    assert H.shape == (tb.dim, tb.dim)
 
 
 def test_oracle_jc_rabi():
     # N = 1, m = 1, resonant: |c(t)|^2 = cos^2(g t) for the photon start.
     vs = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav = CavityParams(omega_c=0.1, g_sqrt_n=0.005, n_molecules=1)
-    sym = enumerate_basis(1, 1, 1, 1)
-    psi = np.zeros(sym.dim, dtype=complex)
-    psi[0] = 1.0
     grid = TimeGrid(t_max=2 * math.pi / cav.g, n_steps=512)
-    H, T, n_ph = oracle_generator(vs, cav)
-    traj = propagate(H, T @ psi, grid, kappa=cav.kappa, n_ph=n_ph)
+    H, psi0, n_ph = oracle_generator(vs, cav)
+    traj = propagate(H, psi0, grid, kappa=cav.kappa, n_ph=n_ph)
     np.testing.assert_allclose(
         np.abs(traj.c_t) ** 2, np.cos(cav.g * grid.times) ** 2, atol=1e-10
     )

@@ -182,10 +182,10 @@ def test_correction_honours_cavity_loss():
         cav = CavityParams(omega_c=0.11, g_sqrt_n=0.01, n_molecules=N, kappa=0.002)
         res = survival_correction(vs, cav, psi0, grid)
         assert np.max(np.abs(res.c1_t - photon_survival(vs, cav, grid).c_t)) < 1e-12
-        bh = assemble_truncated(vs, cav, q_max=1)
-        psi = np.zeros(bh.dim, dtype=complex)
+        basis, H = assemble_truncated(vs, cav, q_max=1)
+        psi = np.zeros(basis.dim, dtype=complex)
         psi[0] = 1.0
-        c_cute1 = propagate(bh.matrix, psi, grid, kappa=cav.kappa, n_ph=bh.photon_numbers).c_t
+        c_cute1 = propagate(H, psi, grid, kappa=cav.kappa, n_ph=basis.photon_numbers()).c_t
         ref = N * (c_cute1 - res.c1_t)
         dev[N] = np.max(np.abs(res.scaled_corr_t - ref)) / np.max(np.abs(ref))
     assert dev[100] / dev[1000] == pytest.approx(10.0, rel=0.2)
@@ -219,10 +219,10 @@ def test_zero_displacement_correction_vanishes():
 
 def exact_survival(vs, cav, grid):
     N = int(cav.n_molecules)
-    bh = assemble_truncated(vs, cav, q_max=N)
-    psi = np.zeros(bh.dim, dtype=complex)
+    basis, H = assemble_truncated(vs, cav, q_max=N)
+    psi = np.zeros(basis.dim, dtype=complex)
     psi[0] = 1.0
-    return propagate(bh.matrix, psi, grid).c_t
+    return propagate(H, psi, grid).c_t
 
 
 def test_residual_shrinks_16x_when_coupling_halved():
@@ -238,10 +238,10 @@ def test_residual_shrinks_16x_when_coupling_halved():
     for gsn in (0.006, 0.003):
         cav = CavityParams(omega_c=0.108, g_sqrt_n=gsn, n_molecules=2)
         res = survival_correction(vs, cav, psi0, grid)
-        bh = assemble_truncated(vs, cav, q_max=2)
-        psi_full = np.zeros(bh.dim, dtype=complex)
+        basis, H = assemble_truncated(vs, cav, q_max=2)
+        psi_full = np.zeros(basis.dim, dtype=complex)
         psi_full[: vs.m + 1] = psi0
-        exact = propagate(bh.matrix, psi_full, grid).c_t
+        exact = propagate(H, psi_full, grid).c_t
         resid[gsn] = np.max(np.abs(exact - res.c_t))
     ratio = resid[0.006] / resid[0.003]
     assert 12.0 < ratio < 21.0, ratio
@@ -266,8 +266,8 @@ def test_even_order_structure_no_first_order_term():
     # zeroth block
     vs = single_mode(s=0.8, n_max=2)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=5)
-    bh = assemble_truncated(vs, cav, q_max=2)
-    np.testing.assert_allclose(block(bh, 0), build_H0(vs, cav), atol=1e-14)
+    basis, H = assemble_truncated(vs, cav, q_max=2)
+    np.testing.assert_allclose(block(basis, H, 0), build_H0(vs, cav), atol=1e-14)
 
 
 def test_shifted_block_option_close_to_exact():
