@@ -10,7 +10,6 @@ a brute-force small-N solver used as the correctness oracle.
 from .cute import (
     CavityParams,
     TruncatedGenerator,
-    assemble_high_excitation,
     assemble_truncated,
     build_H0,
     build_H1k,
@@ -35,7 +34,6 @@ __all__ = [
     "TruncatedGenerator",
     "VibrationalMode",
     "VibronicStructure",
-    "assemble_high_excitation",
     "assemble_truncated",
     "build_H0",
     "build_H1k",

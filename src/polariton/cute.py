@@ -13,11 +13,11 @@ This module builds
     whole CUT-E order-0 model at any N and the entire N = infinity problem,
   * the arrowhead A1 shared by its quasi = 1 sub-blocks H1k = A1 + omega_g[k] I
     (coupling g*sqrt(N-1)) and the single-molecule coupling matrices v0k,
-  * one bosonized assembler (reservoir eliminated, every element smooth in
-    1/N) behind the finite-N truncated block Hamiltonian at any order q_max
-    and the zero-temperature high-excitation ladder (quasi = 0, sectors of
-    descending photon number).  The hand-written forms above are regression
-    fixtures,
+  * one bosonized assembler, assemble_truncated (reservoir eliminated, every
+    element smooth in 1/N): the truncated block Hamiltonian of any
+    excitation manifold n_exc at any order q_max, whose q_max = 0 case is
+    the zero-temperature high-excitation ladder (sectors of descending
+    photon number).  The hand-written forms above are regression fixtures,
   * the first-manifold truncation at any q_max as a TruncatedGenerator
     (truncated_generator): the same Hamiltonian in the same state order,
     applied from its coefficients with numpy alone.  This is what the CLI
@@ -29,10 +29,9 @@ quasi blocks (block q spans offsets[q]:offsets[q + 1]) and whose
 photon_numbers() is the leakage diagonal, and the whole matrix as one real
 sparse CSR matrix.  No dense copy is made.
 
-N = infinity is a first-class sentinel (math.inf), simply 1/N = 0: the
-single-molecule g and every inter-block coupling vanish, reservoir factors
-are 1.  The truncation at N = infinity is build_H0 alone, so only the
-high-excitation ladder assembles there.
+N = infinity is a first-class sentinel (math.inf), simply 1/N = 0 in every
+builder: the single-molecule g and every inter-block coupling vanish,
+reservoir factors are 1.
 """
 
 from __future__ import annotations
@@ -138,14 +137,11 @@ def build_v0k(vs: VibronicStructure, cav: CavityParams, k: int) -> np.ndarray:
     Rows are zeroth-block states, columns sub-block-1_k states; the only
     nonzero column is the photon-type |g_k 1>, entry
     (i, 0) = g <phi_e_i|phi_g_k>: the molecule holding the phonon absorbs or
-    re-emits the cavity photon.  Requires finite N (otherwise g = 0 and no
-    single-molecule channel exists).
+    re-emits the cavity photon.  At N = infinity g = 0 and v0k is zero.
     """
     m = vs.m
     if not 2 <= k <= m:
         raise ValueError(f"k must be in 2..{m}, got {k}")
-    if cav.is_infinite:
-        raise ValueError("no single-molecule coupling at N = infinity")
     v = np.zeros((m + 1, m + 1))
     v[1:, 0] = cav.g * vs.fc[:, k - 1]
     return v
@@ -194,41 +190,31 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     return (sp.diags(diag) + M + M.T).tocsr()
 
 
-def _assemble(
-    vs: VibronicStructure, cav: CavityParams, n_exc: int, q_max: int
+def assemble_truncated(
+    vs: VibronicStructure, cav: CavityParams, q_max: int, n_exc: int = 1
 ) -> tuple[SymBasis, sp.csr_matrix]:
-    """Basis and Hamiltonian of the n_exc manifold at quasi <= q_max.
+    """(basis, H) of the n_exc manifold at CUT-E order q_max.
 
-    Outside the reservoir the state list is the same for every
-    N >= n_exc + q_max, so N = infinity enumerates at that N.
+    The quasi <= min(q_max, N) basis and its sparse Hamiltonian, block
+    tridiagonal in quasi.  Order 0 keeps collective coupling only: build_H0
+    at n_exc = 1, and above it the zero-temperature ladder of i photons
+    plus n_exc - i excited molecules in sectors of descending photon number
+    (basis.photon_numbers()).  Order 1 admits one action pair of the
+    single-molecule coupling, and so on.  At N = infinity g = 0, so every
+    inter-block coupling is exactly 0.
     """
-    N = n_exc + q_max if cav.is_infinite else cav.n_molecules
-    basis = enumerate_basis(N, n_exc, vs.m, q_max)
+    if q_max < 0:
+        raise ValueError(f"q_max must be >= 0, got {q_max}")
+    if n_exc < 1:
+        raise ValueError(f"n_exc must be >= 1, got {n_exc}")
+    if cav.n_molecules < n_exc:
+        raise ValueError(f"need N >= N_exc, got N={cav.n_molecules}, N_exc={n_exc}")
+    basis = enumerate_basis(cav.n_molecules, n_exc, vs.m, min(q_max, cav.n_molecules))
     H = hamiltonian_matrix(vs, cav, basis)
     defect = abs(H - H.T).max()
     if defect > HERMITICITY_TOL:
         raise RuntimeError(f"assembled Hamiltonian not Hermitian: defect {defect:.3e}")
     return basis, H
-
-
-def assemble_truncated(
-    vs: VibronicStructure, cav: CavityParams, q_max: int
-) -> tuple[SymBasis, sp.csr_matrix]:
-    """(basis, H) at CUT-E order q_max (first excitation manifold).
-
-    The quasi <= q_max basis at finite N and its sparse Hamiltonian, block
-    tridiagonal in quasi.  Order 0 keeps collective coupling only; order
-    1 admits one action pair of the single-molecule coupling, and so on.
-
-    N = infinity raises ValueError: the q >= 1 blocks are decoupled shifted
-    copies of H0 that no photon-initial state reaches, so that limit is
-    build_H0 alone.
-    """
-    if cav.is_infinite:
-        raise ValueError("assemble_truncated needs finite N; at N = infinity use build_H0")
-    if q_max < 0:
-        raise ValueError(f"q_max must be >= 0, got {q_max}")
-    return _assemble(vs, cav, 1, min(q_max, cav.n_molecules))
 
 
 class TruncatedGenerator:
@@ -321,7 +307,7 @@ class TruncatedGenerator:
 
 
 def truncated_generator(vs: VibronicStructure, cav: CavityParams, q_max: int) -> TruncatedGenerator:
-    """assemble_truncated's Hamiltonian as a TruncatedGenerator, numpy only.
+    """assemble_truncated's n_exc = 1 Hamiltonian as a TruncatedGenerator, numpy only.
 
     The states of assemble_truncated's basis, in the same order.  Its size
     is basis_size(N, 1, m, min(q_max, N)), checked against BASIS_SIZE_CAP
@@ -333,8 +319,6 @@ def truncated_generator(vs: VibronicStructure, cav: CavityParams, q_max: int) ->
     q - 1 already holds (T - K is in block q - 2): each table follows from
     the one before, with no search.
     """
-    if cav.is_infinite:
-        raise ValueError("truncated_generator needs finite N; at N = infinity use build_H0")
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
     N, m = cav.n_molecules, vs.m
@@ -373,22 +357,3 @@ def truncated_generator(vs: VibronicStructure, cav: CavityParams, q_max: int) ->
     up, amp = np.concatenate(ups), np.concatenate(amps)
     return TruncatedGenerator(diag, r, fc[:, 0], fc[:, 1:], up, amp, top, offsets)
 
-
-def assemble_high_excitation(
-    vs: VibronicStructure, cav: CavityParams, n_exc: int
-) -> tuple[SymBasis, sp.csr_matrix]:
-    """(basis, H), the zero-temperature quasi = 0 ladder of the N_exc manifold.
-
-    All ground-electronic molecules stay in their vibrational ground state;
-    basis states carry i photons plus N_exc - i excited molecules spread over
-    the m excited vibronic states.  The states come in sectors of descending
-    photon number (i = N_exc first, basis.photon_numbers()); the collective
-    coupling between neighbouring sectors carries the photon factor
-    sqrt(i), the matter factor sqrt(n_e + 1) and the reservoir factor
-    sqrt(1 - (N_exc - i)/N), which is 1 at N = infinity.
-    """
-    if n_exc < 1:
-        raise ValueError(f"n_exc must be >= 1, got {n_exc}")
-    if cav.n_molecules < n_exc:
-        raise ValueError(f"need N >= N_exc, got N={cav.n_molecules}, N_exc={n_exc}")
-    return _assemble(vs, cav, n_exc, 0)

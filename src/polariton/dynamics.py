@@ -20,11 +20,10 @@ operator, a window of grid steps each, chosen once from Saad's error
 bound: a scaled copy of a TruncatedGenerator, else one complex CSR matrix.
 Every matrix exponential is _expm, one degree-18 Taylor series scaled and
 squared; scipy.sparse is imported only to step a matrix that is not a
-TruncatedGenerator on the Krylov path, and no states are stored unless
-asked for.  spectrum evaluates the discrete transform on any uniform
-frequency grid through one Bluestein chirp-z transform done in place on a
-5-smooth length.  A TimeGrid, and the Krylov substep grid, hold
-at most GRID_SIZE_CAP samples.
+TruncatedGenerator on the Krylov path, and no state is stored.  spectrum
+evaluates the discrete transform on any uniform frequency grid through one
+Bluestein chirp-z transform done in place on a 5-smooth length.  A
+TimeGrid, and the Krylov substep grid, hold at most GRID_SIZE_CAP samples.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ class Trajectory:
     grid: TimeGrid
     c_t: np.ndarray
     norm_t: np.ndarray | None
-    states: np.ndarray | None = None
     params: dict = field(default_factory=dict)
     bra_t: np.ndarray | None = None
 
@@ -142,7 +140,6 @@ def propagate(
     grid: TimeGrid,
     kappa: float = 0.0,
     n_ph=None,
-    keep_states: bool = False,
 ) -> Trajectory:
     """Evolve psi0 under H (plus optional photon leakage) over the grid.
 
@@ -152,16 +149,15 @@ def propagate(
     needs an eigenbasis, so defective generators step exactly.
     traj.params['method'] records 'dense' (with w as 'block_steps') or
     'krylov' (with the basis size 'krylov_dim', the grid steps per basis
-    'block_steps' and the bases per grid step 'substeps').  States are
-    stored only with keep_states.  Non-finite psi0, kappa, H or n_ph raise
-    ValueError before any step.
+    'block_steps' and the bases per grid step 'substeps').  Non-finite
+    psi0, kappa, H or n_ph raise ValueError before any step.
     """
     psi0, leak = _checked(H, psi0, kappa, n_ph)
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
-        return _finished(_propagate_krylov(H, leak, psi0, grid, keep_states), kappa, "krylov", dim)
+        return _finished(_propagate_krylov(H, leak, psi0, grid), kappa, "krylov", dim)
     F, U = _baby_steps(H, leak, psi0, grid)
-    traj = _step(_blocks(U, F, grid.n_steps + 1), psi0, grid, keep_states)
+    traj = _step(_blocks(U, F, grid.n_steps + 1), psi0, grid)
     traj.params["block_steps"] = F.shape[1]
     return _finished(traj, kappa, "dense", dim)
 
@@ -188,7 +184,7 @@ def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> T
         raise ValueError("autocorrelation needs a complex-symmetric H_eff = H_eff^T")
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
-        traj = _propagate_krylov(H, leak, psi0, grid, keep_states=False)
+        traj = _propagate_krylov(H, leak, psi0, grid)
         traj.norm_t = None
         return _finished(traj, kappa, "krylov", dim)
     nt = grid.n_steps + 1
@@ -214,7 +210,7 @@ def transition_amplitudes(
     and non-finite amplitudes in either row raise RuntimeError.
     """
     psi0, leak = _checked(H, psi0, kappa, n_ph)
-    traj = _propagate_krylov(H, leak, psi0, grid, keep_states=False, bra=bra)
+    traj = _propagate_krylov(H, leak, psi0, grid, bra=bra)
     return _finished(traj, kappa, "krylov", psi0.size)
 
 
@@ -247,7 +243,7 @@ def _blocks(U, block, nt):
         yield n, None, block[:, : nt - n]
 
 
-def _propagate_krylov(H, leak, psi0, grid, keep_states, bra=None) -> Trajectory:
+def _propagate_krylov(H, leak, psi0, grid, bra=None) -> Trajectory:
     """Step psi0 by Arnoldi bases of H_eff = H - i diag(leak), a window of grid steps each.
 
     With the trace shift mu = tr(H_eff)/dim, A = -i dt (H_eff - mu I) is
@@ -303,7 +299,7 @@ def _propagate_krylov(H, leak, psi0, grid, keep_states, bra=None) -> Trajectory:
             if first < span:
                 yield (start + first + 1) // substeps, V, Y[:, first::substeps]
 
-    traj = _step(windows(psi0), psi0, grid, keep_states, bra)
+    traj = _step(windows(psi0), psi0, grid, bra)
     traj.params.update({"krylov_dim": k, "block_steps": width, "substeps": substeps})
     return traj
 
@@ -412,27 +408,24 @@ def _expm(A):
     return np.exp(mu) * E
 
 
-def _step(windows, psi0, grid, keep_states, bra=None) -> Trajectory:
+def _step(windows, psi0, grid, bra=None) -> Trajectory:
     """Record <psi0|psi>, ||psi|| (psi, <bra|psi>) at each grid time.
 
     windows yields (n, V, Y) in grid order: the states at grid times n,
     n + 1, ... are the columns of Y (V None) or of V^T Y, where V has
     orthonormal rows (a Krylov basis).  Amplitudes and norms are then taken
-    from the short columns of Y, and states are formed only to be stored.
+    from the short columns of Y.
     """
     nt = grid.n_steps + 1
     norm_t = np.empty(nt)
-    states = np.empty((nt, psi0.size), dtype=complex) if keep_states else None
     bras = np.conj([psi0] if bra is None else [psi0, bra])
     amps = np.empty((len(bras), nt), dtype=complex)
     for n, V, Y in windows:
         span = slice(n, n + Y.shape[1])
         amps[:, span] = (bras if V is None else bras @ V.T) @ Y
         norm_t[span] = np.sqrt(np.vecdot(Y, Y, axis=0).real)
-        if states is not None:
-            states[span] = (Y if V is None else V.T @ Y).T
     bra_t = None if bra is None else amps[1]
-    return Trajectory(grid=grid, c_t=amps[0], norm_t=norm_t, states=states, bra_t=bra_t)
+    return Trajectory(grid=grid, c_t=amps[0], norm_t=norm_t, bra_t=bra_t)
 
 
 def spectrum(

@@ -57,11 +57,12 @@ class SymBasis:
     """Ordered symmetric basis at fixed (N, N_exc) truncated at quasi <= q_max.
 
     index maps each state to its position; block q (quasi = q) spans
-    offsets[q]:offsets[q + 1].
+    offsets[q]:offsets[q + 1].  N may be math.inf, where the reservoir
+    never empties.
     """
 
     states: tuple[SymState, ...]
-    N: int
+    N: int | float
     m: int
     index: dict[SymState, int] = field(repr=False)
     offsets: np.ndarray = field(repr=False)
@@ -119,7 +120,7 @@ def enumerate_basis(N: int, N_exc: int, m: int, q_max: int) -> SymBasis:
     ..., e_m(S) per S (the photon alone at q = N), the row order of
     cute.truncated_generator.  N enters only through the condition that the
     molecules outside the reservoir fit, so the state list is the same for
-    every N >= N_exc + q_max.  The size is checked against BASIS_SIZE_CAP
+    every N >= N_exc + q_max, N = inf included.  The size is checked against BASIS_SIZE_CAP
     before any state is built.
     """
     guarded_basis_size(N, N_exc, m, q_max)

@@ -12,7 +12,6 @@ import pytest
 
 from polariton.cute import (
     CavityParams,
-    assemble_high_excitation,
     assemble_truncated,
     build_H0,
 )
@@ -315,12 +314,12 @@ def test_criterion_8_high_excitation():
     )
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)
     exact_H0 = np.array_equal(
-        assemble_high_excitation(vs, cav, 1)[1].toarray(), build_H0(vs, cav)
+        assemble_truncated(vs, cav, 0, n_exc=1)[1].toarray(), build_H0(vs, cav)
     )
 
     vs1 = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav1 = CavityParams(omega_c=0.1, g_sqrt_n=0.02, n_molecules=INF)
-    _, H = assemble_high_excitation(vs1, cav1, 2)
+    _, H = assemble_truncated(vs1, cav1, 0, n_exc=2)
     g2 = cav1.g_sqrt_n * math.sqrt(2.0)
     oracle = np.array([[0.2, g2, 0.0], [g2, 0.2, g2], [0.0, g2, 0.2]])
     eig_dev = float(

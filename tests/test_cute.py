@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from polariton.cli import parse_config
 from polariton.cute import (
     CavityParams,
-    assemble_high_excitation,
     assemble_truncated,
     build_H0,
     build_H1k,
@@ -163,10 +162,11 @@ def test_v0k_norm_scales_inverse_sqrt_N():
     assert np.linalg.norm(v1) / np.linalg.norm(v2) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
-def test_v0k_infinite_rejected():
-    vs = vibronic_fixture()
-    with pytest.raises(ValueError):
-        build_v0k(vs, CavityParams(0.11, 0.02, INF), 2)
+def test_v0k_infinite_is_zero():
+    # 1/N = 0: the single-molecule g vanishes, and with it every v0k
+    vs = vibronic_fixture(n_max=2)
+    for k in (2, 3):
+        np.testing.assert_array_equal(build_v0k(vs, CavityParams(0.11, 0.02, INF), k), 0.0)
 
 
 def test_assemble_q0_reproduces_H0():
@@ -262,14 +262,14 @@ def test_assemble_full_matches_map_operator_path(case):
 
 @st.composite
 def generator_cases(draw):
-    """m = n_max + 1 in 1..6, q_max <= 3 at N in {q_max, 2 q_max, 1000}, kappa >= 0."""
+    """m = n_max + 1 in 1..6, q_max <= 3 at N in {q_max, 2 q_max, 1000, inf}, kappa >= 0."""
     s, omega = draw(st.floats(0.0, 2.0)), draw(st.floats(0.005, 0.02))
     vs = vibronic_fixture(s=s, omega=omega, n_max=draw(st.integers(0, 5)))
     q_max = draw(st.integers(0, 3))
     cav = CavityParams(
         omega_c=draw(st.floats(0.09, 0.13)),
         g_sqrt_n=draw(st.floats(0.0, 0.05)),
-        n_molecules=draw(st.sampled_from([max(q_max, 1), max(2 * q_max, 1), 1000])),
+        n_molecules=draw(st.sampled_from([max(q_max, 1), max(2 * q_max, 1), 1000, INF])),
         kappa=draw(st.floats(0.0, 0.01)),
     )
     return vs, cav, q_max
@@ -328,18 +328,17 @@ def test_truncated_generator_steps_like_the_assembler(q_max, n_max, path):
 
 
 def test_truncated_generator_guards():
-    vs = build_vibronic(FIG5_MODEL)  # m = 123: q <= 2 at N = 1000 is 945,624 states
+    vs = build_vibronic(FIG5_MODEL)  # m = 123: q <= 2 at N = 1000 or inf is 945,624 states
     cav = replace(FIG5_CAV, n_molecules=1000)
-    tracemalloc.start()
-    try:
-        with pytest.raises(DimensionGuardError, match="945624 states exceeds cap"):
-            truncated_generator(vs, cav, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024, peak  # nothing basis-sized was allocated
-    with pytest.raises(ValueError, match="finite N"):
-        truncated_generator(vs, FIG5_CAV, 1)
+    for N in (1000, INF):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionGuardError, match="945624 states exceeds cap"):
+                truncated_generator(vs, replace(cav, n_molecules=N), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak  # nothing basis-sized was allocated
     with pytest.raises(ValueError, match="q_max"):
         truncated_generator(vs, cav, -1)
 
@@ -368,9 +367,9 @@ def test_collective_amplification_sqrtN_exact():
 
 
 def test_infinite_truncation_is_H0_only():
-    # order 0 is build_H0 exactly at any finite N, also for the fig5 molecule (m = 123)
-    # that the CLI's q = 0 methods propagate from build_H0; at N = inf the truncation
-    # is build_H0 alone, and assemble_truncated refuses it
+    # order 0 is build_H0 exactly at any N, also for the fig5 molecule (m = 123)
+    # that the CLI's q = 0 methods propagate from build_H0; at N = inf, 1/N = 0,
+    # every inter-block coupling is exactly 0, so the truncation is build_H0 alone
     fig5 = parse_config(Path(__file__).resolve().parents[1] / "configs" / "fig5_spectrum.ini")
     vs_fig5 = build_vibronic(fig5.model)
     assert vs_fig5.m == 123
@@ -384,9 +383,17 @@ def test_infinite_truncation_is_H0_only():
         assert list(basis.offsets) == [0, vs.m + 1]
         assert list(basis.photon_numbers()) == [1] + [0] * vs.m  # |1>, |e1>, ..., |em>
         assert basis.dim == vs.m + 1
-        for q_max in (0, 1):
-            with pytest.raises(ValueError, match="build_H0"):
-                assemble_truncated(vs, replace(cav, n_molecules=INF), q_max=q_max)
+    vs, cav = cases[0][0], replace(cases[0][1], n_molecules=INF)
+    H0 = build_H0(vs, cav)
+    for q_max in (0, 1, 2, 3):
+        basis, H = assemble_truncated(vs, cav, q_max)
+        assert len(basis.offsets) == q_max + 2  # q_max is not clamped
+        np.testing.assert_array_equal(block(basis, H, 0), H0)
+        for q in range(q_max):
+            assert not block(basis, H, q, q + 1).any() and not block(basis, H, q + 1, q).any()
+        gen = truncated_generator(vs, cav, q_max).toarray()
+        np.testing.assert_array_equal(gen[: vs.m + 1, : vs.m + 1], H0)
+        np.testing.assert_array_equal(gen[: vs.m + 1, vs.m + 1 :], 0.0)
 
 
 def test_blocks_hermitian():
@@ -400,7 +407,7 @@ def test_high_excitation_nexc1_equals_H0():
     vs = vibronic_fixture(n_max=2, s=1.0)
     for N in (INF, 7):
         cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=N)
-        _, H = assemble_high_excitation(vs, cav, 1)
+        _, H = assemble_truncated(vs, cav, 0, n_exc=1)
         np.testing.assert_array_equal(H.toarray(), build_H0(vs, cav))
 
 
@@ -409,7 +416,7 @@ def test_high_excitation_two_photon_ladder():
     # |2exc> with couplings g sqrt(N) sqrt(2) between neighbours.
     vs = build_vibronic(MolecularModel(electronic_gap=0.1))
     cav = CavityParams(omega_c=0.1, g_sqrt_n=0.02, n_molecules=INF)
-    basis, H = assemble_high_excitation(vs, cav, 2)
+    basis, H = assemble_truncated(vs, cav, 0, n_exc=2)
     g2 = cav.g_sqrt_n * math.sqrt(2.0)
     oracle = np.array(
         [
@@ -424,15 +431,21 @@ def test_high_excitation_two_photon_ladder():
     assert list(basis.photon_numbers()) == [2, 1, 0]  # one state per photon sector
 
 
-@pytest.mark.parametrize("N,n_exc", [(2, 1), (2, 2), (3, 1), (3, 2)])
-def test_high_excitation_matches_oracle_q0_restriction(N, n_exc):
-    # At finite N the construction must agree with the q = 0 sector of the
-    # brute-force Hamiltonian in the N_exc manifold.
+@pytest.mark.parametrize(
+    "N,n_exc,q_max",
+    [(2, 1, 0), (2, 2, 0), (3, 1, 0), (3, 2, 0), (2, 2, 2), (3, 2, 3), (4, 2, 4)],
+    ids=["2-1", "2-2", "3-1", "3-2", "2-2-q2", "3-2-q3", "4-2-q4"],
+)
+def test_high_excitation_matches_oracle_q0_restriction(N, n_exc, q_max):
+    # At finite N the construction must agree with the quasi <= q_max sector
+    # of the brute-force Hamiltonian in the N_exc manifold: at q_max = N
+    # (m = 2) the whole symmetric N_exc = 2 manifold, single-molecule channel
+    # included.
     from polariton.oracle import build_full_H, symmetrizer
 
     vs = vibronic_fixture(n_max=1, s=0.5)
     cav = CavityParams(omega_c=0.105, g_sqrt_n=0.02, n_molecules=N)
-    basis, H_ladder = assemble_high_excitation(vs, cav, n_exc)
+    basis, H_ladder = assemble_truncated(vs, cav, q_max, n_exc=n_exc)
     H, tb = build_full_H(vs, cav, n_exc)
     T = symmetrizer(tb, basis)
     H_sym = (T.conj().T @ (H @ T)).toarray().real
@@ -443,13 +456,22 @@ def test_high_excitation_finite_N_is_first_order_in_one_over_N():
     # every element is a smooth function of 1/N, so the distance to the
     # N = inf ladder falls off exactly as 1/N
     vs = vibronic_fixture(n_max=2, s=1.0)
-    H_inf = assemble_high_excitation(vs, CavityParams(0.11, 0.02, INF), 3)[1]
-    scaled = [
-        N * abs(assemble_high_excitation(vs, CavityParams(0.11, 0.02, N), 3)[1] - H_inf).max()
-        for N in (10**3, 10**4, 10**5)
-    ]
+
+    def distance(q_max, n_exc, N):
+        H_N, H_inf = (
+            assemble_truncated(vs, CavityParams(0.11, 0.02, n), q_max, n_exc)[1] for n in (N, INF)
+        )
+        return abs(H_N - H_inf).max()
+
+    scaled = [N * distance(0, 3, N) for N in (10**3, 10**4, 10**5)]
     assert scaled[0] > 0
     np.testing.assert_allclose(scaled, scaled[0], rtol=0.01)
+    # from q_max = 1 on, the single-molecule g = g_sqrt_n / sqrt(N) couples
+    # neighbouring blocks and dominates: the distance is g_sqrt_n c / sqrt(N)
+    for n_exc in (1, 2):
+        scaled = [math.sqrt(N) * distance(1, n_exc, N) for N in (10**3, 10**4, 10**5, 10**6)]
+        assert scaled[0] > 0
+        np.testing.assert_allclose(scaled, scaled[0], rtol=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
@@ -468,7 +490,7 @@ def test_high_excitation_photon_survival_factorises_at_infinite_N(s, omega, n_ma
     grid = TimeGrid(t_max=400.0, n_steps=200)
 
     def survival(n):
-        basis, H = assemble_high_excitation(vs, cav, n)
+        basis, H = assemble_truncated(vs, cav, 0, n_exc=n)
         psi0 = np.zeros(basis.dim)
         psi0[0] = 1.0  # all n quanta in the photon
         return propagate(H, psi0, grid, kappa=kappa, n_ph=basis.photon_numbers()).c_t
@@ -481,7 +503,7 @@ def test_high_excitation_photon_survival_factorises_at_infinite_N(s, omega, n_ma
 def test_high_excitation_conserves_photon_steps():
     vs = vibronic_fixture(n_max=1)
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=INF)
-    basis, H = assemble_high_excitation(vs, cav, 3)
+    basis, H = assemble_truncated(vs, cav, 0, n_exc=3)
     H = H.toarray()
     n_ph = basis.photon_numbers()
     for i in range(H.shape[0]):
@@ -493,7 +515,7 @@ def test_high_excitation_conserves_photon_steps():
 def test_high_excitation_guards():
     vs = vibronic_fixture()
     with pytest.raises(ValueError):
-        assemble_high_excitation(vs, CavityParams(0.11, 0.02, 3), 5)
+        assemble_truncated(vs, CavityParams(0.11, 0.02, 3), 0, n_exc=5)
     with pytest.raises(DimensionGuardError):
-        assemble_high_excitation(vs, CavityParams(0.11, 0.02, INF), 1000)  # 501,501 states
+        assemble_truncated(vs, CavityParams(0.11, 0.02, INF), 0, n_exc=1000)  # 501,501 states
 

@@ -51,6 +51,29 @@ def rk4_propagate(H_eff, psi0, grid):
     return np.array(out)
 
 
+def with_states(propagation, *args, **kwargs):
+    """(traj, states): a propagation run with every state at a grid time recorded.
+
+    dynamics._step reads the amplitudes from the windows (n, V, Y) its path
+    yields; the states are the columns of Y (V None) or of V^T Y.
+    """
+    rows = []
+    step = dynamics._step
+
+    def recording(windows, psi0, grid, bra=None):
+        def recorded():
+            for n, V, Y in windows:
+                rows.append((Y if V is None else V.T @ Y).T)
+                yield n, V, Y
+
+        return step(recorded(), psi0, grid, bra)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_step", recording)
+        traj = propagation(*args, **kwargs)
+    return traj, np.concatenate(rows)
+
+
 def test_stationary_state_phase():
     H = np.diag([0.1, 0.25, 0.4])
     psi0 = np.array([0.0, 1.0, 0.0], dtype=complex)
@@ -88,8 +111,8 @@ def test_unitarity_without_leakage():
     psi0 = rng.normal(size=9) + 1j * rng.normal(size=9)
     psi0 /= np.linalg.norm(psi0)
     grid = TimeGrid(t_max=50.0, n_steps=128)
-    traj = propagate(H, psi0, grid, keep_states=True)
-    assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
+    traj = propagate(H, psi0, grid)
+    assert np.max(np.abs(traj.norm_t - 1.0)) < 1e-10
     assert abs(traj.c_t[0] - 1.0) < 1e-12
 
 
@@ -99,9 +122,9 @@ def test_linearity():
     H = H + H.T
     e = np.eye(6, dtype=complex)
     grid = TimeGrid(t_max=20.0, n_steps=50)
-    s1 = propagate(H, e[0], grid, keep_states=True).states
-    s2 = propagate(H, e[3], grid, keep_states=True).states
-    both = propagate(H, (e[0] + e[3]) / math.sqrt(2), grid, keep_states=True).states
+    s1 = with_states(propagate, H, e[0], grid)[1]
+    s2 = with_states(propagate, H, e[3], grid)[1]
+    both = with_states(propagate, H, (e[0] + e[3]) / math.sqrt(2), grid)[1]
     np.testing.assert_allclose(both, (s1 + s2) / math.sqrt(2), atol=1e-10)
 
 
@@ -131,14 +154,14 @@ def test_dense_and_krylov_paths_agree(dim, kappa, seed):
     psi0 /= np.linalg.norm(psi0)
     n_ph = (rng.random(dim) < 0.5).astype(float)
     grid = TimeGrid(t_max=15.0, n_steps=30)
-    a = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph, keep_states=True)
+    a, a_states = with_states(propagate, H, psi0, grid, kappa=kappa, n_ph=n_ph)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "DENSE_DIM_LIMIT", dim - 1)
-        b = propagate(sp.csr_matrix(H), psi0, grid, kappa=kappa, n_ph=n_ph, keep_states=True)
+        b, b_states = with_states(propagate, sp.csr_matrix(H), psi0, grid, kappa=kappa, n_ph=n_ph)
     assert (a.params["method"], b.params["method"]) == ("dense", "krylov")
     np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
     np.testing.assert_allclose(a.norm_t, b.norm_t, atol=1e-10)
-    np.testing.assert_allclose(a.states, b.states, atol=1e-10)
+    np.testing.assert_allclose(a_states, b_states, atol=1e-10)
     assert np.all(np.diff(a.norm_t) <= 1e-12)
 
 
@@ -161,7 +184,7 @@ def test_blocked_dense_path_matches_single_steps(dim, w, full, kappa, seed):
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
     grid = TimeGrid(t_max=0.1 * (n_t - 1), n_steps=n_t - 1)
-    traj = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph, keep_states=True)
+    traj, states = with_states(propagate, H, psi0, grid, kappa=kappa, n_ph=n_ph)
     assert traj.params["block_steps"] == w
 
     U = sla.expm(-1j * grid.dt * (H - 0.5j * kappa * np.diag(n_ph)))
@@ -169,7 +192,7 @@ def test_blocked_dense_path_matches_single_steps(dim, w, full, kappa, seed):
     ref[0] = psi0
     for n in range(1, n_t):
         ref[n] = U @ ref[n - 1]
-    np.testing.assert_allclose(traj.states, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(states, ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.c_t, ref @ psi0.conj(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.norm_t, np.linalg.norm(ref, axis=1), rtol=0, atol=1e-12)
 
@@ -204,7 +227,7 @@ def test_krylov_path_matches_spectral():
     for kappa in (0.0, 0.05):  # Hermitian, then with leakage
         H_eff = H - 0.5j * kappa * np.diag(n_ph)
         a = propagate(H, psi0, grid, kappa=kappa, n_ph=n_ph)
-        b = dynamics._propagate_krylov(sp.csc_matrix(H_eff), 0.0, psi0, grid, keep_states=False)
+        b = dynamics._propagate_krylov(sp.csc_matrix(H_eff), 0.0, psi0, grid)
         assert a.params["method"] == "dense"
         np.testing.assert_allclose(a.c_t, b.c_t, atol=1e-10)
         np.testing.assert_allclose(a.norm_t, b.norm_t, atol=1e-10)
@@ -380,9 +403,9 @@ def test_transition_amplitudes_apply_leakage():
     n_ph = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     grid = TimeGrid(t_max=10.0, n_steps=40)
     traj = dynamics.transition_amplitudes(H, psi0, bra, grid, kappa=0.3, n_ph=n_ph)
-    ref = propagate(H, psi0, grid, kappa=0.3, n_ph=n_ph, keep_states=True)
+    ref, states = with_states(propagate, H, psi0, grid, kappa=0.3, n_ph=n_ph)
     np.testing.assert_allclose(traj.c_t, ref.c_t, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(traj.bra_t, ref.states @ bra, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.bra_t, states @ bra, rtol=0, atol=1e-12)
     assert (traj.params["kappa"], traj.params["method"], traj.params["dim"]) == (0.3, "krylov", 6)
     with pytest.raises(ValueError, match="n_ph"):
         dynamics.transition_amplitudes(H, psi0, bra, grid, kappa=0.3)
@@ -569,8 +592,8 @@ def test_krylov_windows_match_single_steps(data, k, dim, generator, stiff, kappa
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "KRYLOV_DIM", k)
         mp.setattr(dynamics, "_arnoldi", lambda *a: bases.append(arnoldi(*a)) or bases[-1])
-        traj = dynamics._propagate_krylov(
-            sp.csr_matrix(H_eff), 0.0, psi0, grid, keep_states=True, bra=bra
+        traj, states = with_states(
+            dynamics._propagate_krylov, sp.csr_matrix(H_eff), 0.0, psi0, grid, bra=bra
         )
     assert {key: traj.params[key] for key in expected} == expected
     assert traj.params["krylov_dim"] == k
@@ -581,7 +604,7 @@ def test_krylov_windows_match_single_steps(data, k, dim, generator, stiff, kappa
     ref[0] = psi0
     for n in range(1, n_steps + 1):
         ref[n] = U @ ref[n - 1]
-    np.testing.assert_allclose(traj.states, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(states, ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.c_t, ref @ psi0.conj(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.norm_t, np.linalg.norm(ref, axis=1), rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.bra_t, ref @ bra.conj(), rtol=0, atol=1e-12)
