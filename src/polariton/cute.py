@@ -164,7 +164,7 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
     import scipy.sparse as sp
     m = vs.m
     w, fc = np.concatenate([vs.omega_g, vs.omega_e]).tolist(), vs.fc.T.tolist()
-    inv_n = 1.0 / cav.n_molecules  # 0.0 at N = inf
+    g, inv_n = cav.g, 1.0 / cav.n_molecules  # both 0.0 at N = inf
     diag, rows, cols, vals = [], [], [], []
     for src, (slots, n_ph) in enumerate(basis.states):
         occ = {k: slots.count(k) for k in slots}  # ascending slots -> molecules
@@ -173,9 +173,9 @@ def hamiltonian_matrix(vs: VibronicStructure, cav: CavityParams, basis: SymBasis
             continue
         hops = [(0, slots, cav.g_sqrt_n * math.sqrt(1.0 - len(slots) * inv_n))]
         for k, n in occ.items():
-            if k < m:
+            if k < m and g:  # g = 0 makes every single-molecule hop an exact zero
                 j = slots.index(k)
-                hops.append((k, slots[:j] + slots[j + 1 :], cav.g * math.sqrt(n)))
+                hops.append((k, slots[:j] + slots[j + 1 :], g * math.sqrt(n)))
         ph = math.sqrt(n_ph)
         for k, rest, amp in hops:
             for i in range(m):
@@ -203,8 +203,6 @@ def assemble_truncated(
     single-molecule coupling, and so on.  At N = infinity g = 0, so every
     inter-block coupling is exactly 0.
     """
-    if q_max < 0:
-        raise ValueError(f"q_max must be >= 0, got {q_max}")
     if n_exc < 1:
         raise ValueError(f"n_exc must be >= 1, got {n_exc}")
     if cav.n_molecules < n_exc:
@@ -319,8 +317,6 @@ def truncated_generator(vs: VibronicStructure, cav: CavityParams, q_max: int) ->
     q - 1 already holds (T - K is in block q - 2): each table follows from
     the one before, with no search.
     """
-    if q_max < 0:
-        raise ValueError(f"q_max must be >= 0, got {q_max}")
     N, m = cav.n_molecules, vs.m
     q_top = min(q_max, N)
     guarded_basis_size(N, 1, m, q_top)

@@ -40,19 +40,16 @@ DARK_PHOTON_WEIGHT = 1e-3
 
 @dataclass
 class ExpansionResult:
-    """Survival amplitude split into reference and leading 1/N correction."""
+    """c = c1 + a/N to O(1/N^2), a = scaled_corr_t = N c_corr (its limit at N = inf)."""
 
     grid: TimeGrid
     c1_t: np.ndarray
-    c_corr_t: np.ndarray
+    scaled_corr_t: np.ndarray
     n_molecules: float
 
     @property
-    def scaled_corr_t(self) -> np.ndarray:
-        """N * c_corr(t), the O(1) coefficient of the 1/N term."""
-        if math.isinf(self.n_molecules):
-            return np.zeros_like(self.c_corr_t)
-        return self.n_molecules * self.c_corr_t
+    def c_corr_t(self) -> np.ndarray:
+        return self.scaled_corr_t / self.n_molecules
 
     @property
     def c_t(self) -> np.ndarray:
@@ -64,7 +61,6 @@ def survival_correction(
     cav: CavityParams,
     psi0: np.ndarray,
     grid: TimeGrid,
-    shifted: bool = False,
 ) -> ExpansionResult:
     """Reference amplitude c1 and leading 1/N correction for psi0 in block 0.
 
@@ -80,13 +76,13 @@ def survival_correction(
     correction operator applied to psi0 (Van Loan).  Only the projections
     c1 = <[0; 0; psi0]|x(t)> and N c_corr = <[psi0; 0; 0]|x(t)> are recorded
     as the steps go; no state is stored.  s V = g_sqrt_n fc does
-    not depend on N, so neither does the precision of N * c_corr, and
-    c_corr is exactly zero at N = infinity.  With kappa > 0 the photon
+    not depend on N, so neither does the precision of N * c_corr.  At
+    N = infinity A1 = H0, so H1k = H0 + omega_g[k] I and scaled_corr_t is
+    lim N * c_corr; that limit divided by a finite N is the N >> 1
+    approximation of c_corr.  With kappa > 0 the photon
     state of every block leaks, so c1 = <psi0| exp(-i H0_eff t) |psi0>.
     M is defective (H0 appears twice) and its eigenvectors are
     ill-conditioned at weak coupling, so it is stepped, never diagonalised.
-    With shifted=True A1 is replaced by H0, so H1k = H0 + omega_g[k] I
-    (the N >> 1 approximation).
     """
     import scipy.sparse as sp
     psi0 = np.asarray(psi0, dtype=complex)
@@ -95,7 +91,7 @@ def survival_correction(
         raise ValueError(f"psi0 must live in the zeroth block, shape ({m + 1},)")
 
     H0 = build_H0(vs, cav)
-    A1 = H0 if shifted else build_A1(vs, cav)
+    A1 = build_A1(vs, cav)
     # sqrt(N) v0k: the photon column of sub-block k holds g_sqrt_n fc[:, k-1]
     V = np.zeros((m + 1, (m - 1) * (m + 1)))
     V[1:, :: m + 1] = cav.g_sqrt_n * vs.fc[:, 1:]
@@ -112,7 +108,6 @@ def survival_correction(
     top[: m + 1] = psi0
 
     traj = transition_amplitudes(M, x0, top, grid, cav.kappa, n_ph)
-    traj.bra_t /= cav.n_molecules  # in place: both rows share one 2 x n_t buffer
     return ExpansionResult(grid, traj.c_t, traj.bra_t, cav.n_molecules)
 
 

@@ -339,8 +339,9 @@ def test_truncated_generator_guards():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024, peak  # nothing basis-sized was allocated
-    with pytest.raises(ValueError, match="q_max"):
-        truncated_generator(vs, cav, -1)
+    for build in (truncated_generator, assemble_truncated):
+        with pytest.raises(ValueError, match="q_max"):
+            build(vs, cav, -1)
 
 
 def test_assembly_peak_memory_below_one_dense_copy():

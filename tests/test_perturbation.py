@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,19 +73,20 @@ def double_phase_integral(a, b, c, t):
     return out
 
 
-def triple_sum_correction(vs, cav, psi0, grid, shifted=False):
-    """(c1, c_corr) at kappa = 0 from the eigenbases of H0 and every H1k."""
+def triple_sum_correction(vs, cav, psi0, grid):
+    """(c1, N c_corr) at kappa = 0 from the eigenbases of H0 and every H1k.
+
+    sqrt(N) v0k holds g_sqrt_n fc[:, k-1], finite at N = inf, where H1k is
+    exactly H0 + omega_g[k] I.
+    """
     E0, U0 = np.linalg.eigh(build_H0(vs, cav))
     alpha = U0.T @ psi0
     t = grid.times
     c1 = np.exp(-1j * np.outer(t, E0)) @ np.abs(alpha) ** 2
     corr = np.zeros_like(c1)
     for k in range(2, vs.m + 1):
-        if shifted:
-            F, W = E0 + vs.omega_g[k - 1], U0
-        else:
-            F, W = np.linalg.eigh(build_H1k(vs, cav, k))
-        X = W.T @ build_v0k(vs, cav, k).T @ U0  # <mu| v0k^T |a>
+        F, W = np.linalg.eigh(build_H1k(vs, cav, k))
+        X = np.outer(W[0], cav.g_sqrt_n * vs.fc[:, k - 1] @ U0[1:])  # <mu| sqrt(N) v0k^T |a>
         for b, mu, a in itertools.product(range(E0.size), range(F.size), range(E0.size)):
             coeff = alpha[b].conj() * alpha[a] * X[mu, b] * X[mu, a]
             corr -= coeff * double_phase_integral(E0[b], F[mu], E0[a], t)
@@ -135,8 +137,7 @@ MODE_SHAPES = [(), (1,), (2,), (3,), (1, 1)]
     huang_rhys=st.floats(1e-4, 2.0),
     omega_c=st.floats(0.09, 0.13),
     g_sqrt_n=st.floats(1e-4, 0.03),
-    N=st.integers(2, 10**6),
-    shifted=st.booleans(),
+    N=st.one_of(st.integers(2, 10**6), st.just(INF)),
     n_steps=st.integers(2, 128),
     t_max=st.floats(20.0, 800.0),
     seed=st.integers(0, 2**32 - 1),
@@ -145,14 +146,14 @@ MODE_SHAPES = [(), (1,), (2,), (3,), (1, 1)]
 # below the spectral path's cut), where an eigendecomposition of M loses
 # a quarter or more of the correction
 @example(shape=(2,), huang_rhys=1e-4, omega_c=0.11, g_sqrt_n=0.01, N=100,
-         shifted=False, n_steps=128, t_max=400.0, seed=1)
-@example(shape=(3,), huang_rhys=0.5, omega_c=0.11, g_sqrt_n=1e-4, N=100,
-         shifted=True, n_steps=128, t_max=400.0, seed=2)
+         n_steps=128, t_max=400.0, seed=1)
+@example(shape=(3,), huang_rhys=0.5, omega_c=0.11, g_sqrt_n=1e-4, N=INF,
+         n_steps=128, t_max=400.0, seed=2)
 # m = 1: no quasi = 1 sub-blocks, so the correction is exactly zero
 @example(shape=(), huang_rhys=1.0, omega_c=0.11, g_sqrt_n=0.01, N=100,
-         shifted=False, n_steps=16, t_max=100.0, seed=3)
+         n_steps=16, t_max=100.0, seed=3)
 def test_correction_matches_triple_sum(
-    shape, huang_rhys, omega_c, g_sqrt_n, N, shifted, n_steps, t_max, seed
+    shape, huang_rhys, omega_c, g_sqrt_n, N, n_steps, t_max, seed
 ):
     modes = tuple(VibrationalMode(0.01 / (i + 1), huang_rhys, n) for i, n in enumerate(shape))
     vs = build_vibronic(MolecularModel(electronic_gap=0.1, modes=modes))
@@ -162,12 +163,12 @@ def test_correction_matches_triple_sum(
     psi0 = rng.normal(size=vs.m + 1) + 1j * rng.normal(size=vs.m + 1)
     psi0 /= np.linalg.norm(psi0)
 
-    res = survival_correction(vs, cav, psi0, grid, shifted=shifted)
-    c1, corr = triple_sum_correction(vs, cav, psi0, grid, shifted=shifted)
+    res = survival_correction(vs, cav, psi0, grid)
+    c1, scaled = triple_sum_correction(vs, cav, psi0, grid)
     assert np.max(np.abs(res.c1_t - c1)) < 1e-12
     # the reference's series branch is good to 2e-10 relative
-    peak = np.max(np.abs(N * corr))
-    assert np.max(np.abs(res.scaled_corr_t - N * corr)) <= 1e-9 * peak
+    peak = np.max(np.abs(scaled))
+    assert np.max(np.abs(res.scaled_corr_t - scaled)) <= 1e-9 * peak
 
 
 def test_correction_honours_cavity_loss():
@@ -199,7 +200,10 @@ def test_infinite_N_correction_is_zero():
     psi0[0] = 1.0
     res = survival_correction(vs, cav, psi0, grid)
     assert np.all(res.c_corr_t == 0)
-    assert np.all(res.scaled_corr_t == 0)
+    np.testing.assert_array_equal(res.c_t, res.c1_t)
+    # the 1/N coefficient is its N -> inf limit, not zero
+    assert np.all(np.isfinite(res.scaled_corr_t))
+    assert np.max(np.abs(res.scaled_corr_t)) > 0
     # c1 still evolves under the zeroth block
     assert abs(res.c1_t[0] - 1.0) < 1e-12
 
@@ -270,18 +274,39 @@ def test_even_order_structure_no_first_order_term():
     np.testing.assert_allclose(block(basis, H, 0), build_H0(vs, cav), atol=1e-14)
 
 
-def test_shifted_block_option_close_to_exact():
+def test_infinite_N_coefficient_close_to_exact():
+    # the N >> 1 approximation H1k = H0 + omega_g[k] I: lim N c_corr over N
     vs = single_mode(s=1.0, n_max=1)
     grid = TimeGrid(t_max=400.0, n_steps=128)
     psi0 = np.zeros(vs.m + 1, dtype=complex)
     psi0[0] = 1.0
     N = 1000
     cav = CavityParams(omega_c=0.11, g_sqrt_n=0.01, n_molecules=N)
-    exact = survival_correction(vs, cav, psi0, grid, shifted=False)
-    approx = survival_correction(vs, cav, psi0, grid, shifted=True)
-    diff = np.max(np.abs(exact.c_corr_t - approx.c_corr_t))
+    exact = survival_correction(vs, cav, psi0, grid)
+    limit = survival_correction(vs, replace(cav, n_molecules=INF), psi0, grid)
+    diff = np.max(np.abs(exact.c_corr_t - limit.scaled_corr_t / N))
     scale = np.max(np.abs(exact.c_corr_t))
     assert diff / scale < 10.0 / N
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.002])
+def test_scaled_correction_converges_to_infinite_N_limit(kappa):
+    # N c_corr(N) = a_inf + O(1/N): its distance to the N = inf coefficient
+    # shrinks tenfold per decade of N, with and without cavity loss
+    vs = single_mode(s=1.0, n_max=3)
+    grid = TimeGrid(t_max=400.0, n_steps=256)
+    psi0 = np.zeros(vs.m + 1, dtype=complex)
+    psi0[0] = 1.0
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.01, n_molecules=INF, kappa=kappa)
+    a_inf = survival_correction(vs, cav, psi0, grid).scaled_corr_t
+
+    def deviation(N):
+        a = survival_correction(vs, replace(cav, n_molecules=N), psi0, grid).scaled_corr_t
+        return np.max(np.abs(a - a_inf)) / np.max(np.abs(a_inf))
+
+    dev = [deviation(N) for N in (10**2, 10**3, 10**4)]
+    assert dev[0] / dev[1] == pytest.approx(10.0, rel=0.1)
+    assert dev[1] / dev[2] == pytest.approx(10.0, rel=0.1)
 
 
 def test_residual_bound_holds_across_N():
