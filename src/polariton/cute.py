@@ -21,8 +21,10 @@ This module builds
   * the first-manifold truncation at any q_max as a TruncatedGenerator
     (truncated_generator): the same Hamiltonian in the same state order,
     applied from its coefficients with numpy alone.  This is what the CLI
-    steps for every finite-N method of order q >= 1; the bosonized
-    assembler is its reference, and the one route to n_exc >= 2.
+    steps for every finite-N method of order q >= 1, and its q = 1 case,
+    couplings set by with_hops, is the core of the 1/N layer's Van Loan
+    generator; the bosonized assembler is its reference, and the one route
+    to n_exc >= 2.
 
 Both assemblers return (basis, H): the SymBasis, whose offsets bound the
 quasi blocks (block q spans offsets[q]:offsets[q + 1]) and whose
@@ -233,9 +235,13 @@ class TruncatedGenerator:
     The steppers use shape, diagonal(), photon_numbers, offsets (block q
     spans offsets[q]:offsets[q + 1]), v -> A @ v, toarray() for the dense
     path, scaled(c, shift) for the Krylov path's pre-scaled operator, abs()
-    for its row-sum bound and data, every stored coefficient, for the
-    finite-entry check.
+    for its row-sum bound, data, every stored coefficient, for the
+    finite-entry check and symmetric for autocorrelation.  with_hops(amp)
+    sets every single-molecule coupling to amp: the one-way couplings of
+    the 1/N layer's Van Loan generator.
     """
+
+    symmetric = True  # every coupling is applied both ways
 
     def __init__(self, diag, r, x, G, up, amp, top, offsets):
         self._diag, self._r, self._x, self._G = diag, r, x, G  # the coefficients
@@ -285,6 +291,13 @@ class TruncatedGenerator:
 
     def __abs__(self):
         return self._like(abs(self._diag), abs(self._x), abs(self._G))
+
+    def with_hops(self, amp):
+        """The same operator with every coupling g sqrt(n_k) fc[i, k] set to amp fc[i, k]."""
+        hops = np.full_like(self._amp, amp)
+        return TruncatedGenerator(
+            self._diag, self._r, self._x, self._G, self._up, hops, self._top, self.offsets
+        )
 
     def diagonal(self):
         return self._flat(self._diag).copy()

@@ -4,23 +4,24 @@ Cavity leakage enters as the non-Hermitian term -i (kappa/2) n_ph added to
 the Hamiltonian, which in the first excitation manifold reproduces the
 quantum-jump survival amplitudes.  The steppers take a dense array, a
 sparse matrix (one with a toarray method, such as the H that
-cute.assemble_truncated returns) or a cute.TruncatedGenerator, the CUT-E
-truncation the CLI steps, and, from their shared input check _checked, the
-vector leak = (kappa/2) n_ph; each path subtracts i leak once, where it
-builds its own operator.  Up to DENSE_DIM_LIMIT, _baby_steps forms the
-dense H_eff once, steps the first w = ceil(sqrt(n_t)) states by
-exp(-i H_eff dt) and forms exp(-i H_eff w dt): propagate then advances w
-states per matrix product, and autocorrelation, the survival amplitude of
-a spectrum, splits
+cute.assemble_truncated returns) or a generator, an operator applied from
+its coefficients that also has a scaled method: the cute.TruncatedGenerator
+the CLI steps, or the Van Loan generator of the 1/N correction
+(perturbation.VanLoanGenerator).  From their shared input check _checked
+they take the vector leak = (kappa/2) n_ph; each path subtracts i leak
+once, where it builds its own operator.  Up to DENSE_DIM_LIMIT,
+_baby_steps forms the dense H_eff once, steps the first w = ceil(sqrt(n_t))
+states by exp(-i H_eff dt) and forms exp(-i H_eff w dt): propagate then
+advances w states per matrix product, and autocorrelation, the survival
+amplitude of a spectrum, splits
 c(a + b) = psi_a^T psi_b (H_eff complex symmetric, psi0 real), so about
 2 sqrt(n_t) states are stepped.
-Above the limit, and in transition_amplitudes (the 1/N correction's
-stepper), Arnoldi bases of KRYLOV_DIM vectors step one pre-scaled
+Above the limit Arnoldi bases of KRYLOV_DIM vectors step one pre-scaled
 operator, a window of grid steps each, chosen once from Saad's error
-bound: a scaled copy of a TruncatedGenerator, else one complex CSR matrix.
+bound: a scaled copy of a generator, else one complex CSR matrix.
 Every matrix exponential is _expm, one degree-18 Taylor series scaled and
 squared; scipy.sparse is imported only to step a matrix that is not a
-TruncatedGenerator on the Krylov path, and no state is stored.  spectrum
+generator on the Krylov path, and no state is stored.  spectrum
 evaluates the discrete transform on any uniform frequency grid through one
 Bluestein chirp-z transform done in place on a 5-smooth length.  A
 TimeGrid, and the Krylov substep grid, hold at most GRID_SIZE_CAP samples.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cute import CavityParams, TruncatedGenerator, build_H0
+from .cute import CavityParams, build_H0
 from .errors import DimensionGuardError
 from .vibronic import VibronicStructure, ho_wavefunctions
 
@@ -93,8 +94,8 @@ class Trajectory:
 
     c_t is the survival amplitude <psi0|psi(t)>; norm_t the state norm,
     constant without leakage and non-increasing with it (None from
-    autocorrelation); bra_t is
-    <bra|psi(t)> when a second bra was given (transition_amplitudes).
+    autocorrelation); bra_t is the transition amplitude <bra|psi(t)> when
+    propagate was given a bra.
     """
 
     grid: TimeGrid
@@ -108,7 +109,7 @@ def _checked(H, psi0, kappa, n_ph):
     """(psi0, leak) after the input checks shared by every stepping entry point.
 
     leak = (kappa/2) n_ph, or 0.0 without leakage.  A sparse H, or a
-    TruncatedGenerator, has a toarray method and holds its stored entries as data.
+    generator, has a toarray method and holds its stored entries as data.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
@@ -140,9 +141,12 @@ def propagate(
     grid: TimeGrid,
     kappa: float = 0.0,
     n_ph=None,
+    bra=None,
 ) -> Trajectory:
     """Evolve psi0 under H (plus optional photon leakage) over the grid.
 
+    psi(t) = exp(-i H_eff t) psi0 with H_eff = H - i (kappa/2) diag(n_ph);
+    traj.c_t is <psi0|psi(t)> and, given a bra, traj.bra_t is <bra|psi(t)>.
     Up to DENSE_DIM_LIMIT the two step operators of _baby_steps advance
     w = ceil(sqrt(n_t)) states per matrix-matrix product; above it Arnoldi
     windows step one pre-scaled operator (_propagate_krylov).  Neither path
@@ -150,14 +154,15 @@ def propagate(
     traj.params['method'] records 'dense' (with w as 'block_steps') or
     'krylov' (with the basis size 'krylov_dim', the grid steps per basis
     'block_steps' and the bases per grid step 'substeps').  Non-finite
-    psi0, kappa, H or n_ph raise ValueError before any step.
+    psi0, kappa, H or n_ph raise ValueError before any step, and
+    non-finite amplitudes in either row RuntimeError.
     """
     psi0, leak = _checked(H, psi0, kappa, n_ph)
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
-        return _finished(_propagate_krylov(H, leak, psi0, grid), kappa, "krylov", dim)
+        return _finished(_propagate_krylov(H, leak, psi0, grid, bra), kappa, "krylov", dim)
     F, U = _baby_steps(H, leak, psi0, grid)
-    traj = _step(_blocks(U, F, grid.n_steps + 1), psi0, grid)
+    traj = _step(_blocks(U, F, grid.n_steps + 1), psi0, grid, bra)
     traj.params["block_steps"] = F.shape[1]
     return _finished(traj, kappa, "dense", dim)
 
@@ -166,12 +171,13 @@ def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> T
     """The survival amplitude c(t) = psi0^T exp(-i H_eff t) psi0 alone, no norms.
 
     H_eff = H - i (kappa/2) diag(n_ph) must equal its transpose (H = H^T,
-    the leak being diagonal) and psi0 be real, else ValueError (besides
-    propagate's checks).  Then with psi_n = exp(-i H_eff n dt) psi0 exactly
-    c((a + b) dt) = psi_a^T psi_b, defective generators included.  Up to
-    DENSE_DIM_LIMIT, with w = ceil(sqrt(n_t)), _baby_steps gives the baby
-    states F = [psi_0 .. psi_{w-1}] and exp(-i H_eff w dt) steps the giant
-    states G = [psi_0, psi_w, ..]; c(t_{jw+i}) = (G^T F)[j, i], so about
+    the leak being diagonal; a generator says so as H.symmetric) and psi0
+    be real, else ValueError (besides propagate's checks).  Then with
+    psi_n = exp(-i H_eff n dt) psi0 exactly c((a + b) dt) = psi_a^T psi_b,
+    defective generators included.  Up to DENSE_DIM_LIMIT, with
+    w = ceil(sqrt(n_t)), _baby_steps gives the baby states
+    F = [psi_0 .. psi_{w-1}] and exp(-i H_eff w dt) steps the giant states
+    G = [psi_0, psi_w, ..]; c(t_{jw+i}) = (G^T F)[j, i], so about
     2 sqrt(n_t) matrix-vector products give all n_t samples.  traj.params
     records method 'split' and w as 'block_steps'.  Above the limit the
     amplitude is propagate's Krylov one.  traj.norm_t is None.
@@ -179,8 +185,8 @@ def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> T
     psi0, leak = _checked(H, psi0, kappa, n_ph)
     if np.any(psi0.imag):
         raise ValueError("autocorrelation needs a real psi0")
-    # the leak is diagonal; a TruncatedGenerator applies each coupling both ways
-    if not isinstance(H, TruncatedGenerator) and abs(H - H.T).max() != 0:
+    # the leak is diagonal
+    if not (H.symmetric if hasattr(H, "scaled") else abs(H - H.T).max() == 0):
         raise ValueError("autocorrelation needs a complex-symmetric H_eff = H_eff^T")
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
@@ -197,21 +203,6 @@ def autocorrelation(H, psi0, grid: TimeGrid, kappa: float = 0.0, n_ph=None) -> T
     c_t = (G.T @ F).ravel()[:nt]
     traj = Trajectory(grid=grid, c_t=c_t, norm_t=None, params={"block_steps": w})
     return _finished(traj, kappa, "split", dim)
-
-
-def transition_amplitudes(
-    H, psi0, bra, grid: TimeGrid, kappa: float = 0.0, n_ph=None
-) -> Trajectory:
-    """<psi0|psi(t)> as traj.c_t and <bra|psi(t)> as traj.bra_t on the grid.
-
-    psi(t) = exp(-i H_eff t) psi0 with H_eff = H - i (kappa/2) diag(n_ph),
-    stepped by the Arnoldi windows of _propagate_krylov at any dimension;
-    no state is stored.  Inputs are checked as in propagate (ValueError),
-    and non-finite amplitudes in either row raise RuntimeError.
-    """
-    psi0, leak = _checked(H, psi0, kappa, n_ph)
-    traj = _propagate_krylov(H, leak, psi0, grid, bra=bra)
-    return _finished(traj, kappa, "krylov", psi0.size)
 
 
 def _baby_steps(H, leak, psi0, grid):
@@ -307,17 +298,19 @@ def _propagate_krylov(H, leak, psi0, grid, bra=None) -> Trajectory:
 def _krylov_operator(H, leak, dt):
     """(A, mu, rho): A = -i dt (H_eff - mu I), its trace shift mu and norm bound rho.
 
-    rho = max(||A||_1, ||A||_inf).  A TruncatedGenerator is scaled in its
-    own layout, where |A| = |A|^T makes rho the largest row sum of |A|; any
-    other H becomes one complex CSR matrix, whose |A| serves both norms.
-    Either A is the only copy of H the path makes and costs one application
-    per product.
+    rho = max(||A||_1, ||A||_inf).  A generator (an H with a scaled
+    method) is scaled in its own layout, whose abs(A) @ 1 has rho as its
+    largest entry: |A| = |A|^T for a TruncatedGenerator, and the Van Loan
+    generator's largest row and column sums of |A| are equal.  Any other H
+    becomes one complex CSR matrix, whose |A| serves both norms.  Either A
+    is the only copy of H the path makes and costs one application per
+    product.
     """
     diag = H.diagonal()
     dim = diag.size
     mu = (diag - 1j * leak).sum() / dim
     shift = np.broadcast_to(1j * leak + mu, dim)
-    if isinstance(H, TruncatedGenerator):
+    if hasattr(H, "scaled"):
         A = H.scaled(-1j * dt, shift)
         return A, mu, (abs(A) @ np.ones(dim)).max()
     import scipy.sparse as sp

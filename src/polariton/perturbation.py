@@ -17,9 +17,10 @@ Each v0k carries one factor of g = g_sqrt_n/sqrt(N), so c_corr is O(1/N) and
 N * c_corr has an N-independent limit.  The double integral is one
 off-diagonal block of the exponential of a block upper-triangular generator
 (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), so survival_correction
-is a single propagation by Arnoldi bases of the sparse generator, each
-covering a window of grid steps chosen once per propagation, with no
-quadrature, no eigendecomposition and no stored states.
+is a single propagation of that generator by dynamics.propagate, with no
+quadrature, no eigendecomposition and no stored states.  The generator,
+VanLoanGenerator, is applied from the coefficients of the q = 1
+cute.TruncatedGenerator with numpy alone.
 Cavity leakage enters every block as -i (kappa/2) n_ph.
 """
 
@@ -30,12 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cute import CavityParams, build_A1, build_H0
-from .dynamics import TimeGrid, transition_amplitudes
+from .cute import CavityParams, build_A1, build_H0, truncated_generator
+from .dynamics import TimeGrid, propagate
 from .vibronic import VibronicStructure
 
 # eigenstates with less photonic weight than this count as dark
 DARK_PHOTON_WEIGHT = 1e-3
+# the Van Loan couplings carry this power of 2, the correction its square
+COUPLING_SCALE = 2.0**-5
 
 
 @dataclass
@@ -56,6 +59,74 @@ class ExpansionResult:
         return self.c1_t + self.c_corr_t
 
 
+class VanLoanGenerator:
+    """M = [[H0, V, 0], [0, H1, V^T], [0, 0, H0]], or c (M - diag(shift)).
+
+    A state is x = [x_top; x_mid; x_bot], x_top and x_bot over block 0.
+    C is a TruncatedGenerator whose block 0 is H0, block 1 is H1 and whose
+    couplings are V, so Y = C @ [x_bot; x_mid] = [H0 x_bot + V x_mid;
+    V^T x_bot + H1 x_mid] and M x = [Y_0 + H0 (x_top - x_bot); Y_1; H0 x_bot]:
+    one k-major product and one (m + 1) x 2 dense one.  It offers what the
+    steppers use, as TruncatedGenerator does: shape, diagonal(), data, @,
+    toarray(), scaled(c, shift), whose two copies of H0 take one shift, and
+    abs(); the largest row and column sums of |M| are then equal.  M is
+    not symmetric, so autocorrelation refuses it.
+    """
+
+    symmetric = False  # V acts one way above the diagonal
+
+    def __init__(self, C, H0):
+        self._C, self._H0 = C, H0
+        self.shape = (C.shape[0] + len(H0),) * 2
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        n = len(self._H0)
+        bot = x[-n:]
+        Y = self._C @ np.concatenate([bot, x[n:-n]])
+        Z = self._H0 @ np.stack([x[:n] - bot, bot], axis=1)
+        Y[:n] += Z[:, 0]
+        return np.concatenate([Y, Z[:, 1]])
+
+    def scaled(self, c, shift):
+        """c (M - diag(shift)) in the same layout; shift must agree on both copies of H0."""
+        shift = np.broadcast_to(shift, self.shape[0])
+        n = len(self._H0)
+        if not np.array_equal(shift[:n], shift[-n:]):
+            raise ValueError("both copies of H0 need the same shift")
+        C = self._C.scaled(c, np.concatenate([shift[-n:], shift[n:-n]]))
+        return VanLoanGenerator(C, c * (self._H0 - np.diag(shift[-n:])))
+
+    def __abs__(self):
+        return VanLoanGenerator(abs(self._C), abs(self._H0))
+
+    def diagonal(self):
+        return np.concatenate([self._C.diagonal(), self._H0.diagonal()])
+
+    @property
+    def photon_numbers(self):
+        n_ph = self._C.photon_numbers
+        return np.concatenate([n_ph, n_ph[: len(self._H0)]])
+
+    @property
+    def data(self):
+        return np.concatenate([self._C.data, self._H0.ravel()])
+
+    def toarray(self):
+        return np.column_stack([self @ e for e in np.eye(self.shape[0])])
+
+
+def van_loan_generator(vs: VibronicStructure, cav: CavityParams) -> VanLoanGenerator:
+    """survival_correction's generator, with V = COUPLING_SCALE sqrt(N) [v02 ... v0m].
+
+    C is truncated_generator(vs, cav, 1) with each coupling set, not
+    scaled, to COUPLING_SCALE g_sqrt_n fc[i, k]: sqrt(N) g = g_sqrt_n at
+    every N, also at N = infinity, where g = 0.
+    """
+    C = truncated_generator(vs, cav, 1).with_hops(COUPLING_SCALE * cav.g_sqrt_n)
+    return VanLoanGenerator(C, build_H0(vs, cav))
+
+
 def survival_correction(
     vs: VibronicStructure,
     cav: CavityParams,
@@ -65,49 +136,41 @@ def survival_correction(
     """Reference amplitude c1 and leading 1/N correction for psi0 in block 0.
 
     psi0 is a normalized state over {|1>, |e_1>..|e_m>}.  One propagation,
-    by the Arnoldi windows of dynamics.transition_amplitudes (which also
-    checks the norm of psi0), of the block upper-triangular generator
+    by dynamics.propagate (which also checks the norm of psi0), of the
+    block upper-triangular generator of van_loan_generator
 
-        M = [[H0, s V, 0], [0, H1, s V^T], [0, 0, H0]],   s = sqrt(N),
+        M = [[H0, alpha s V, 0], [0, H1, alpha s V^T], [0, 0, H0]],
 
-    with H1 = diag(H1k) = I (x) A1 + diag(omega_g[2..m]) (x) I and
-    V = [v02 ... v0m], from [0; 0; psi0] gives
-    exp(-i H0 t) psi0 in the last block and, in the first, N times the
-    correction operator applied to psi0 (Van Loan).  Only the projections
-    c1 = <[0; 0; psi0]|x(t)> and N c_corr = <[psi0; 0; 0]|x(t)> are recorded
-    as the steps go; no state is stored.  s V = g_sqrt_n fc does
-    not depend on N, so neither does the precision of N * c_corr.  At
-    N = infinity A1 = H0, so H1k = H0 + omega_g[k] I and scaled_corr_t is
-    lim N * c_corr; that limit divided by a finite N is the N >> 1
-    approximation of c_corr.  With kappa > 0 the photon
-    state of every block leaks, so c1 = <psi0| exp(-i H0_eff t) |psi0>.
-    M is defective (H0 appears twice) and its eigenvectors are
-    ill-conditioned at weak coupling, so it is stepped, never diagonalised.
+    with s = sqrt(N), H1 = diag(H1k) = I (x) A1 + diag(omega_g[2..m]) (x) I,
+    V = [v02 ... v0m] and alpha = COUPLING_SCALE, from [0; 0; psi0] gives
+    exp(-i H0 t) psi0 in the last block and, in the first, alpha^2 N times
+    the correction operator applied to psi0 (Van Loan).  Only the
+    projections c1 = <[0; 0; psi0]|x(t)> and
+    N c_corr = <[psi0 / alpha^2; 0; 0]|x(t)> are recorded as the steps go;
+    no state is stored.  s V = g_sqrt_n fc does not depend on N, so
+    neither does the precision of N * c_corr.  alpha is a power of 2, so it
+    moves N c_corr only by rounding, and it shrinks the Krylov path's
+    row-sum bound, so its windows grow.  At N = infinity A1 = H0, so
+    H1k = H0 + omega_g[k] I and scaled_corr_t is lim N * c_corr; that limit
+    divided by a finite N is the N >> 1 approximation of c_corr.  With
+    kappa > 0 the photon state of every block leaks, so
+    c1 = <psi0| exp(-i H0_eff t) |psi0>.  M is defective (H0 appears twice)
+    and its eigenvectors are ill-conditioned at weak coupling, so it is
+    stepped, never diagonalised.  Only numpy is used.
     """
-    import scipy.sparse as sp
     psi0 = np.asarray(psi0, dtype=complex)
     m = vs.m
     if psi0.shape != (m + 1,):
         raise ValueError(f"psi0 must live in the zeroth block, shape ({m + 1},)")
 
-    H0 = build_H0(vs, cav)
-    A1 = build_A1(vs, cav)
-    # sqrt(N) v0k: the photon column of sub-block k holds g_sqrt_n fc[:, k-1]
-    V = np.zeros((m + 1, (m - 1) * (m + 1)))
-    V[1:, :: m + 1] = cav.g_sqrt_n * vs.fc[:, 1:]
-    H1 = None  # m = 1 has no sub-blocks
-    if m > 1:
-        eye = sp.identity(m + 1)
-        H1 = sp.kron(sp.identity(m - 1), A1) + sp.kron(sp.diags(vs.omega_g[1:]), eye)
-    M = sp.bmat([[H0, V, None], [None, H1, V.T], [None, None, H0]])
-    n_ph = np.zeros(M.shape[0])
-    n_ph[:: m + 1] = 1.0  # every block starts with its photon state
+    M = van_loan_generator(vs, cav)
     x0 = np.zeros(M.shape[0], dtype=complex)
     x0[-(m + 1) :] = psi0
     top = np.zeros(M.shape[0], dtype=complex)
-    top[: m + 1] = psi0
+    with np.errstate(invalid="ignore"):  # propagate refuses a non-finite psi0
+        top[: m + 1] = psi0 / COUPLING_SCALE**2  # exact: a power of 2
 
-    traj = transition_amplitudes(M, x0, top, grid, cav.kappa, n_ph)
+    traj = propagate(M, x0, grid, cav.kappa, M.photon_numbers, bra=top)
     return ExpansionResult(grid, traj.c_t, traj.bra_t, cav.n_molecules)
 
 

@@ -7,7 +7,8 @@ conserved_check lists the matrix elements that break a conservation law of
 the symmetric basis, and permutation_operator swaps the molecule registers
 of the oracle's tensor basis.  block reads one dense sub-block of an
 assembled (basis, H), and photon_survival propagates the bare photon state under
-the zeroth block.
+the zeroth block.  van_loan_matrix assembles the 1/N correction's Van Loan
+generator block by block, the reference for perturbation.VanLoanGenerator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from polariton.cute import CavityParams, build_H0
+from polariton.cute import CavityParams, build_A1, build_H0
 from polariton.dynamics import TimeGrid, Trajectory, propagate
 from polariton.fockspace import SymBasis, SymState
 from polariton.oracle import TensorBasis
@@ -142,3 +143,21 @@ def photon_survival(vs: VibronicStructure, cav: CavityParams, grid: TimeGrid) ->
     e0 = np.zeros(H0.shape[0])
     e0[0] = 1.0  # the photon state, also the photon-number diagonal
     return propagate(H0, e0, grid, kappa=cav.kappa, n_ph=e0)
+
+
+def van_loan_matrix(vs: VibronicStructure, cav: CavityParams, scale: float) -> sp.csr_matrix:
+    """[[H0, V, 0], [0, H1, V^T], [0, 0, H0]] as one real CSR matrix.
+
+    H1 = I (x) A1 + diag(omega_g[2..m]) (x) I holds the sub-blocks H1k, and
+    V = scale sqrt(N) [v02 ... v0m]: the photon column of sub-block k holds
+    scale g_sqrt_n fc[:, k - 1].
+    """
+    m = vs.m
+    H0 = build_H0(vs, cav)
+    V = np.zeros((m + 1, (m - 1) * (m + 1)))
+    V[1:, :: m + 1] = scale * cav.g_sqrt_n * vs.fc[:, 1:]
+    H1 = None  # m = 1 has no sub-blocks
+    if m > 1:
+        eye = sp.identity(m + 1)
+        H1 = sp.kron(sp.identity(m - 1), build_A1(vs, cav)) + sp.kron(sp.diags(vs.omega_g[1:]), eye)
+    return sp.bmat([[H0, V, None], [None, H1, V.T], [None, None, H0]], format="csr")

@@ -395,51 +395,56 @@ def test_non_finite_input_rejected_before_stepping(monkeypatch, case):
         propagate(H, psi0, TimeGrid(t_max=1.0, n_steps=2), **kwargs)
 
 
-def test_transition_amplitudes_apply_leakage():
+def test_transition_amplitudes_apply_leakage(monkeypatch):
+    # propagate's bra row, on the dense path and, forced, on the Krylov path
     rng = np.random.default_rng(3)
     H = rng.normal(size=(6, 6))
     H = sp.csr_matrix(H + H.T)
     psi0, bra = np.eye(6)[0], np.eye(6)[2]
     n_ph = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     grid = TimeGrid(t_max=10.0, n_steps=40)
-    traj = dynamics.transition_amplitudes(H, psi0, bra, grid, kappa=0.3, n_ph=n_ph)
     ref, states = with_states(propagate, H, psi0, grid, kappa=0.3, n_ph=n_ph)
-    np.testing.assert_allclose(traj.c_t, ref.c_t, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(traj.bra_t, states @ bra, rtol=0, atol=1e-12)
-    assert (traj.params["kappa"], traj.params["method"], traj.params["dim"]) == (0.3, "krylov", 6)
-    with pytest.raises(ValueError, match="n_ph"):
-        dynamics.transition_amplitudes(H, psi0, bra, grid, kappa=0.3)
+    for limit, method in ((dynamics.DENSE_DIM_LIMIT, "dense"), (5, "krylov")):
+        monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", limit)
+        traj = propagate(H, psi0, grid, kappa=0.3, n_ph=n_ph, bra=bra)
+        np.testing.assert_allclose(traj.c_t, ref.c_t, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.bra_t, states @ bra, rtol=0, atol=1e-12)
+        assert (traj.params["kappa"], traj.params["method"], traj.params["dim"]) == (0.3, method, 6)
+        with pytest.raises(ValueError, match="n_ph"):
+            propagate(H, psi0, grid, kappa=0.3, bra=bra)
 
 
-def test_transition_amplitudes_input_and_output_checks():
+def test_transition_amplitudes_input_and_output_checks(monkeypatch):
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)  # the Krylov path
     grid = TimeGrid(t_max=10.0, n_steps=10)
     H = np.diag([0.1, 0.2])
     with pytest.raises(ValueError, match="normalized"):
-        dynamics.transition_amplitudes(H, np.array([2.0, 0.0]), np.array([1.0, 0.0]), grid)
+        propagate(H, np.array([2.0, 0.0]), grid, bra=np.array([1.0, 0.0]))
     e1, e0 = np.array([0.0, 1.0]), np.eye(40)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         # a gain of 1000 per unit time overflows exp(1000 t) long before t = 10
         with pytest.raises(RuntimeError, match="non-finite amplitudes"):
-            dynamics.transition_amplitudes(np.diag([0.1, 1000j]), e1, e1, grid)
+            propagate(np.diag([0.1, 1000j]), e1, grid, bra=e1)
         # finite entries whose norm overflows, on a basis smaller than the space
         huge = sp.diags(np.r_[1e308, -1e308, np.zeros(38)])
         with pytest.raises(ValueError, match="overflows"):
-            dynamics.transition_amplitudes(huge, e0, e0, TimeGrid(t_max=20.0, n_steps=2))
+            propagate(huge, e0, TimeGrid(t_max=20.0, n_steps=2), bra=e0)
         # and a TruncatedGenerator, whose bound is the largest row sum of its |A|
         mode = VibrationalMode(0.01, 1.0, 3)
         vs = build_vibronic(MolecularModel(electronic_gap=0.1, modes=(mode,)))
         gen = truncated_generator(vs, CavityParams(omega_c=0.1, g_sqrt_n=1e308, n_molecules=8), 1)
         photon = np.eye(1, gen.shape[0]).ravel()
         with pytest.raises(ValueError, match="overflows"):
-            dynamics.transition_amplitudes(gen, photon, photon, TimeGrid(t_max=20.0, n_steps=2))
+            propagate(gen, photon, TimeGrid(t_max=20.0, n_steps=2), bra=photon)
 
 
 def test_krylov_substeps_are_capped_like_a_time_grid(monkeypatch):
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)  # the Krylov path
     e0 = np.eye(40)[0]
     grid = TimeGrid(t_max=1.0, n_steps=1000)
     # rho = 1e3 per step: 321 substeps of the reach 3.12, 321000 in all
     stiff = sp.diags(np.r_[1e6, -1e6, np.zeros(38)])
-    traj = dynamics.transition_amplitudes(stiff, e0, e0, grid)
+    traj = propagate(stiff, e0, grid, bra=e0)
     assert (traj.params["block_steps"], traj.params["substeps"]) == (1, 321)
 
     def no_basis(*args):
@@ -448,7 +453,7 @@ def test_krylov_substeps_are_capped_like_a_time_grid(monkeypatch):
     monkeypatch.setattr(dynamics, "_arnoldi", no_basis)
     huge = sp.diags(np.r_[1e300, -1e300, np.zeros(38)])
     with pytest.raises(DimensionGuardError, match="substep samples"):
-        dynamics.transition_amplitudes(huge, e0, e0, grid)
+        propagate(huge, e0, grid, bra=e0)
 
 
 def test_krylov_propagate_holds_one_complex_copy_of_H():
@@ -474,12 +479,13 @@ def test_krylov_propagate_holds_one_complex_copy_of_H():
     assert peak < basis + 2 * complex_csr, (peak, basis, complex_csr)
 
 
-def test_transition_amplitudes_reject_non_finite_generator():
+def test_transition_amplitudes_reject_non_finite_generator(monkeypatch):
     # NaN > 0 is False: without the check a NaN norm would pick the identity step
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)  # the Krylov path
     H = sp.csr_matrix(np.array([[0.1, np.nan], [np.nan, 0.2]]))
     psi0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="finite"):
-        dynamics.transition_amplitudes(H, psi0, psi0, TimeGrid(t_max=1.0, n_steps=2))
+        propagate(H, psi0, TimeGrid(t_max=1.0, n_steps=2), bra=psi0)
 
 
 def _leaky_symmetric(dim, kappa, seed):

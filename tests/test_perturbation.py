@@ -6,16 +6,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from polariton.cute import CavityParams, assemble_truncated, build_H0, build_H1k, build_v0k
-from polariton.dynamics import TimeGrid, photonic_weights, propagate
-from polariton.perturbation import radiative_pumping_rate, survival_correction
+from polariton.cute import (
+    CavityParams,
+    assemble_truncated,
+    build_H0,
+    build_H1k,
+    build_v0k,
+    truncated_generator,
+)
+from polariton.dynamics import TimeGrid, autocorrelation, photonic_weights, propagate
+from polariton.perturbation import (
+    COUPLING_SCALE,
+    radiative_pumping_rate,
+    survival_correction,
+    van_loan_generator,
+)
 from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
 
-from reference_ops import block, photon_survival
+from reference_ops import block, photon_survival, van_loan_matrix
 
 INF = float("inf")
 
@@ -337,6 +350,104 @@ def test_survival_correction_input_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             survival_correction(vs, cav, np.array([bad] + [0.0] * vs.m), grid)
+
+
+# --- the Van Loan generator --------------------------------------------
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.002])
+@pytest.mark.parametrize("N", [2, 1000, INF])
+@pytest.mark.parametrize("n_max", [None, 1, 11])  # m = 1 (no mode), 2 and 12
+def test_van_loan_generator_matches_reference_matrix(n_max, N, kappa):
+    modes = () if n_max is None else (VibrationalMode(0.01, 1.0, n_max),)
+    vs = build_vibronic(MolecularModel(electronic_gap=0.1, modes=modes))
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=N, kappa=kappa)
+    M = van_loan_generator(vs, cav)
+    ref = van_loan_matrix(vs, cav, COUPLING_SCALE)
+    dim = (vs.m + 1) ** 2
+    assert M.shape == ref.shape == (dim, dim)
+    n_ph = np.zeros(dim)
+    n_ph[:: vs.m + 1] = 1.0  # every block starts with its photon state
+    np.testing.assert_array_equal(M.photon_numbers, n_ph)
+    np.testing.assert_array_equal(M.diagonal(), ref.diagonal())
+    np.testing.assert_allclose(M.toarray(), ref.toarray(), rtol=0, atol=1e-15)
+    rng = np.random.default_rng(vs.m)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    np.testing.assert_allclose(M @ v, ref @ v, rtol=0, atol=1e-15)
+
+    # the Krylov path's pre-scaled operator and its row-sum bound
+    leak = 0.5 * kappa * n_ph
+    mu = (M.diagonal() - 1j * leak).sum() / dim
+    shift = 1j * leak + mu
+    A = M.scaled(-1j * 0.7, shift)
+    A_ref = -1j * 0.7 * (ref.toarray() - np.diag(shift))
+    np.testing.assert_allclose(A.toarray(), A_ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(A @ v, A_ref @ v, rtol=0, atol=1e-15)
+    rows = abs(A) @ np.ones(dim)
+    np.testing.assert_allclose(rows, np.abs(A_ref).sum(axis=1), rtol=1e-15, atol=0)
+    # its largest entry is both norms of A
+    assert rows.max() == pytest.approx(np.abs(A_ref).sum(axis=0).max(), rel=1e-15, abs=0)
+    with pytest.raises(ValueError, match="same shift"):
+        M.scaled(1.0, np.r_[1.0, np.zeros(dim - 1)])
+
+
+@pytest.mark.parametrize("n_max, method", [(11, "dense"), (21, "krylov")])
+def test_van_loan_propagation_matches_reference_matrix(n_max, method):
+    # dim 169 and 529, the two sides of DENSE_DIM_LIMIT, against single
+    # steps of the dense exponential of the reference matrix
+    vs = single_mode(s=1.0, n_max=n_max)
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=1000, kappa=0.002)
+    M = van_loan_generator(vs, cav)
+    n_ph = M.photon_numbers
+    grid = TimeGrid(t_max=400.0, n_steps=64)
+    rng = np.random.default_rng(n_max)
+    psi0, bra = rng.normal(size=(2, M.shape[0])) + 1j * rng.normal(size=(2, M.shape[0]))
+    psi0 /= np.linalg.norm(psi0)
+    bra /= np.linalg.norm(bra)
+    traj = propagate(M, psi0, grid, cav.kappa, n_ph, bra=bra)
+    assert traj.params["method"] == method
+
+    H_eff = van_loan_matrix(vs, cav, COUPLING_SCALE).toarray() - 0.5j * cav.kappa * np.diag(n_ph)
+    U = sla.expm(-1j * grid.dt * H_eff)
+    ref = np.empty((grid.n_steps + 1, M.shape[0]), dtype=complex)
+    ref[0] = psi0
+    for n in range(1, grid.n_steps + 1):
+        ref[n] = U @ ref[n - 1]
+    np.testing.assert_allclose(traj.c_t, ref @ psi0.conj(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.bra_t, ref @ bra.conj(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.norm_t, np.linalg.norm(ref, axis=1), rtol=0, atol=1e-12)
+
+
+def test_autocorrelation_refuses_the_van_loan_generator():
+    vs = single_mode(s=1.0, n_max=2)
+    M = van_loan_generator(vs, CavityParams(omega_c=0.11, g_sqrt_n=0.02, n_molecules=10))
+    photon = np.eye(1, M.shape[0]).ravel()
+    with pytest.raises(ValueError, match="symmetric"):
+        autocorrelation(M, photon, TimeGrid(t_max=10.0, n_steps=4))
+
+
+def test_two_routes_to_the_one_over_N_coefficient_agree_at_m42():
+    # the fig5 molecule with its slow mode cut at n_max = 13 (m = 42): cute1
+    # through truncated_generator gives N (c_cute1(N) - c1) = a_inf + O(1/N),
+    # a_inf from the N = inf Van Loan propagation (dim 1849, Krylov path)
+    modes = (VibrationalMode(0.01, 0.01, 2), VibrationalMode(0.001, 16.0, 13))
+    vs = build_vibronic(MolecularModel(electronic_gap=0.1, modes=modes))
+    assert vs.m == 42
+    cav = CavityParams(omega_c=0.1161, g_sqrt_n=0.03, n_molecules=INF, kappa=0.0015)
+    grid = TimeGrid(t_max=2000.0, n_steps=512)
+    photon = np.eye(1, vs.m + 1).ravel()
+    limit = survival_correction(vs, cav, photon, grid)
+    a_inf = limit.scaled_corr_t
+
+    def residual(N):
+        gen = truncated_generator(vs, replace(cav, n_molecules=N), 1)
+        psi0 = np.eye(1, gen.shape[0]).ravel()
+        c = propagate(gen, psi0, grid, cav.kappa, gen.photon_numbers).c_t
+        return np.max(np.abs(N * (c - limit.c1_t) - a_inf)) / np.max(np.abs(a_inf))
+
+    res = [residual(N) for N in (1000, 4000, 16000)]
+    assert res[0] / res[1] == pytest.approx(4.0, abs=0.4), res
+    assert res[1] / res[2] == pytest.approx(4.0, abs=0.4), res
 
 
 # --- radiative pumping -------------------------------------------------

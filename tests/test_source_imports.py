@@ -11,6 +11,8 @@ mostly because it imports scipy._lib._array_api, so no module imports scipy
 at module level, and no CLI run but validate and method = oracle loads it:
 the N = infinity runs step the dense zeroth block and the finite-N
 truncations (cute1, cuteq:<q>, exactN) the numpy-only k-major generator.
+The 1/N correction, survival_correction, steps a Van Loan generator built
+from that generator's coefficients, so it loads no scipy either.
 """
 
 import ast
@@ -248,3 +250,36 @@ def test_infinite_rate_and_densities_runs_load_no_scipy(tmp_path):
     loaded, after_oracle = json.loads(out.stdout.splitlines()[-1])
     assert loaded == []
     assert "scipy.sparse" in after_oracle  # the control: the oracle's tensor Hamiltonian loads it
+
+
+CORRECTION_MODULES = """
+import json, sys
+import numpy as np
+from polariton import dynamics
+from polariton.cute import CavityParams
+from polariton.dynamics import TimeGrid
+from polariton.perturbation import survival_correction
+from polariton.vibronic import MolecularModel, VibrationalMode, build_vibronic
+
+for n_max, krylov in ((11, False), (21, True)):
+    vs = build_vibronic(MolecularModel(0.1, (VibrationalMode(0.01, 1.0, n_max),)))
+    assert ((vs.m + 1) ** 2 > dynamics.DENSE_DIM_LIMIT) == krylov
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.01, n_molecules=1000, kappa=0.002)
+    res = survival_correction(vs, cav, np.eye(1, vs.m + 1).ravel(), TimeGrid(100.0, 64))
+    assert np.all(np.isfinite(res.scaled_corr_t)) and np.max(np.abs(res.scaled_corr_t)) > 0
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_survival_correction_loads_no_scipy():
+    # a fresh interpreter; m = 12 (dim 169) takes the dense path, m = 22
+    # (dim 529) the Krylov path
+    out = subprocess.run(
+        [sys.executable, "-c", CORRECTION_MODULES],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []
