@@ -21,10 +21,10 @@ This module builds
   * the first-manifold truncation at any q_max as a TruncatedGenerator
     (truncated_generator): the same Hamiltonian in the same state order,
     applied from its coefficients with numpy alone.  This is what the CLI
-    steps for every finite-N method of order q >= 1, and its q = 1 case,
-    couplings set by with_hops, is the core of the 1/N layer's Van Loan
-    generator; the bosonized assembler is its reference, and the one route
-    to n_exc >= 2.
+    steps for every finite-N method of order q >= 1; the bosonized
+    assembler is its reference, and the one route to n_exc >= 2.  The 1/N
+    layer's Van Loan generator is a TruncatedGenerator too, whose
+    couplings act one way.
 
 Both assemblers return (basis, H): the SymBasis, whose offsets bound the
 quasi blocks (block q spans offsets[q]:offsets[q + 1]) and whose
@@ -229,24 +229,24 @@ class TruncatedGenerator:
     arrowhead column r_q fc[:, 0] of each block (r_q = g_sqrt_n sqrt(1 - q/N)), and the couplings
     g sqrt(n_k(S)) fc[i, k] of photon(S) to e_i(S - k), one gather, one
     scatter and two products with fc[:, 1:].  Each coupling is stored once
-    and applied both ways, so H = H^T and every scaled copy is complex
-    symmetric.
+    and applied twice: e_i(S') reads photon(S' + k), and photon(S' + k)
+    reads e_i of row S' + src.  With src = 0, as truncated_generator builds
+    it, H = H^T and every scaled copy is complex symmetric; the 1/N layer's
+    Van Loan generator reads another row.
 
     The steppers use shape, diagonal(), photon_numbers, offsets (block q
     spans offsets[q]:offsets[q + 1]), v -> A @ v, toarray() for the dense
     path, scaled(c, shift) for the Krylov path's pre-scaled operator, abs()
     for its row-sum bound, data, every stored coefficient, for the
-    finite-entry check and symmetric for autocorrelation.  with_hops(amp)
-    sets every single-molecule coupling to amp: the one-way couplings of
-    the 1/N layer's Van Loan generator.
+    finite-entry check and symmetric (src == 0) for autocorrelation.
     """
 
-    symmetric = True  # every coupling is applied both ways
-
-    def __init__(self, diag, r, x, G, up, amp, top, offsets):
+    def __init__(self, diag, r, x, G, up, amp, src, top, offsets):
         self._diag, self._r, self._x, self._G = diag, r, x, G  # the coefficients
         self._rx = np.multiply.outer(r, x)  # each row's arrowhead column r_q x
         self._up, self._amp = up, amp  # photon row of S' + k and g sqrt(n_k), per (S', k)
+        self._src = src  # photon(S' + k) reads e_i of row S' + src
+        self.symmetric = src == 0
         self._top = top  # rows of a photon-only block q = N
         self.offsets = offsets
         self.shape = (int(offsets[-1]),) * 2
@@ -275,14 +275,15 @@ class TruncatedGenerator:
         Y[:, 0] += self._r * (X @ self._x)
         Y += self._rx * photon[:, None]
         if self._up.size:
-            lo = len(self._up)
+            lo, src = len(self._up), self._src
             Y[:lo] += (self._amp * photon[self._up]) @ self._G.T
-            hop = (X[:lo] @ self._G) * self._amp  # e_i(S') -> photon(S' + k)
+            hop = (X[src : src + lo] @ self._G) * self._amp  # e_i(S' + src) -> photon(S' + k)
             np.add.at(Y[:, 0], self._up, hop)
         return self._flat(Y)
 
     def _like(self, diag, x, G):
-        return TruncatedGenerator(diag, self._r, x, G, self._up, self._amp, self._top, self.offsets)
+        up, amp, src = self._up, self._amp, self._src
+        return TruncatedGenerator(diag, self._r, x, G, up, amp, src, self._top, self.offsets)
 
     def scaled(self, c, shift):
         """c (H - diag(shift)) in the same layout, one application per product."""
@@ -291,13 +292,6 @@ class TruncatedGenerator:
 
     def __abs__(self):
         return self._like(abs(self._diag), abs(self._x), abs(self._G))
-
-    def with_hops(self, amp):
-        """The same operator with every coupling g sqrt(n_k) fc[i, k] set to amp fc[i, k]."""
-        hops = np.full_like(self._amp, amp)
-        return TruncatedGenerator(
-            self._diag, self._r, self._x, self._G, self._up, hops, self._top, self.offsets
-        )
 
     def diagonal(self):
         return self._flat(self._diag).copy()
@@ -364,5 +358,5 @@ def truncated_generator(vs: VibronicStructure, cav: CavityParams, q_max: int) ->
     offsets[-1] -= top * m  # a photon-only block q = N
     fc = np.vstack([np.zeros(m), vs.fc])  # row 0, the photon, couples to nothing
     up, amp = np.concatenate(ups), np.concatenate(amps)
-    return TruncatedGenerator(diag, r, fc[:, 0], fc[:, 1:], up, amp, top, offsets)
+    return TruncatedGenerator(diag, r, fc[:, 0], fc[:, 1:], up, amp, 0, top, offsets)
 

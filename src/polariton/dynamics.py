@@ -5,15 +5,15 @@ the Hamiltonian, which in the first excitation manifold reproduces the
 quantum-jump survival amplitudes.  The steppers take a dense array, a
 sparse matrix (one with a toarray method, such as the H that
 cute.assemble_truncated returns) or a generator, an operator applied from
-its coefficients that also has a scaled method: the cute.TruncatedGenerator
-the CLI steps, or the Van Loan generator of the 1/N correction
-(perturbation.VanLoanGenerator).  From their shared input check _checked
-they take the vector leak = (kappa/2) n_ph; each path subtracts i leak
-once, where it builds its own operator.  Up to DENSE_DIM_LIMIT,
-_baby_steps forms the dense H_eff once, steps the first w = ceil(sqrt(n_t))
-states by exp(-i H_eff dt) and forms exp(-i H_eff w dt): propagate then
-advances w states per matrix product, and autocorrelation, the survival
-amplitude of a spectrum, splits
+its coefficients that also has a scaled method, a cute.TruncatedGenerator:
+the Hamiltonian the CLI steps, or the Van Loan generator of the 1/N
+correction (perturbation.van_loan_generator).  From their shared input
+check _checked they take the vector leak = (kappa/2) n_ph; each path
+subtracts i leak once, where it builds its own operator.  Up to
+DENSE_DIM_LIMIT, _baby_steps forms the dense H_eff once, steps the first
+w = ceil(sqrt(n_t)) states by exp(-i H_eff dt) and forms
+exp(-i H_eff w dt): propagate then advances w states per matrix product,
+and autocorrelation, the survival amplitude of a spectrum, splits
 c(a + b) = psi_a^T psi_b (H_eff complex symmetric, psi0 real), so about
 2 sqrt(n_t) states are stepped.
 Above the limit Arnoldi bases of KRYLOV_DIM vectors step one pre-scaled
@@ -119,6 +119,8 @@ def _checked(H, psi0, kappa, n_ph):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if kappa != 0.0 and n_ph is None:
         raise ValueError("kappa > 0 requires the photon-number diagonal n_ph")
+    if n_ph is not None and np.shape(n_ph) != psi0.shape:
+        raise ValueError(f"n_ph must have psi0's shape {psi0.shape}, got {np.shape(n_ph)}")
     leak = 0.5 * kappa * np.asarray(n_ph, dtype=float) if kappa else 0.0
     entries = H.data if hasattr(H, "toarray") else H
     if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(leak))):
@@ -154,10 +156,13 @@ def propagate(
     traj.params['method'] records 'dense' (with w as 'block_steps') or
     'krylov' (with the basis size 'krylov_dim', the grid steps per basis
     'block_steps' and the bases per grid step 'substeps').  Non-finite
-    psi0, kappa, H or n_ph raise ValueError before any step, and
-    non-finite amplitudes in either row RuntimeError.
+    psi0, kappa, H, n_ph or bra, and an n_ph or bra not of psi0's shape,
+    raise ValueError before any step, and non-finite amplitudes in either
+    row RuntimeError.
     """
     psi0, leak = _checked(H, psi0, kappa, n_ph)
+    if bra is not None and not (np.shape(bra) == psi0.shape and np.all(np.isfinite(bra))):
+        raise ValueError(f"bra must be finite and of psi0's shape {psi0.shape}")
     dim = psi0.size
     if dim > DENSE_DIM_LIMIT:
         return _finished(_propagate_krylov(H, leak, psi0, grid, bra), kappa, "krylov", dim)
@@ -299,9 +304,11 @@ def _krylov_operator(H, leak, dt):
     """(A, mu, rho): A = -i dt (H_eff - mu I), its trace shift mu and norm bound rho.
 
     rho = max(||A||_1, ||A||_inf).  A generator (an H with a scaled
-    method) is scaled in its own layout, whose abs(A) @ 1 has rho as its
-    largest entry: |A| = |A|^T for a TruncatedGenerator, and the Van Loan
-    generator's largest row and column sums of |A| are equal.  Any other H
+    method, a TruncatedGenerator) is scaled in its own layout, whose
+    abs(A) @ 1 has rho as its largest entry: |A| = |A|^T for a symmetric
+    one, and the Van Loan generator is persymmetric, J M J = M^T with J
+    the exchange of its first and last blocks, which take the same leak,
+    so its largest row and column sums of |A| are equal.  Any other H
     becomes one complex CSR matrix, whose |A| serves both norms.  Either A
     is the only copy of H the path makes and costs one application per
     product.

@@ -18,9 +18,9 @@ N * c_corr has an N-independent limit.  The double integral is one
 off-diagonal block of the exponential of a block upper-triangular generator
 (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), so survival_correction
 is a single propagation of that generator by dynamics.propagate, with no
-quadrature, no eigendecomposition and no stored states.  The generator,
-VanLoanGenerator, is applied from the coefficients of the q = 1
-cute.TruncatedGenerator with numpy alone.
+quadrature, no eigendecomposition and no stored states.  The generator
+of van_loan_generator is a cute.TruncatedGenerator whose couplings act one
+way, applied from its coefficients with numpy alone.
 Cavity leakage enters every block as -i (kappa/2) n_ph.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cute import CavityParams, build_A1, build_H0, truncated_generator
+from .cute import CavityParams, TruncatedGenerator, build_A1, build_H0
 from .dynamics import TimeGrid, propagate
 from .vibronic import VibronicStructure
 
@@ -59,72 +59,26 @@ class ExpansionResult:
         return self.c1_t + self.c_corr_t
 
 
-class VanLoanGenerator:
-    """M = [[H0, V, 0], [0, H1, V^T], [0, 0, H0]], or c (M - diag(shift)).
-
-    A state is x = [x_top; x_mid; x_bot], x_top and x_bot over block 0.
-    C is a TruncatedGenerator whose block 0 is H0, block 1 is H1 and whose
-    couplings are V, so Y = C @ [x_bot; x_mid] = [H0 x_bot + V x_mid;
-    V^T x_bot + H1 x_mid] and M x = [Y_0 + H0 (x_top - x_bot); Y_1; H0 x_bot]:
-    one k-major product and one (m + 1) x 2 dense one.  It offers what the
-    steppers use, as TruncatedGenerator does: shape, diagonal(), data, @,
-    toarray(), scaled(c, shift), whose two copies of H0 take one shift, and
-    abs(); the largest row and column sums of |M| are then equal.  M is
-    not symmetric, so autocorrelation refuses it.
-    """
-
-    symmetric = False  # V acts one way above the diagonal
-
-    def __init__(self, C, H0):
-        self._C, self._H0 = C, H0
-        self.shape = (C.shape[0] + len(H0),) * 2
-
-    def __matmul__(self, x):
-        x = np.asarray(x)
-        n = len(self._H0)
-        bot = x[-n:]
-        Y = self._C @ np.concatenate([bot, x[n:-n]])
-        Z = self._H0 @ np.stack([x[:n] - bot, bot], axis=1)
-        Y[:n] += Z[:, 0]
-        return np.concatenate([Y, Z[:, 1]])
-
-    def scaled(self, c, shift):
-        """c (M - diag(shift)) in the same layout; shift must agree on both copies of H0."""
-        shift = np.broadcast_to(shift, self.shape[0])
-        n = len(self._H0)
-        if not np.array_equal(shift[:n], shift[-n:]):
-            raise ValueError("both copies of H0 need the same shift")
-        C = self._C.scaled(c, np.concatenate([shift[-n:], shift[n:-n]]))
-        return VanLoanGenerator(C, c * (self._H0 - np.diag(shift[-n:])))
-
-    def __abs__(self):
-        return VanLoanGenerator(abs(self._C), abs(self._H0))
-
-    def diagonal(self):
-        return np.concatenate([self._C.diagonal(), self._H0.diagonal()])
-
-    @property
-    def photon_numbers(self):
-        n_ph = self._C.photon_numbers
-        return np.concatenate([n_ph, n_ph[: len(self._H0)]])
-
-    @property
-    def data(self):
-        return np.concatenate([self._C.data, self._H0.ravel()])
-
-    def toarray(self):
-        return np.column_stack([self @ e for e in np.eye(self.shape[0])])
-
-
-def van_loan_generator(vs: VibronicStructure, cav: CavityParams) -> VanLoanGenerator:
+def van_loan_generator(vs: VibronicStructure, cav: CavityParams) -> TruncatedGenerator:
     """survival_correction's generator, with V = COUPLING_SCALE sqrt(N) [v02 ... v0m].
 
-    C is truncated_generator(vs, cav, 1) with each coupling set, not
-    scaled, to COUPLING_SCALE g_sqrt_n fc[i, k]: sqrt(N) g = g_sqrt_n at
-    every N, also at N = infinity, where g = 0.
+    A TruncatedGenerator of m + 1 rows over {photon, e_1..e_m}: x_top, the
+    sub-blocks k = 2..m of x_mid, x_bot.  Rows 0 and m hold H0 and row
+    k - 1 holds H1k, whose arrowhead carries g_sqrt_n sqrt(1 - 1/N).  Each
+    coupling is set, not scaled, to COUPLING_SCALE g_sqrt_n fc[i, k]:
+    sqrt(N) g = g_sqrt_n at every N, also at N = infinity, where g = 0.
+    V writes e_i of row 0 from the photon of row k - 1, and V^T that
+    photon from e_i of row src = m, so symmetric is False.
     """
-    C = truncated_generator(vs, cav, 1).with_hops(COUPLING_SCALE * cav.g_sqrt_n)
-    return VanLoanGenerator(C, build_H0(vs, cav))
+    m = vs.m
+    diag = np.add.outer(np.r_[0.0, vs.omega_g[1:], 0.0], np.r_[cav.omega_c, vs.omega_e])
+    r = np.full(m + 1, cav.g_sqrt_n * math.sqrt(1.0 - 1.0 / cav.n_molecules))
+    r[[0, m]] = cav.g_sqrt_n
+    fc = np.vstack([np.zeros(m), vs.fc])  # row 0, the photon, couples to nothing
+    up = np.arange(1, m)[None, :]
+    amp = np.full(up.shape, COUPLING_SCALE * cav.g_sqrt_n)
+    offsets = np.r_[0, 1, m, m + 1] * (m + 1)  # x_top, x_mid, x_bot
+    return TruncatedGenerator(diag, r, fc[:, 0], fc[:, 1:], up, amp, m, 0, offsets)
 
 
 def survival_correction(
@@ -150,7 +104,9 @@ def survival_correction(
     no state is stored.  s V = g_sqrt_n fc does not depend on N, so
     neither does the precision of N * c_corr.  alpha is a power of 2, so it
     moves N c_corr only by rounding, and it shrinks the Krylov path's
-    row-sum bound, so its windows grow.  At N = infinity A1 = H0, so
+    row-sum bound, so its windows grow.  Each block of M x comes from its
+    own rows, so the O(alpha^2) first block meets no O(1) rounding that
+    1 / alpha^2 would amplify.  At N = infinity A1 = H0, so
     H1k = H0 + omega_g[k] I and scaled_corr_t is lim N * c_corr; that limit
     divided by a finite N is the N >> 1 approximation of c_corr.  With
     kappa > 0 the photon state of every block leaks, so

@@ -8,7 +8,7 @@ the symmetric basis, and permutation_operator swaps the molecule registers
 of the oracle's tensor basis.  block reads one dense sub-block of an
 assembled (basis, H), and photon_survival propagates the bare photon state under
 the zeroth block.  van_loan_matrix assembles the 1/N correction's Van Loan
-generator block by block, the reference for perturbation.VanLoanGenerator.
+generator block by block, the reference for perturbation.van_loan_generator.
 """
 
 from __future__ import annotations

@@ -373,7 +373,10 @@ def test_propagate_input_validation():
         propagate(H, np.array([1.0, 0.0]), grid, kappa=0.1)
 
 
-@pytest.mark.parametrize("case", ["psi0_nan", "psi0_inf", "kappa_nan", "sparse_H_inf"])
+@pytest.mark.parametrize(
+    "case",
+    ["psi0_nan", "psi0_inf", "kappa_nan", "sparse_H_inf", "bra_nan", "bra_short", "n_ph_scalar"],
+)
 def test_non_finite_input_rejected_before_stepping(monkeypatch, case):
     def no_step(*args, **kwargs):
         raise AssertionError("stepped on non-finite input")
@@ -389,9 +392,16 @@ def test_non_finite_input_rejected_before_stepping(monkeypatch, case):
         psi0 = np.array([np.inf, 0.0])
     elif case == "kappa_nan":
         kwargs = {"kappa": np.nan, "n_ph": np.array([1.0, 0.0])}
+    elif case == "bra_nan":
+        kwargs = {"bra": np.array([np.nan, 1.0])}
+    elif case == "bra_short":
+        kwargs = {"bra": np.array([1.0])}
+    elif case == "n_ph_scalar":  # would make every state leak
+        kwargs = {"kappa": 0.1, "n_ph": [1.0]}
     else:
         H = sp.csr_matrix(np.array([[0.1, np.inf], [np.inf, 0.2]]))
-    with pytest.raises(ValueError, match="finite"):
+    match = "shape" if case in ("bra_short", "n_ph_scalar") else "finite"
+    with pytest.raises(ValueError, match=match):
         propagate(H, psi0, TimeGrid(t_max=1.0, n_steps=2), **kwargs)
 
 

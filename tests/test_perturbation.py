@@ -356,7 +356,7 @@ def test_survival_correction_input_validation():
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.002])
-@pytest.mark.parametrize("N", [2, 1000, INF])
+@pytest.mark.parametrize("N", [1, 2, 1000, INF])
 @pytest.mark.parametrize("n_max", [None, 1, 11])  # m = 1 (no mode), 2 and 12
 def test_van_loan_generator_matches_reference_matrix(n_max, N, kappa):
     modes = () if n_max is None else (VibrationalMode(0.01, 1.0, n_max),)
@@ -387,8 +387,11 @@ def test_van_loan_generator_matches_reference_matrix(n_max, N, kappa):
     np.testing.assert_allclose(rows, np.abs(A_ref).sum(axis=1), rtol=1e-15, atol=0)
     # its largest entry is both norms of A
     assert rows.max() == pytest.approx(np.abs(A_ref).sum(axis=0).max(), rel=1e-15, abs=0)
-    with pytest.raises(ValueError, match="same shift"):
-        M.scaled(1.0, np.r_[1.0, np.zeros(dim - 1)])
+    # every row takes its own shift
+    c = 0.3 - 0.4j
+    shift = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    B_ref = c * (ref.toarray() - np.diag(shift))
+    np.testing.assert_allclose(M.scaled(c, shift).toarray(), B_ref, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_max, method", [(11, "dense"), (21, "krylov")])
@@ -416,6 +419,33 @@ def test_van_loan_propagation_matches_reference_matrix(n_max, method):
     np.testing.assert_allclose(traj.c_t, ref @ psi0.conj(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.bra_t, ref @ bra.conj(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.norm_t, np.linalg.norm(ref, axis=1), rtol=0, atol=1e-12)
+
+
+def test_one_over_N_coefficient_at_weak_coupling_on_the_krylov_path():
+    # g_sqrt_n = 0.001 at m = 25 (dim 676): a = N c_corr is O(g^2) below
+    # c1, so any cancellation of c1-sized terms inside the generator shows
+    # up amplified by 1/COUPLING_SCALE^2.  Reference: single steps of the
+    # dense exponential of the unscaled Van Loan matrix, whose top block
+    # projection is a itself
+    vs = single_mode(s=1.0, n_max=24)
+    cav = CavityParams(omega_c=0.11, g_sqrt_n=0.001, n_molecules=1000, kappa=0.0015)
+    grid = TimeGrid(t_max=2000.0, n_steps=256)
+    n = vs.m + 1
+    psi0 = np.eye(1, n).ravel()
+    res = survival_correction(vs, cav, psi0, grid)
+
+    M = van_loan_matrix(vs, cav, 1.0).toarray()
+    n_ph = np.zeros(len(M))
+    n_ph[::n] = 1.0
+    U = sla.expm(-1j * grid.dt * (M - 0.5j * cav.kappa * np.diag(n_ph)))
+    x = np.zeros(len(M), dtype=complex)
+    x[-n:] = psi0
+    a, c1 = np.empty((2, grid.n_steps + 1), dtype=complex)
+    for j in range(grid.n_steps + 1):
+        a[j], c1[j] = x[:n] @ psi0, x[-n:] @ psi0
+        x = U @ x
+    np.testing.assert_allclose(res.c1_t, c1, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.scaled_corr_t, a, rtol=0, atol=1e-12 * np.abs(a).max())
 
 
 def test_autocorrelation_refuses_the_van_loan_generator():
