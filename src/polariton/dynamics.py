@@ -18,7 +18,9 @@ c(a + b) = psi_a^T psi_b (H_eff complex symmetric, psi0 real), so about
 2 sqrt(n_t) states are stepped.
 Above the limit Arnoldi bases of KRYLOV_DIM vectors step one pre-scaled
 operator, a window of grid steps each, chosen once from Saad's error
-bound: a scaled copy of a generator, else one complex CSR matrix.
+bound: a scaled copy of a generator, else one complex CSR matrix.  A
+propagation holds one KRYLOV_DIM x dim basis buffer, refilled in place by
+every window, so no two bases are ever live.
 Every matrix exponential is _expm, one degree-18 Taylor series scaled and
 squared; scipy.sparse is imported only to step a matrix that is not a
 generator on the Krylov path, and no state is stored.  spectrum
@@ -245,7 +247,8 @@ def _propagate_krylov(H, leak, psi0, grid, bra=None) -> Trajectory:
     With the trace shift mu = tr(H_eff)/dim, A = -i dt (H_eff - mu I) is
     the pre-scaled operator of _krylov_operator, the only copy of H the
     path makes.  Each window builds a basis V of k = min(KRYLOV_DIM, dim)
-    vectors from the current state psi and steps the k x k projection T of A by
+    vectors from the current state psi, in place in the one k x dim buffer
+    the propagation allocates, and steps the k x k projection T of A by
     E = exp(T / s) e^(-i mu dt / s): y_j = E^j ||psi|| e_1 stands for the
     state V^T y_j (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The window
     of W grid steps and the s substeps per grid step are chosen once: the
@@ -256,7 +259,8 @@ def _propagate_krylov(H, leak, psi0, grid, bra=None) -> Trajectory:
     DimensionGuardError before any basis is built.  An invariant basis
     (dim <= k, or a happy breakdown) is exact, so it covers the rest of the
     grid and no bound is applied.  Amplitudes and norms come from the
-    k-vectors y_j; the full state is formed once per window.
+    k-vectors y_j; the full state is formed once per window.  A yielded V
+    is a view of the buffer, valid only until the next window is requested.
     """
     dim = psi0.size
     A, mu, rho = _krylov_operator(H, leak, grid.dt)
@@ -276,10 +280,12 @@ def _propagate_krylov(H, leak, psi0, grid, bra=None) -> Trajectory:
     phase = np.exp(-1j * grid.dt * mu / substeps)  # E carries the trace shift
 
     def windows(psi):
+        basis = np.empty((k, dim), dtype=complex)  # every window's Arnoldi refills it
         yield 0, None, psi[:, None]
         total, done = grid.n_steps * substeps, 0
         while done < total:
-            V, H, beta, exact = _arnoldi(A, psi, k, 2.0**-53 * rho)
+            H, beta, exact = _arnoldi(A, psi, basis, 2.0**-53 * rho)
+            V = basis[: len(H)]
             span = total - done if exact else min(width, total - done)
             E = _expm(H / substeps) * phase
             Y = np.empty((len(H), span), dtype=complex)
@@ -339,17 +345,17 @@ def _krylov_reach(k):
     return x
 
 
-def _arnoldi(A, psi, k, tol):
-    """(V, H, ||psi||, exact): the Arnoldi basis of A from psi.
+def _arnoldi(A, psi, V, tol):
+    """(H, ||psi||, exact): the Arnoldi basis of A from psi, written into V.
 
-    The rows of V are an orthonormal basis of span{psi, A psi, ...} and
-    H = conj(V) A V^T is its upper Hessenberg projection, built by classical
-    Gram-Schmidt applied twice.  V has k rows unless a residual falls to
-    tol or the basis fills the space: then the space is invariant and
-    exact is True.
+    The k x n buffer V is filled in place and no basis is allocated: its
+    first len(H) rows are an orthonormal basis of span{psi, A psi, ...} and
+    H = conj(V) A V^T is their upper Hessenberg projection, built by
+    classical Gram-Schmidt applied twice.  H is k x k unless a residual
+    falls to tol or the basis fills the space: then the space is invariant
+    and exact is True.  Rows from len(H) on are left as they were.
     """
-    n = psi.size
-    V = np.empty((k, n), dtype=complex)
+    k, n = V.shape
     H = np.zeros((k, k), dtype=complex)
     beta = np.linalg.norm(psi)
     V[0] = psi / beta if beta else psi  # a state decayed to 0 stays 0
@@ -361,11 +367,11 @@ def _arnoldi(A, psi, k, tol):
             H[: j + 1, j] += h
         r = np.linalg.norm(w)
         if j + 1 == n or r <= tol:
-            return V[: j + 1], H[: j + 1, : j + 1], beta, True
+            return H[: j + 1, : j + 1], beta, True
         if j + 1 < k:
-            V[j + 1] = w / r
+            np.divide(w, r, out=V[j + 1])
             H[j + 1, j] = r
-    return V, H, beta, False
+    return H, beta, False
 
 
 # 1/k! for the degree-18 Taylor polynomial of _expm
@@ -414,7 +420,9 @@ def _step(windows, psi0, grid, bra=None) -> Trajectory:
     windows yields (n, V, Y) in grid order: the states at grid times n,
     n + 1, ... are the columns of Y (V None) or of V^T Y, where V has
     orthonormal rows (a Krylov basis).  Amplitudes and norms are then taken
-    from the short columns of Y.
+    from the short columns of Y.  A window's V is valid only until the next
+    window is requested (the Krylov path refills one buffer), so each
+    window is read before the generator resumes.
     """
     nt = grid.n_steps + 1
     norm_t = np.empty(nt)

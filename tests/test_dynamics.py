@@ -55,7 +55,9 @@ def with_states(propagation, *args, **kwargs):
     """(traj, states): a propagation run with every state at a grid time recorded.
 
     dynamics._step reads the amplitudes from the windows (n, V, Y) its path
-    yields; the states are the columns of Y (V None) or of V^T Y.
+    yields; the states are the columns of Y (V None) or of V^T Y.  A
+    window's V is valid only until the next window is requested (the Krylov
+    path refills one buffer), so V^T Y is formed before the path resumes.
     """
     rows = []
     step = dynamics._step
@@ -489,6 +491,26 @@ def test_krylov_propagate_holds_one_complex_copy_of_H():
     assert peak < basis + 2 * complex_csr, (peak, basis, complex_csr)
 
 
+@pytest.mark.parametrize("n_max, dim", [(13, 1806), (24, 5700)])
+def test_krylov_propagation_holds_one_basis(n_max, dim):
+    # cute1 on the fig5 molecule with its slow mode cut: every window refills
+    # one k x dim buffer, so the traced peak stays near one basis, not two
+    modes = (VibrationalMode(0.01, 0.01, 2), VibrationalMode(0.001, 16.0, n_max))
+    vs = build_vibronic(MolecularModel(electronic_gap=0.1, modes=modes))
+    cav = CavityParams(omega_c=0.1161, g_sqrt_n=0.03, n_molecules=100, kappa=0.0015)
+    gen = truncated_generator(vs, cav, 1)
+    photon = np.eye(1, gen.shape[0]).ravel()
+    basis = dynamics.KRYLOV_DIM * dim * 16
+    tracemalloc.start()
+    try:
+        traj = propagate(gen, photon, TimeGrid(64.0, 64), cav.kappa, gen.photon_numbers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (traj.params["method"], traj.params["dim"]) == ("krylov", dim)
+    assert peak <= 1.6 * basis, peak / basis
+
+
 def test_transition_amplitudes_reject_non_finite_generator(monkeypatch):
     # NaN > 0 is False: without the check a NaN norm would pick the identity step
     monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 1)  # the Krylov path
@@ -545,8 +567,9 @@ def test_defective_generator_on_sparse_path(monkeypatch):
     arnoldi = dynamics._arnoldi
     monkeypatch.setattr(dynamics, "_arnoldi", lambda *a: bases.append(arnoldi(*a)) or bases[-1])
     zero = propagate(sp.csr_matrix((2, 2)), np.array([0.6, 0.8]), grid)
-    # one window spans the grid
-    assert (len(bases), zero.params["block_steps"], zero.params["substeps"]) == (1, 20, 1)
+    # one window of one invariant vector spans the grid
+    assert [len(H) for H, *_ in bases] == [1]
+    assert (zero.params["block_steps"], zero.params["substeps"]) == (20, 1)
     np.testing.assert_array_equal(zero.c_t, np.ones(grid.n_steps + 1))
 
 
@@ -603,17 +626,26 @@ def test_krylov_windows_match_single_steps(data, k, dim, generator, stiff, kappa
     rng = np.random.default_rng(seed + 1)
     psi0, bra = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
     psi0 /= np.linalg.norm(psi0)
-    bases = []
+    buffers, bases = [], []
     arnoldi = dynamics._arnoldi
+
+    def recording(A, psi, V, tol):
+        buffers.append(V)
+        bases.append(arnoldi(A, psi, V, tol))
+        return bases[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "KRYLOV_DIM", k)
-        mp.setattr(dynamics, "_arnoldi", lambda *a: bases.append(arnoldi(*a)) or bases[-1])
+        mp.setattr(dynamics, "_arnoldi", recording)
         traj, states = with_states(
             dynamics._propagate_krylov, sp.csr_matrix(H_eff), 0.0, psi0, grid, bra=bra
         )
     assert {key: traj.params[key] for key in expected} == expected
     assert traj.params["krylov_dim"] == k
-    assert [len(V) for V, *_ in bases] == [k] * n_bases
+    assert [len(H) for H, *_ in bases] == [k] * n_bases
+    # every window refills the one buffer: the states below then cover stale rows
+    assert buffers[0].shape == (k, dim)
+    assert all(V is buffers[0] for V in buffers)
 
     U = sla.expm(-1j * grid.dt * H_eff)
     ref = np.empty((n_steps + 1, dim), dtype=complex)
